@@ -16,6 +16,7 @@
 #include "fusion/line_buffer_executor.hh"
 #include "fusion/recompute_executor.hh"
 #include "kernels/conv_kernels.hh"
+#include "kernels/conv_layer.hh"
 #include "kernels/weight_pack.hh"
 #include "model/balance.hh"
 #include "model/explorer.hh"
@@ -233,6 +234,56 @@ BM_ConvRowBlockedGeneric(benchmark::State &state)
                             BlockFixture::kFilters);
 }
 BENCHMARK(BM_ConvRowBlockedGeneric)->Args({3, 1})->Args({5, 1});
+
+void
+BM_ConvRowNarrow(benchmark::State &state)
+{
+    // A fused pyramid's fresh tile: VGG's 3x3 s1 conv over a strip only
+    // 4 or 12 pixels wide (tip 4 at conv3_1, recompute at tip 8), so
+    // every pass ends in the kernels' masked tail block. items/s near
+    // BM_ConvRowBlocked's {3, 1} means the tail runs at vector speed.
+    BlockFixture f(3, 1, static_cast<int>(state.range(0)));
+    const ConvBlockKernel bk = resolveConvBlockKernel(3, 1);
+    const PackedWeights pw(f.fb);
+    std::vector<float> dst(
+        static_cast<size_t>(BlockFixture::kFilters) * f.outW);
+    for (auto _ : state) {
+        convBlockRowTensor(bk, pw, 0, dst.data(), f.outW, f.outW, f.in,
+                           0, 0);
+        benchmark::DoNotOptimize(dst.data());
+    }
+    state.SetItemsProcessed(state.iterations() * f.outW *
+                            BlockFixture::kFilters);
+    state.SetLabel(solverLabel(f, false));
+}
+BENCHMARK(BM_ConvRowNarrow)->Arg(4)->Arg(12);
+
+void
+BM_ConvRowNarrowI8(benchmark::State &state)
+{
+    // The same narrow strips through the int8 row driver (staged u8
+    // input, resolved int8 kernel, dequant epilogue).
+    BlockFixture f(3, 1, static_cast<int>(state.range(0)));
+    const ActQuant act = chooseActQuant(-1.0f, 1.0f);
+    ConvStage st;
+    const Shape &s = f.in.shape();
+    st.configure(Precision::Int8, s.c, s.h, s.w);
+    stageConvInputI8(st, f.in, act, 0, s.h);
+    const PackedWeightsI8 pw(
+        f.fb, 1, std::vector<float>(BlockFixture::kFilters, 0.05f));
+    const ConvBlockKernelI8 bk = resolveConvBlockKernelI8(3, 1);
+    const int row_idx[] = {0, 1, 2};
+    std::vector<float> dst(
+        static_cast<size_t>(BlockFixture::kFilters) * f.outW);
+    for (auto _ : state) {
+        convBlockRowI8(bk, pw, 0, dst.data(), f.outW, f.outW, st,
+                       row_idx, 0, act);
+        benchmark::DoNotOptimize(dst.data());
+    }
+    state.SetItemsProcessed(state.iterations() * f.outW *
+                            BlockFixture::kFilters);
+}
+BENCHMARK(BM_ConvRowNarrowI8)->Arg(4)->Arg(12);
 
 void
 BM_WeightPack(benchmark::State &state)

@@ -207,9 +207,9 @@ struct ConvBlockKernel
  * Resolve the multi-filter kernels for a (kernel, stride) pair.
  * Specialized variants cover the zoo's K in {1, 3, 5, 7, 11} x stride
  * in {1, 2, 4} grid; when the build enables FLCNN_SIMD and the CPU
- * supports AVX2, stride-1 table sizes dispatch to an explicit
- * (FMA-free) vector path whose per-lane operation order is identical
- * to the scalar kernel. Everything else gets the generic path.
+ * supports AVX2, the same grid dispatches to an explicit (FMA-free)
+ * vector path whose per-lane operation order is identical to the
+ * scalar kernel. Everything else gets the generic path.
  */
 ConvBlockKernel resolveConvBlockKernel(int kernel, int stride);
 
@@ -224,7 +224,7 @@ ConvBlockKernel resolveConvBlockKernelScalar(int kernel, int stride);
 
 /**
  * Resolve the fast-math (FMA) multi-filter kernels: the bit-exact
- * resolution of resolveConvBlockKernel() with stride-1 table sizes
+ * resolution of resolveConvBlockKernel() with the table grid
  * overridden by FMA variants that split each lane's accumulation into
  * two interleaved partial sums (tap parity) recombined at the end.
  * The reordering and the fused rounding break bit-exactness with the

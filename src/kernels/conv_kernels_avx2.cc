@@ -13,10 +13,18 @@
  * gathered with deinterleave shuffles, which move data without
  * touching its value or the accumulation order. FMA is never used:
  * the build does not pass -mfma, intrinsics are never contracted, and
- * -ffp-contract=off is pinned globally. Remainder pixels (< 8) go
- * through the portable generic block, which is bit-identical by the
- * same argument. Outputs therefore match the scalar reference bit for
- * bit.
+ * -ffp-contract=off is pinned globally. Outputs therefore match the
+ * scalar reference bit for bit.
+ *
+ * Tails: at stride 1 the last count % 8 pixels of a strip (all of
+ * them when count < 8) run one masked 8-pixel block with the same
+ * per-lane op sequence. Accumulators and input taps are loaded with
+ * vmaskmov and stored the same way, so nothing past dst[count - 1] or
+ * past the last input element a scalar kernel would touch is read or
+ * written (Tensor rows carry no apron). Strides 2 and 4 keep the
+ * portable generic remainder: the strided gathers read whole vectors,
+ * and the only such layer in the zoo, AlexNet conv1, is served in
+ * int8, whose kernels have their own masked tail.
  */
 
 #include "kernels/conv_kernels_simd.hh"
@@ -63,16 +71,31 @@ loadPix(const float *p)
     }
 }
 
-/** One MR x 8 vector block at compile-time K and stride. */
-template <int MR, int K, int SX>
+/** Lane mask selecting the first @p rem (1..7) of 8 pixels. */
+inline __m256i
+tailMask(int rem)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/**
+ * One MR x 8 vector block at compile-time K and stride. With TAIL set
+ * (stride 1 only) every dst and input access is masked to the lanes
+ * of @p mask; the arithmetic is unchanged, and masked-off lanes
+ * compute on zeros that are never stored.
+ */
+template <int MR, int K, int SX, bool TAIL = false>
 inline void
 blockMfAvx2(float *dst, int64_t dst_stride, const float *in,
             int64_t ch_stride, const int64_t *row_off, const float *wp,
-            int n_count)
+            int n_count, __m256i mask = __m256i())
 {
+    static_assert(!TAIL || SX == 1, "masked tail is stride-1 only");
     __m256 acc[MR];
     for (int f = 0; f < MR; f++)
-        acc[f] = _mm256_loadu_ps(dst + f * dst_stride);
+        acc[f] = TAIL ? _mm256_maskload_ps(dst + f * dst_stride, mask)
+                      : _mm256_loadu_ps(dst + f * dst_stride);
     const float *chan = in;
     const float *wchan = wp;
     for (int n = 0; n < n_count;
@@ -81,7 +104,9 @@ blockMfAvx2(float *dst, int64_t dst_stride, const float *in,
             const float *irow = chan + row_off[i];
             const float *wrow = wchan + static_cast<int64_t>(i) * K * MR;
             for (int j = 0; j < K; j++) {
-                const __m256 iv = loadPix<SX>(irow + j);
+                const __m256 iv = TAIL
+                                      ? _mm256_maskload_ps(irow + j, mask)
+                                      : loadPix<SX>(irow + j);
                 for (int f = 0; f < MR; f++) {
                     const __m256 wv = _mm256_set1_ps(wrow[j * MR + f]);
                     acc[f] = _mm256_add_ps(acc[f],
@@ -90,11 +115,16 @@ blockMfAvx2(float *dst, int64_t dst_stride, const float *in,
             }
         }
     }
-    for (int f = 0; f < MR; f++)
-        _mm256_storeu_ps(dst + f * dst_stride, acc[f]);
+    for (int f = 0; f < MR; f++) {
+        if constexpr (TAIL)
+            _mm256_maskstore_ps(dst + f * dst_stride, mask, acc[f]);
+        else
+            _mm256_storeu_ps(dst + f * dst_stride, acc[f]);
+    }
 }
 
-/** Strip driver: vector 8-pixel blocks, portable generic remainder. */
+/** Strip driver: vector 8-pixel blocks, then a masked tail block
+ *  (stride 1) or the portable generic remainder (strides 2 and 4). */
 template <int MR, int K, int SX>
 void
 convBlockStripAvx2(float *dst, int64_t dst_stride, int count,
@@ -108,7 +138,13 @@ convBlockStripAvx2(float *dst, int64_t dst_stride, int count,
         in += 8 * SX;
         count -= 8;
     }
-    if (count > 0) {
+    if (count == 0)
+        return;
+    if constexpr (SX == 1) {
+        blockMfAvx2<MR, K, SX, true>(dst, dst_stride, in, ch_stride,
+                                     row_off, wp, n_count,
+                                     tailMask(count));
+    } else {
         ConvBlockKernel::convBlockStripGeneric(MR, dst, dst_stride,
                                                count, in, ch_stride,
                                                row_off, wp, n_count, K,

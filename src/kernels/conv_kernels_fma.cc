@@ -23,9 +23,14 @@
  * at most the difference between two summation orders of the same
  * terms — O(T * eps * sum|terms|) for T taps. The fast-math
  * differential tests (tests/kernels/fastmath_ulp_test.cc) verify the
- * bound against the bit-exact kernels. Remainder pixels (< 8) go
- * through the portable generic block, which is exact; the deviation
- * exists only on full 8-pixel vector blocks.
+ * bound against the bit-exact kernels.
+ *
+ * Tails: at stride 1 the last count % 8 pixels run one masked 8-pixel
+ * block with the same two-accumulator FMA sequence (so a tail pixel
+ * deviates exactly like a full-block pixel), loading and storing
+ * through vmaskmov so nothing past the strip is read or written.
+ * Strides 2 and 4 keep the exact generic remainder, as in the AVX2
+ * TU.
  */
 
 #include "kernels/conv_kernels_simd.hh"
@@ -67,22 +72,34 @@ loadPixF(const float *p)
     }
 }
 
+/** Lane mask selecting the first @p rem (1..7) of 8 pixels. */
+inline __m256i
+tailMaskF(int rem)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 /**
  * One MR x 8 fast-math vector block at compile-time K and stride. Each
  * lane keeps two accumulators: acc0 starts from dst (bias or partial
  * sum), acc1 from zero; taps alternate between them by parity of the
- * flattened (n, i, j) index, and the final store adds the pair.
+ * flattened (n, i, j) index, and the final store adds the pair. With
+ * TAIL set (stride 1 only) dst and input accesses are masked to the
+ * lanes of @p mask.
  */
-template <int MR, int K, int SX>
+template <int MR, int K, int SX, bool TAIL = false>
 inline void
 blockMfFma(float *dst, int64_t dst_stride, const float *in,
            int64_t ch_stride, const int64_t *row_off, const float *wp,
-           int n_count)
+           int n_count, __m256i mask = __m256i())
 {
+    static_assert(!TAIL || SX == 1, "masked tail is stride-1 only");
     __m256 acc0[MR];
     __m256 acc1[MR];
     for (int f = 0; f < MR; f++) {
-        acc0[f] = _mm256_loadu_ps(dst + f * dst_stride);
+        acc0[f] = TAIL ? _mm256_maskload_ps(dst + f * dst_stride, mask)
+                       : _mm256_loadu_ps(dst + f * dst_stride);
         acc1[f] = _mm256_setzero_ps();
     }
     const float *chan = in;
@@ -93,7 +110,9 @@ blockMfFma(float *dst, int64_t dst_stride, const float *in,
             const float *irow = chan + row_off[i];
             const float *wrow = wchan + static_cast<int64_t>(i) * K * MR;
             for (int j = 0; j < K; j++) {
-                const __m256 iv = loadPixF<SX>(irow + j);
+                const __m256 iv = TAIL
+                                      ? _mm256_maskload_ps(irow + j, mask)
+                                      : loadPixF<SX>(irow + j);
                 const bool odd = ((n * K + i) * K + j) & 1;
                 for (int f = 0; f < MR; f++) {
                     const __m256 wv = _mm256_set1_ps(wrow[j * MR + f]);
@@ -105,12 +124,17 @@ blockMfFma(float *dst, int64_t dst_stride, const float *in,
             }
         }
     }
-    for (int f = 0; f < MR; f++)
-        _mm256_storeu_ps(dst + f * dst_stride,
-                         _mm256_add_ps(acc0[f], acc1[f]));
+    for (int f = 0; f < MR; f++) {
+        const __m256 sum = _mm256_add_ps(acc0[f], acc1[f]);
+        if constexpr (TAIL)
+            _mm256_maskstore_ps(dst + f * dst_stride, mask, sum);
+        else
+            _mm256_storeu_ps(dst + f * dst_stride, sum);
+    }
 }
 
-/** Strip driver: fast vector 8-pixel blocks, exact generic remainder. */
+/** Strip driver: fast vector 8-pixel blocks, then a masked fast tail
+ *  block (stride 1) or the exact generic remainder (strides 2, 4). */
 template <int MR, int K, int SX>
 void
 convBlockStripFma(float *dst, int64_t dst_stride, int count,
@@ -124,7 +148,13 @@ convBlockStripFma(float *dst, int64_t dst_stride, int count,
         in += 8 * SX;
         count -= 8;
     }
-    if (count > 0) {
+    if (count == 0)
+        return;
+    if constexpr (SX == 1) {
+        blockMfFma<MR, K, SX, true>(dst, dst_stride, in, ch_stride,
+                                    row_off, wp, n_count,
+                                    tailMaskF(count));
+    } else {
         ConvBlockKernel::convBlockStripGeneric(MR, dst, dst_stride,
                                                count, in, ch_stride,
                                                row_off, wp, n_count, K,

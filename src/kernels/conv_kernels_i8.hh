@@ -116,8 +116,8 @@ struct ConvBlockKernelI8
 /**
  * Resolve the int8 multi-filter kernels for a (kernel, stride) pair.
  * When the build enables FLCNN_SIMD and the CPU supports AVX2,
- * stride-1 shapes of any K and stride-4 table shapes (AlexNet's 11x11
- * s4 conv1) dispatch to the maddubs vector path, upgraded to AVX-VNNI
+ * stride-1 and stride-4 table shapes (K in {1, 3, 5, 7, 11}; AlexNet's
+ * 11x11 s4 conv1 among them) dispatch to the maddubs vector path, upgraded to AVX-VNNI
  * vpdpbusd when available; everything else runs the portable generic
  * (which produces identical i32 accumulators).
  */

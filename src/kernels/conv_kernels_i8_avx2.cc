@@ -18,19 +18,29 @@
  * (kernels/quant.hh) bounds every pairwise i16 sum by 255 * 63 * 2 =
  * 32130 < 32767, so maddubs' saturating add never saturates and the
  * result is the exact integer sum — bit-equal to the portable generic
- * path. Remainders (< 8 pixels) delegate to it outright.
+ * path.
+ *
+ * Tails: the last count % 8 pixels (all of them when count < 8) run
+ * one masked 8-pixel block with the same op sequence. Accumulators
+ * are loaded and stored with vpmaskmovd, so no i32 past dst[count - 1]
+ * is touched — callers may hand in a strip of a full output plane
+ * (the autotuner does) or a seg-sized segment of a row. Input loads
+ * stay plain: the lanes past the tail read staged bytes nobody stores.
  *
  * Overread: the stride-1 16-byte tap load reaches up to column
- * t0 + (K4 - 4) + 15 of a staged row; ConvStage's rows carry 48 bytes
- * of zero padding past the image width, which covers it for every K
- * the repo supports. The stride-4 32-byte load ends exactly at the
- * last tap byte pixel 7 touches — no overread at all.
+ * t0 + (K4 - 4) + 15 of a staged row and the stride-4 32-byte load up
+ * to byte t0 * 4 + (K4 - 4) + 31. The tail block is the widest reader:
+ * with one live lane at t0 those loads end i8TailOverread(K, stride)
+ * bytes past the last byte the pixel really uses (13 at 11x11 s1, 29
+ * at 11x11 s4, 31 at most). ConvStage's kConvStagePad-byte zero apron
+ * covers that, which the strip driver static_asserts per (K, stride).
  */
 
 #include "kernels/conv_kernels_simd.hh"
 
 #include <immintrin.h>
 
+#include "kernels/conv_layer.hh"
 #include "kernels/quant.hh"
 
 namespace flcnn {
@@ -70,20 +80,32 @@ loadPixTaps(const uint8_t *irow, int jg)
     }
 }
 
-/** One MR x 8 int8 vector block (compile-time K and stride). */
-template <int MR, int K, int SX>
+/** Lane mask selecting the first @p rem (1..7) of 8 pixels. */
+inline __m256i
+tailMask(int rem)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** One MR x 8 int8 vector block (compile-time K and stride). With
+ *  TAIL set, accumulators load and store only the lanes of @p mask. */
+template <int MR, int K, int SX, bool TAIL = false>
 inline void
 blockI8Avx2(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             int64_t ch_stride, const int64_t *row_off, const int8_t *wp,
-            int n_count)
+            int n_count, __m256i mask = __m256i())
 {
     constexpr int JG = (K + 3) / 4;
     constexpr int64_t W_ROW = static_cast<int64_t>(JG) * MR * 4;
     const __m256i ones = _mm256_set1_epi16(1);
     __m256i acc[MR];
-    for (int f = 0; f < MR; f++)
-        acc[f] = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + f * dst_stride));
+    for (int f = 0; f < MR; f++) {
+        int32_t *d = dst + f * dst_stride;
+        acc[f] = TAIL ? _mm256_maskload_epi32(d, mask)
+                      : _mm256_loadu_si256(
+                            reinterpret_cast<const __m256i *>(d));
+    }
     const uint8_t *chan = in;
     const int8_t *wchan = wp;
     for (int n = 0; n < n_count;
@@ -105,12 +127,16 @@ blockI8Avx2(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             }
         }
     }
-    for (int f = 0; f < MR; f++)
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + f * dst_stride), acc[f]);
+    for (int f = 0; f < MR; f++) {
+        int32_t *d = dst + f * dst_stride;
+        if constexpr (TAIL)
+            _mm256_maskstore_epi32(d, mask, acc[f]);
+        else
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(d), acc[f]);
+    }
 }
 
-/** Strip driver: vector 8-pixel blocks, portable generic remainder. */
+/** Strip driver: vector 8-pixel blocks, then one masked tail block. */
 template <int MR, int K, int SX>
 void
 convBlockStripI8Avx2(int32_t *dst, int64_t dst_stride, int count,
@@ -118,6 +144,8 @@ convBlockStripI8Avx2(int32_t *dst, int64_t dst_stride, int count,
                      const int64_t *row_off, const int8_t *wp,
                      int n_count)
 {
+    static_assert(i8TailOverread(K, SX) <= kConvStagePad,
+                  "int8 tail block overreads the ConvStage apron");
     while (count >= 8) {
         blockI8Avx2<MR, K, SX>(dst, dst_stride, in, ch_stride, row_off,
                                wp, n_count);
@@ -125,11 +153,10 @@ convBlockStripI8Avx2(int32_t *dst, int64_t dst_stride, int count,
         in += 8 * SX;
         count -= 8;
     }
-    if (count > 0) {
-        ConvBlockKernelI8::convBlockStripI8Generic(
-            MR, dst, dst_stride, count, in, ch_stride, row_off, wp,
-            n_count, K, SX);
-    }
+    if (count > 0)
+        blockI8Avx2<MR, K, SX, true>(dst, dst_stride, in, ch_stride,
+                                     row_off, wp, n_count,
+                                     tailMask(count));
 }
 
 struct I8Entry

@@ -20,12 +20,17 @@
  * including the stride-4 case, where the 4-tap grouping makes each
  * pixel octet's taps one contiguous 32-byte load with no shuffle; see
  * conv_kernels_i8_avx2.cc for the overread argument (covered by
- * ConvStage's 48-byte zero apron).
+ * ConvStage's kConvStagePad-byte zero apron, static_asserted per
+ * (K, stride) below). The masked tail block is the AVX2 TU's too:
+ * the last count % 8 pixels run one 8-pixel vpdpbusd block whose
+ * accumulators load and store through vpmaskmovd.
  */
 
 #include "kernels/conv_kernels_simd.hh"
 
 #include <immintrin.h>
+
+#include "kernels/conv_layer.hh"
 
 namespace flcnn {
 namespace simd {
@@ -59,19 +64,31 @@ loadPixTaps(const uint8_t *irow, int jg)
     }
 }
 
-/** One MR x 8 int8 vector block (compile-time K and stride). */
-template <int MR, int K, int SX>
+/** Lane mask selecting the first @p rem (1..7) of 8 pixels. */
+inline __m256i
+tailMask(int rem)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** One MR x 8 int8 vector block (compile-time K and stride). With
+ *  TAIL set, accumulators load and store only the lanes of @p mask. */
+template <int MR, int K, int SX, bool TAIL = false>
 inline void
 blockI8Vnni(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             int64_t ch_stride, const int64_t *row_off, const int8_t *wp,
-            int n_count)
+            int n_count, __m256i mask = __m256i())
 {
     constexpr int JG = (K + 3) / 4;
     constexpr int64_t W_ROW = static_cast<int64_t>(JG) * MR * 4;
     __m256i acc[MR];
-    for (int f = 0; f < MR; f++)
-        acc[f] = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + f * dst_stride));
+    for (int f = 0; f < MR; f++) {
+        int32_t *d = dst + f * dst_stride;
+        acc[f] = TAIL ? _mm256_maskload_epi32(d, mask)
+                      : _mm256_loadu_si256(
+                            reinterpret_cast<const __m256i *>(d));
+    }
     const uint8_t *chan = in;
     const int8_t *wchan = wp;
     for (int n = 0; n < n_count;
@@ -91,9 +108,13 @@ blockI8Vnni(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             }
         }
     }
-    for (int f = 0; f < MR; f++)
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + f * dst_stride), acc[f]);
+    for (int f = 0; f < MR; f++) {
+        int32_t *d = dst + f * dst_stride;
+        if constexpr (TAIL)
+            _mm256_maskstore_epi32(d, mask, acc[f]);
+        else
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(d), acc[f]);
+    }
 }
 
 /** One MR x 16 block: two pixel octets share each weight broadcast,
@@ -148,8 +169,8 @@ blockI8Vnni16(int32_t *dst, int64_t dst_stride, const uint8_t *in,
     }
 }
 
-/** Strip driver: 16- then 8-pixel vector blocks, portable generic
- *  remainder. */
+/** Strip driver: 16- then 8-pixel vector blocks, then one masked
+ *  tail block. */
 template <int MR, int K, int SX>
 void
 convBlockStripI8Vnni(int32_t *dst, int64_t dst_stride, int count,
@@ -157,6 +178,8 @@ convBlockStripI8Vnni(int32_t *dst, int64_t dst_stride, int count,
                      const int64_t *row_off, const int8_t *wp,
                      int n_count)
 {
+    static_assert(i8TailOverread(K, SX) <= kConvStagePad,
+                  "int8 tail block overreads the ConvStage apron");
     while (count >= 16) {
         blockI8Vnni16<MR, K, SX>(dst, dst_stride, in, ch_stride,
                                  row_off, wp, n_count);
@@ -171,11 +194,10 @@ convBlockStripI8Vnni(int32_t *dst, int64_t dst_stride, int count,
         in += 8 * SX;
         count -= 8;
     }
-    if (count > 0) {
-        ConvBlockKernelI8::convBlockStripI8Generic(
-            MR, dst, dst_stride, count, in, ch_stride, row_off, wp,
-            n_count, K, SX);
-    }
+    if (count > 0)
+        blockI8Vnni<MR, K, SX, true>(dst, dst_stride, in, ch_stride,
+                                     row_off, wp, n_count,
+                                     tailMask(count));
 }
 
 struct VnniEntry

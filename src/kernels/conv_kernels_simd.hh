@@ -24,24 +24,43 @@ bool avx2Supported();
 /**
  * The AVX2 multi-filter strip variant for @p mr lanes and a
  * (kernel, stride) pair, or nullptr when no vector variant exists
- * (non-table kernel sizes and strides other than 1). The returned
+ * (kernel sizes or strides outside the table). The returned
  * function honors the full determinism contract: 8-pixel vector
  * blocks apply, per lane, exactly the scalar mul-then-add tap order
  * (no FMA — the build never enables -mfma and intrinsics are not
- * contracted), and sub-8-pixel remainders delegate to the portable
- * generic path.
+ * contracted). A stride-1 remainder of count % 8 pixels runs one
+ * masked 8-pixel block with the same per-lane sequence; strided
+ * remainders delegate to the portable generic path.
  */
 ConvBlockStripFn blockFn(int mr, int kernel, int stride);
 
 /**
  * The AVX2 int8 multi-filter strip variant (maddubs u8 x s8 pipeline)
  * for @p mr lanes and a (kernel, stride) pair, or nullptr when no
- * vector variant exists (strides other than 1). Integer accumulation
+ * vector variant exists (strides other than 1 and 4, kernel sizes
+ * outside the table). Integer accumulation
  * is exact and the +/-63 weight clamp rules out i16 saturation, so the
  * returned function computes bit-identical accumulators to the
- * portable generic; sub-8-pixel remainders delegate to it outright.
+ * portable generic. The count % 8 remainder runs one 8-pixel block
+ * with masked accumulator loads and stores (see i8TailOverread).
  */
 ConvBlockStripI8Fn blockFnI8(int mr, int kernel, int stride);
+
+/**
+ * Bytes the int8 masked tail block may read past the last staged byte
+ * its single live pixel uses (column k - 1 from that pixel's origin).
+ * With one live lane the block still loads 8 pixels' taps: per 4-tap
+ * group a 16-byte load at stride 1 or a 32-byte load at stride 4, the
+ * last group starting 4 * (ceil(k / 4) - 1) bytes in. No other int8
+ * reader goes further past the image, so ConvStage's zero apron
+ * (kConvStagePad) must be at least this wide; the vector TUs
+ * static_assert it per (k, stride).
+ */
+constexpr int
+i8TailOverread(int k, int stride)
+{
+    return 4 * ((k + 3) / 4 - 1) + (stride == 1 ? 16 : 32) - k;
+}
 
 /** True when the running CPU supports the FMA fast-math kernels. */
 bool fmaSupported();

@@ -15,6 +15,9 @@
  * stageW = source-width + 48. The 48 trailing columns are zero-filled
  * at allocation and never written, giving the int8 vector kernels a
  * safe overread apron and the zero-padded panel taps zero products.
+ * The widest reader is the vector kernels' masked tail block: with one
+ * live pixel it still loads eight pixels' taps, up to
+ * simd::i8TailOverread(K, stride) bytes (at most 31) past the image.
  * Row addressing is an explicit K-entry row-index table (like the
  * kernels' row-offset tables) so the same drivers serve linear
  * tensors, tile buffers, and the line-buffer executor's modular rings.
@@ -43,7 +46,8 @@
 
 namespace flcnn {
 
-/** Zero-filled overread apron past each staged row (bytes/elements). */
+/** Zero-filled overread apron past each staged row (bytes/elements);
+ *  must cover simd::i8TailOverread() for every vector (K, stride). */
 constexpr int kConvStagePad = 48;
 
 /** Per-conv-layer staging buffer for a precision mode. */
