@@ -286,6 +286,28 @@ BM_ConvRowNarrowI8(benchmark::State &state)
 BENCHMARK(BM_ConvRowNarrowI8)->Arg(4)->Arg(12);
 
 void
+BM_QuantizeRowI8(benchmark::State &state)
+{
+    // int8 staging of a pyramid tile 6, 10 or 18 pixels wide (VGG-five
+    // conv2_2 / conv2_1 / conv1_2 tiles at tip 4): 16 channels x 8
+    // rows through stageConvInputI8, whose row quantizer runs 16 and
+    // 8 pixels per step and ends in a masked block.
+    const int w = static_cast<int>(state.range(0));
+    Tensor in(16, 8, w);
+    Rng rng(17);
+    in.fillRandom(rng);
+    const ActQuant act = chooseActQuant(-1.0f, 1.0f);
+    ConvStage st;
+    st.configure(Precision::Int8, 16, 8, w);
+    for (auto _ : state) {
+        stageConvInputI8(st, in, act, 0, 8);
+        benchmark::DoNotOptimize(st.u8.data());
+    }
+    state.SetItemsProcessed(state.iterations() * in.elems());
+}
+BENCHMARK(BM_QuantizeRowI8)->Arg(6)->Arg(10)->Arg(18);
+
+void
 BM_WeightPack(benchmark::State &state)
 {
     // One-time cost of repacking a VGG-sized bank into filter-

@@ -5,6 +5,10 @@
 #include <cmath>
 #include <cstdio>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
@@ -22,6 +26,32 @@ wallSeconds()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** ReLU over @p rows rows of @p count floats, @p stride apart. Exactly
+ *  std::max(0.0f, v), as the reference computes it: NaN and -0 become
+ *  +0. */
+void
+reluRows(float *dst, int64_t stride, int rows, int count)
+{
+    for (int r = 0; r < rows; r++, dst += stride) {
+        int t = 0;
+#ifdef __SSE2__
+        // maxps/maxss return the second operand unless the first is
+        // greater, so max(v, +0) is (0 < v ? v : +0) = std::max(0.0f, v)
+        // bit for bit; the compiler's own std::max is a branch per
+        // element, which mispredicts on activations.
+        const __m128 zero = _mm_setzero_ps();
+        for (; t + 4 <= count; t += 4)
+            _mm_storeu_ps(dst + t,
+                          _mm_max_ps(_mm_loadu_ps(dst + t), zero));
+        for (; t < count; t++)
+            _mm_store_ss(dst + t, _mm_max_ss(_mm_load_ss(dst + t), zero));
+#else
+        for (; t < count; t++)
+            dst[t] = std::max(0.0f, dst[t]);
+#endif
+    }
 }
 
 } // namespace
@@ -54,6 +84,15 @@ FusedExecutor::FusedExecutor(const Network &network,
                               std::max(1, g.maxFreshOutW));
             st.freshOwner = li;
         }
+
+        // A conv directly followed by a fused ReLU clamps its own fresh
+        // rows inside its parallel work items (computeWindowed); the
+        // ReLU step then only tallies its compares.
+        st.reluEpilogue =
+            spec.kind == LayerKind::Conv && li + 1 < n &&
+            net.layer(tplan.geom(li + 1).layerIdx).kind == LayerKind::ReLU;
+        if (spec.kind == LayerKind::LRN)
+            st.lrnCol.resize(static_cast<size_t>(g.outPlane.c));
     }
 }
 
@@ -66,12 +105,18 @@ FusedExecutor::copyRect(const Tensor &src, Span src_y, Span src_x,
         return;
     FLCNN_ASSERT(src.shape().c == dst.shape().c,
                  "rect copy across differing channel counts");
+    // One row segment at a time, in an inline loop: BL strips are only
+    // the overlap (2 floats for a 3x3 conv) wide and most tile rows are
+    // under 40, where a memmove call per row costs more than the copy.
+    const int w = rect_x.width();
     for (int ch = 0; ch < src.shape().c; ch++) {
         for (int gy = rect_y.begin; gy < rect_y.end; gy++) {
-            for (int gx = rect_x.begin; gx < rect_x.end; gx++) {
-                dst(ch, gy - dst_y.begin, gx - dst_x.begin) =
-                    src(ch, gy - src_y.begin, gx - src_x.begin);
-            }
+            const float *from = src.rowPtr(ch, gy - src_y.begin,
+                                           rect_x.begin - src_x.begin);
+            float *to =
+                &dst(ch, gy - dst_y.begin, rect_x.begin - dst_x.begin);
+            for (int t = 0; t < w; t++)
+                to[t] = from[t];
         }
     }
 }
@@ -211,17 +256,20 @@ FusedExecutor::computeWindowed(int li, int r, int c)
         const int x0 = ox.begin * s - st.tileX.begin;
         const Precision mode =
             precision ? precision->mode() : Precision::Fp32;
+        const bool relu = st.reluEpilogue;
         // One (filter-block, row) strip per work item: disjoint fresh
         // writes across filter blocks and rows, and the blocked kernel
         // keeps each (filter, pixel) accumulator private in convPoint's
         // (bias, n, i, j) order, so the fused pyramid stays
-        // bit-identical to the reference at every thread count. The op
-        // tally is analytic to keep the parallel region race-free.
-        // Non-fp32 modes first stage the tile rows this pyramid reads
-        // (serial, elementwise, idempotent), then run the mode's
-        // drivers against the shared staging with the same parallel
-        // shape — precision state is identical to the precision
-        // reference's, so the bit-exactness argument carries over.
+        // bit-identical to the reference at every thread count. A
+        // following ReLU runs as the work item's epilogue over the rows
+        // it just wrote. The op tally is analytic to keep the parallel
+        // region race-free. Non-fp32 modes first stage the tile rows
+        // this pyramid reads (serial, row-wise, idempotent), then run
+        // the mode's drivers against the shared staging with the same
+        // parallel shape — precision state is identical to the
+        // precision reference's, so the bit-exactness argument carries
+        // over.
         if (mode != Precision::Fp32) {
             const int slot = net.convSlot(g.layerIdx);
             const Shape &ts = st.tile.shape();
@@ -250,12 +298,14 @@ FusedExecutor::computeWindowed(int li, int r, int c)
                             for (int i = 0; i < bk.k; i++)
                                 row_idx[i] =
                                     gy * s - st.tileY.begin + i;
-                            convBlockRowI8(
-                                bk, pw, bi,
-                                &st.fresh(pw.block(bi).m0,
-                                          gy - oy.begin, 0),
-                                plane, ox.width(), st.stage, row_idx,
-                                x0, act);
+                            float *dst = &st.fresh(pw.block(bi).m0,
+                                                   gy - oy.begin, 0);
+                            convBlockRowI8(bk, pw, bi, dst, plane,
+                                           ox.width(), st.stage, row_idx,
+                                           x0, act);
+                            if (relu)
+                                reluRows(dst, plane, pw.block(bi).lanes,
+                                         ox.width());
                         }
                     },
                     st.plan.cfg.grain);
@@ -278,12 +328,14 @@ FusedExecutor::computeWindowed(int li, int r, int c)
                             for (int i = 0; i < bk.k; i++)
                                 row_idx[i] =
                                     gy * s - st.tileY.begin + i;
-                            convBlockRowF16(
-                                bk, pw, bi,
-                                &st.fresh(pw.block(bi).m0,
-                                          gy - oy.begin, 0),
-                                plane, ox.width(), st.stage, row_idx,
-                                x0);
+                            float *dst = &st.fresh(pw.block(bi).m0,
+                                                   gy - oy.begin, 0);
+                            convBlockRowF16(bk, pw, bi, dst, plane,
+                                            ox.width(), st.stage,
+                                            row_idx, x0);
+                            if (relu)
+                                reluRows(dst, plane, pw.block(bi).lanes,
+                                         ox.width());
                         }
                     },
                     st.plan.cfg.grain);
@@ -300,11 +352,14 @@ FusedExecutor::computeWindowed(int li, int r, int c)
                         const int bi = static_cast<int>(w / oy.width());
                         const int gy =
                             oy.begin + static_cast<int>(w % oy.width());
-                        convBlockRowTensor(
-                            bk, pw, bi,
-                            &st.fresh(pw.block(bi).m0, gy - oy.begin, 0),
-                            plane, ox.width(), st.tile,
-                            gy * s - st.tileY.begin, x0);
+                        float *dst =
+                            &st.fresh(pw.block(bi).m0, gy - oy.begin, 0);
+                        convBlockRowTensor(bk, pw, bi, dst, plane,
+                                           ox.width(), st.tile,
+                                           gy * s - st.tileY.begin, x0);
+                        if (relu)
+                            reluRows(dst, plane, pw.block(bi).lanes,
+                                     ox.width());
                     }
                 },
                 st.plan.cfg.grain);
@@ -383,16 +438,24 @@ FusedExecutor::runPad(int li, int r, int c)
         src_x = prod.freshX;
     }
 
-    int64_t loaded = 0;
-    if (li == 0 && traceSink) {
+    // In-plane source rows and columns; everything else is padding.
+    // Each output row is a zero lead, one contiguous source segment and
+    // a zero trail.
+    const Span sys{std::max(oy.begin - p, 0),
+                   std::min(oy.end - p, g.inPlane.h)};
+    const Span sxs{std::max(ox.begin - p, 0),
+                   std::min(ox.end - p, g.inPlane.w)};
+    const bool any_inside = !sys.empty() && !sxs.empty();
+    if (li > 0 && any_inside) {
+        FLCNN_ASSERT(sys.begin >= src_y.begin && sys.end <= src_y.end &&
+                         sxs.begin >= src_x.begin &&
+                         sxs.end <= src_x.end,
+                     "pad source outside producer fresh");
+    }
+    if (li == 0 && traceSink && any_inside) {
         // In-plane sources form one contiguous row segment per (ch, gy).
-        Span sxs{std::max(ox.begin - p, 0),
-                 std::min(ox.end - p, g.inPlane.w)};
-        for (int ch = 0; ch < g.outPlane.c && !sxs.empty(); ch++) {
-            for (int gy = oy.begin; gy < oy.end; gy++) {
-                int sy = gy - p;
-                if (sy < 0 || sy >= g.inPlane.h)
-                    continue;
+        for (int ch = 0; ch < g.outPlane.c; ch++) {
+            for (int sy = sys.begin; sy < sys.end; sy++) {
                 trace(false,
                       traceInputBase +
                           static_cast<uint64_t>(groupInput->idx(
@@ -401,31 +464,28 @@ FusedExecutor::runPad(int li, int r, int c)
             }
         }
     }
+    const int ow = ox.width();
+    const int lead = sxs.begin + p - ox.begin;
+    const int seg = sxs.width();
     for (int ch = 0; ch < g.outPlane.c; ch++) {
         for (int gy = oy.begin; gy < oy.end; gy++) {
-            for (int gx = ox.begin; gx < ox.end; gx++) {
-                int sy = gy - p, sx = gx - p;
-                float v = 0.0f;
-                bool inside = sy >= 0 && sy < g.inPlane.h && sx >= 0 &&
-                              sx < g.inPlane.w;
-                if (inside) {
-                    if (li == 0) {
-                        v = (*src)(ch, sy, sx);
-                        loaded++;
-                    } else {
-                        FLCNN_ASSERT(sy >= src_y.begin && sy < src_y.end &&
-                                         sx >= src_x.begin &&
-                                         sx < src_x.end,
-                                     "pad source outside producer fresh");
-                        v = (*src)(ch, sy - src_y.begin,
-                                   sx - src_x.begin);
-                    }
-                }
-                st.fresh(ch, gy - oy.begin, gx - ox.begin) = v;
+            float *out = &st.fresh(ch, gy - oy.begin, 0);
+            const int sy = gy - p;
+            if (!any_inside || sy < sys.begin || sy >= sys.end) {
+                std::fill(out, out + ow, 0.0f);
+                continue;
             }
+            const float *from =
+                src->rowPtr(ch, sy - src_y.begin, sxs.begin - src_x.begin);
+            std::fill(out, out + lead, 0.0f);
+            std::copy(from, from + seg, out + lead);
+            std::fill(out + lead + seg, out + ow, 0.0f);
         }
     }
-    curStats.loadedBytes += loaded * 4;
+    if (li == 0) {
+        curStats.loadedBytes += static_cast<int64_t>(g.outPlane.c) *
+                                sys.width() * sxs.width() * 4;
+    }
 
     if (trackCoverage) {
         for (int ch = 0; ch < g.outPlane.c; ch++)
@@ -479,13 +539,11 @@ FusedExecutor::runPointwise(int li, int r, int c)
 
     Tensor &buf = owner->fresh;
     if (spec.kind == LayerKind::ReLU) {
-        for (int ch = 0; ch < g.outPlane.c; ch++) {
-            for (int gy = oy.begin; gy < oy.end; gy++) {
-                for (int gx = ox.begin; gx < ox.end; gx++) {
-                    float &v = buf(ch, gy - oy.begin, gx - ox.begin);
-                    v = std::max(0.0f, v);
-                }
-            }
+        // After a conv the clamp already ran as the conv's epilogue.
+        if (li == 0 || !states[static_cast<size_t>(li - 1)].reluEpilogue) {
+            for (int ch = 0; ch < g.outPlane.c; ch++)
+                reluRows(&buf(ch, 0, 0), buf.shape().w, oy.width(),
+                         ox.width());
         }
         curStats.ops.compares += static_cast<int64_t>(g.outPlane.c) *
                                  oy.width() * ox.width();
@@ -493,7 +551,7 @@ FusedExecutor::runPointwise(int li, int r, int c)
         // LRN: cross-channel at each point; use a channel scratch column
         // so the in-place update does not corrupt neighbors.
         const int half = spec.lrnSize / 2;
-        std::vector<float> col(static_cast<size_t>(g.outPlane.c));
+        std::vector<float> &col = st.lrnCol;
         for (int gy = oy.begin; gy < oy.end; gy++) {
             for (int gx = ox.begin; gx < ox.end; gx++) {
                 for (int ch = 0; ch < g.outPlane.c; ch++)

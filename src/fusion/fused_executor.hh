@@ -139,6 +139,11 @@ class FusedExecutor
      * "group:<g>:" so its groups stay distinguishable in one
      * registry). Pass nullptr to detach. The registry must outlive
      * the executor or the next setMetrics().
+     *
+     * A ReLU directly after a conv runs as that conv's epilogue, inside
+     * the conv's parallel work items: its time counts in the conv's
+     * wall_seconds, while its own scope keeps its compares counter
+     * (one per element, as the reference tallies).
      */
     void
     setMetrics(MetricsRegistry *m, std::string scope_prefix = "")
@@ -175,6 +180,14 @@ class FusedExecutor
         Tensor fresh;
         Span freshY, freshX; //!< global output rect held in fresh
         int freshOwner = -1; //!< fused-layer index owning the buffer
+
+        // Conv only: the next fused layer is a ReLU, applied by this
+        // conv's work items to the fresh rows they write.
+        bool reluEpilogue = false;
+
+        // LRN only: one point's channel column (in-place update
+        // scratch), sized once so pyramids allocate nothing.
+        std::vector<float> lrnCol;
 
         // Coverage instrumentation (output plane of this layer).
         std::vector<uint8_t> coverage;

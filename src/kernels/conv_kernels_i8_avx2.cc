@@ -40,6 +40,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "kernels/conv_layer.hh"
 #include "kernels/quant.hh"
 
@@ -86,6 +88,30 @@ tailMask(int rem)
 {
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** quantizeAct() on 8 lanes, before the [0, 255] clamp: the scaled
+ *  value is clamped to +/-kActQuantSpan first (max/min return their
+ *  second operand for NaN, as the scalar comparisons do), so cvtps
+ *  never sees an out-of-range input and the sum stays inside i16. */
+inline __m256i
+quantizeLanes(__m256 x, __m256 vinv, __m256i vzp)
+{
+    const __m256 v = _mm256_min_ps(
+        _mm256_max_ps(_mm256_mul_ps(x, vinv),
+                      _mm256_set1_ps(-kActQuantSpan)),
+        _mm256_set1_ps(kActQuantSpan));
+    return _mm256_add_epi32(_mm256_cvtps_epi32(v), vzp);
+}
+
+/** Saturate 8 i32 lanes to u8 ([0, 255]), in order, in the low 8
+ *  bytes. */
+inline __m128i
+packLanesU8(__m256i q)
+{
+    const __m128i i16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                        _mm256_extracti128_si256(q, 1));
+    return _mm_packus_epi16(i16, i16);
 }
 
 /** One MR x 8 int8 vector block (compile-time K and stride). With
@@ -191,28 +217,38 @@ quantizeRowI8(uint8_t *dst, const float *src, int count,
     const __m256i vzp = _mm256_set1_epi32(zp);
     int t = 0;
     for (; t + 16 <= count; t += 16) {
-        const __m256i a = _mm256_add_epi32(
-            _mm256_cvtps_epi32(
-                _mm256_mul_ps(_mm256_loadu_ps(src + t), vinv)),
-            vzp);
-        const __m256i b = _mm256_add_epi32(
-            _mm256_cvtps_epi32(
-                _mm256_mul_ps(_mm256_loadu_ps(src + t + 8), vinv)),
-            vzp);
-        // packus i32->u16 then i16->u8 saturates exactly like the
-        // scalar clamp(., 0, 255); both packs interleave 128-bit
+        const __m256i a =
+            quantizeLanes(_mm256_loadu_ps(src + t), vinv, vzp);
+        const __m256i b =
+            quantizeLanes(_mm256_loadu_ps(src + t + 8), vinv, vzp);
+        // packs i32->i16 then packus i16->u8 saturates exactly like
+        // the scalar clamp(., 0, 255); both packs interleave 128-bit
         // lanes, so one final dword permute restores element order.
-        const __m256i u16 = _mm256_packus_epi32(a, b);
+        const __m256i i16 = _mm256_packs_epi32(a, b);
         const __m256i u8 =
-            _mm256_packus_epi16(u16, _mm256_setzero_si256());
+            _mm256_packus_epi16(i16, _mm256_setzero_si256());
         const __m256i ordered = _mm256_permutevar8x32_epi32(
             u8, _mm256_setr_epi32(0, 4, 1, 5, 0, 0, 0, 0));
         _mm_storeu_si128(
             reinterpret_cast<__m128i *>(dst + t),
             _mm256_castsi256_si128(ordered));
     }
-    for (; t < count; t++)
-        dst[t] = quantizeAct(src[t], inv_scale, zp);
+    if (t + 8 <= count) {
+        _mm_storel_epi64(
+            reinterpret_cast<__m128i *>(dst + t),
+            packLanesU8(
+                quantizeLanes(_mm256_loadu_ps(src + t), vinv, vzp)));
+        t += 8;
+    }
+    if (t < count) {
+        // Masked tail: lanes past count load nothing, and only the
+        // live bytes are stored.
+        const int rem = count - t;
+        const __m256 x = _mm256_maskload_ps(src + t, tailMask(rem));
+        const uint64_t bytes = static_cast<uint64_t>(_mm_cvtsi128_si64(
+            packLanesU8(quantizeLanes(x, vinv, vzp))));
+        std::memcpy(dst + t, &bytes, static_cast<size_t>(rem));
+    }
 }
 
 void

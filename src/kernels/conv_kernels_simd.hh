@@ -92,10 +92,15 @@ ConvBlockStripI8Fn blockFnI8Vnni(int mr, int kernel, int stride);
 
 /**
  * Vectorized activation quantization: dst[t] = clamp(rne(src[t] *
- * inv_scale) + zp, 0, 255). Bit-equal to quantizeAct() per element —
- * cvtps rounds to nearest-even exactly like lrintf under the default
- * rounding mode, and the packus saturation chain implements the
- * [0, 255] clamp. AVX2 TU; call only after avx2Supported().
+ * inv_scale) + zp, 0, 255). Bit-equal to quantizeAct() per element,
+ * for every float including NaN and +/-inf: the same max/min bound
+ * the scalar applies before rounding, cvtps rounding to nearest-even
+ * exactly like lrintf under the default rounding mode, and a
+ * packs/packus saturation chain for the [0, 255] clamp. Runs 16, then
+ * 8 elements per step and ends in one masked block, so narrow rows
+ * stay vector code; no byte past dst[count - 1] is written and no
+ * float past src[count - 1] is read. AVX2 TU; call only after
+ * avx2Supported().
  */
 void quantizeRowI8(uint8_t *dst, const float *src, int count,
                    float inv_scale, int zp);

@@ -70,11 +70,22 @@ chooseWeightScale(float max_abs)
     return (s > 0.0f && std::isfinite(s)) ? s : 1.0f;
 }
 
-/** Quantize one activation (round-to-nearest, clamped to u8). */
+/** Bound applied to x * inv_scale before rounding. Past 255 steps
+ *  every zero point clamps to 0 or 255 anyway, so the bound changes no
+ *  code lrintf could round; it gives NaN, +/-inf and values past the
+ *  int range one defined code each, which the vector staging
+ *  reproduces lane for lane. */
+constexpr float kActQuantSpan = 1024.0f;
+
+/** Quantize one activation (round-to-nearest, clamped to u8). NaN maps
+ *  to code 0, +inf to 255 and -inf to 0. */
 inline uint8_t
 quantizeAct(float x, float inv_scale, int zp)
 {
-    const int q = static_cast<int>(std::lrintf(x * inv_scale)) + zp;
+    float v = x * inv_scale;
+    v = v > -kActQuantSpan ? v : -kActQuantSpan;  // NaN takes this bound
+    v = v < kActQuantSpan ? v : kActQuantSpan;
+    const int q = static_cast<int>(std::lrintf(v)) + zp;
     return static_cast<uint8_t>(std::clamp(q, 0, 255));
 }
 

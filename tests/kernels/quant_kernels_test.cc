@@ -126,6 +126,28 @@ TEST(Quant, DegenerateRangesFallBackToUnitScale)
     EXPECT_FLOAT_EQ(chooseWeightScale(6.3f), 0.1f);
 }
 
+TEST(Quant, ActQuantRoundsHalfToEvenAndCodesNonFinite)
+{
+    // Scale 1/2: x * 2 is exact, so these are true ties.
+    EXPECT_EQ(quantizeAct(0.25f, 2.0f, 10), 10);   // 0.5 -> 0
+    EXPECT_EQ(quantizeAct(0.75f, 2.0f, 10), 12);   // 1.5 -> 2
+    EXPECT_EQ(quantizeAct(-0.25f, 2.0f, 10), 10);  // -0.5 -> -0
+    EXPECT_EQ(quantizeAct(-0.75f, 2.0f, 10), 8);   // -1.5 -> -2
+    EXPECT_EQ(quantizeAct(-0.0f, 2.0f, 10), 10);
+    // Past both clamp edges, at any magnitude.
+    EXPECT_EQ(quantizeAct(200.0f, 2.0f, 10), 255);
+    EXPECT_EQ(quantizeAct(3.0e9f, 2.0f, 10), 255);
+    EXPECT_EQ(quantizeAct(-200.0f, 2.0f, 10), 0);
+    EXPECT_EQ(quantizeAct(-3.0e9f, 2.0f, 10), 0);
+    // Non-finite values get one fixed code each.
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(quantizeAct(inf, 2.0f, 10), 255);
+    EXPECT_EQ(quantizeAct(-inf, 2.0f, 10), 0);
+    EXPECT_EQ(quantizeAct(std::numeric_limits<float>::quiet_NaN(), 2.0f,
+                          255),
+              0);
+}
+
 TEST(Quant, WeightQuantClampsToSevenBits)
 {
     // The +/-63 clamp is what makes maddubs saturation impossible.

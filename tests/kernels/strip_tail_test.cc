@@ -14,12 +14,18 @@
  * or the next output row of a full plane. The fp32 source ends flush
  * with its allocation and the int8 source with its ConvStage-sized
  * apron, so an unmasked overread past either shows under ASan.
+ *
+ * The int8 staging quantizer simd::quantizeRowI8 gets the same sweep
+ * (widths 1..40 against quantizeAct, one sentinel byte after the row,
+ * the float source flush with its allocation).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -27,6 +33,7 @@
 #include "kernels/conv_kernels_i8.hh"
 #include "kernels/conv_kernels_simd.hh"
 #include "kernels/conv_layer.hh"
+#include "kernels/quant.hh"
 #include "tensor/compare.hh"
 
 namespace flcnn {
@@ -270,6 +277,64 @@ TEST(StripTail, Int8VectorTiersMatchGenericAtEveryWidth)
             }
         }
     }
+}
+
+TEST(StripTail, QuantizeRowI8MatchesQuantizeActAtEveryWidth)
+{
+#ifdef FLCNN_SIMD_AVX2
+    if (!simd::avx2Supported())
+        GTEST_SKIP() << "no AVX2 on this host";
+    // Scale 1/4 makes x * inv_scale exact, so (k + 0.5) / 4 lands on a
+    // true tie (round half to even). The pool also holds values past
+    // both clamp edges, past the i16 range of the pack chain and past
+    // int32, non-finite values, signed zeros and plain noise.
+    constexpr float kInv = 4.0f;
+    constexpr uint8_t kSentinelB = 0xa5;
+    std::vector<float> pool;
+    for (int k = -300; k <= 300; k++)
+        pool.push_back((static_cast<float>(k) + 0.5f) / kInv);
+    for (float v : {300.0f, 1.0e4f, 4.0e4f, 1.0e6f, 3.0e9f, 3.0e38f,
+                    std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN(), 0.0f})
+        for (float sign : {1.0f, -1.0f})
+            pool.push_back(sign * v);
+    Rng rng(74);
+    for (int i = 0; i < 200; i++)
+        pool.push_back(rng.uniformF(-80.0f, 80.0f));
+    for (size_t i = pool.size() - 1; i > 0; i--)
+        std::swap(pool[i], pool[rng.next() % (i + 1)]);
+
+    for (int zp : {0, 1, 128, 255}) {
+        for (int count = 1; count <= kMaxCount; count++) {
+            for (size_t start = 0; start + static_cast<size_t>(count) <=
+                                   pool.size();
+                 start += static_cast<size_t>(count)) {
+                // The source ends flush with its allocation (an
+                // unmasked tail load shows under ASan) and one
+                // sentinel byte follows the destination.
+                const std::vector<float> src(
+                    pool.begin() + static_cast<std::ptrdiff_t>(start),
+                    pool.begin() +
+                        static_cast<std::ptrdiff_t>(start + count));
+                std::vector<uint8_t> dst(static_cast<size_t>(count) + 1,
+                                         kSentinelB);
+                simd::quantizeRowI8(dst.data(), src.data(), count, kInv,
+                                    zp);
+                for (int t = 0; t < count; t++) {
+                    ASSERT_EQ(dst[static_cast<size_t>(t)],
+                              quantizeAct(src[static_cast<size_t>(t)],
+                                          kInv, zp))
+                        << "count=" << count << " zp=" << zp << " x="
+                        << src[static_cast<size_t>(t)];
+                }
+                ASSERT_EQ(dst[static_cast<size_t>(count)], kSentinelB)
+                    << "count=" << count << " zp=" << zp;
+            }
+        }
+    }
+#else
+    GTEST_SKIP() << "built without the AVX2 kernels";
+#endif
 }
 
 TEST(StripTail, ApronCoversTheWidestTailOverread)

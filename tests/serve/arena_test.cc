@@ -232,15 +232,15 @@ TEST(HandlePool, HandlesOutlivePool)
 #if !defined(__SANITIZE_ADDRESS__)
 
 /**
- * The PR's acceptance criterion: once the server is warm, a request
- * makes it from admission to completion with ZERO heap allocations —
- * input written into the arena, output returned as an arena view,
- * the handle from the slab pool, queue and batcher recycling
- * preallocated rings.
+ * Once the server is warm, a request makes it from admission to
+ * completion with ZERO heap allocations — input written into the
+ * arena, output returned as an arena view, the handle from the slab
+ * pool, queue and batcher recycling preallocated rings, and the
+ * engine's executor reusing its buffers across pyramids.
  */
-TEST(ServeArena, SteadyStateServingAllocatesNothing)
+void
+expectSteadyStateAllocatesNothing(const Network &net, EngineKind engine)
 {
-    Network net = tinyNet();
     Rng wrng(3);
     NetworkWeights weights(net, wrng);
 
@@ -248,11 +248,12 @@ TEST(ServeArena, SteadyStateServingAllocatesNothing)
     cfg.workers = 1;
     cfg.queueCapacity = 16;
     cfg.batch.maxBatch = 4;
+    cfg.engine = engine;
     cfg.intraOp = IntraOpMode::Inline;  // keep compute off the shared
                                         // pool: its task dispatch may
                                         // allocate
     InferenceServer server(cfg);
-    server.addModel("tiny", net, weights);
+    server.addModel("net", net, weights);
     server.start();
 
     Tensor image(net.inputShape());
@@ -291,6 +292,25 @@ TEST(ServeArena, SteadyStateServingAllocatesNothing)
     EXPECT_EQ(in.exhaustedFallbacks + in.oversizedFallbacks, 0);
     EXPECT_EQ(out.exhaustedFallbacks + out.oversizedFallbacks, 0);
     EXPECT_EQ(server.handleHeapFallbacks(), 0);
+}
+
+TEST(ServeArena, SteadyStateServingAllocatesNothing)
+{
+    expectSteadyStateAllocatesNothing(tinyNet(), EngineKind::LineBuffer);
+}
+
+TEST(ServeArena, SteadyStateFusedServingAllocatesNothing)
+{
+    // The pyramid engine over every layer kind it runs per pyramid:
+    // pad, conv with its ReLU epilogue, LRN, pool and a stand-alone
+    // ReLU.
+    Network net("fused-steady", Shape{3, 16, 16});
+    net.addConvBlock("c1", 6, 3, 1, 1);
+    net.add(LayerSpec::lrn("n1"));
+    net.addMaxPool("p1", 2, 2);
+    net.add(LayerSpec::relu("p1_relu"));
+    net.addConvBlock("c2", 4, 3, 1, 1);
+    expectSteadyStateAllocatesNothing(net, EngineKind::Fused);
 }
 
 #endif // !__SANITIZE_ADDRESS__
