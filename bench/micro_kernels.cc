@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "dse/sweep.hh"
@@ -17,6 +18,7 @@
 #include "fusion/recompute_executor.hh"
 #include "kernels/conv_kernels.hh"
 #include "kernels/conv_layer.hh"
+#include "kernels/relu.hh"
 #include "kernels/weight_pack.hh"
 #include "model/balance.hh"
 #include "model/explorer.hh"
@@ -306,6 +308,54 @@ BM_QuantizeRowI8(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * in.elems());
 }
 BENCHMARK(BM_QuantizeRowI8)->Arg(6)->Arg(10)->Arg(18);
+
+/** 64 rows of @p w activations in [-1, 1), so about half clamp. */
+std::vector<float>
+reluInput(int w)
+{
+    Tensor t(64, 1, w);
+    Rng rng(18);
+    t.fillRandom(rng, -1.0f, 1.0f);
+    return std::vector<float>(t.data(), t.data() + t.elems());
+}
+
+void
+BM_ReluRows(benchmark::State &state)
+{
+    // The shared ReLU helper out of place, as a stand-alone line-buffer
+    // ReLU runs it: 64 channel rows 4 (a narrow pyramid tile), 56
+    // (VGG-five conv3_1) or 224 (conv1_x) wide.
+    const int w = static_cast<int>(state.range(0));
+    const std::vector<float> src = reluInput(w);
+    std::vector<float> dst(src.size());
+    for (auto _ : state) {
+        reluRows(dst.data(), w, src.data(), w, 64, w);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(src.size()));
+}
+BENCHMARK(BM_ReluRows)->Arg(4)->Arg(56)->Arg(224);
+
+void
+BM_ReluRowsScalar(benchmark::State &state)
+{
+    // The per-element std::max loop the line buffer's ReLU ran before
+    // the helper, on the same rows as BM_ReluRows.
+    const int w = static_cast<int>(state.range(0));
+    const std::vector<float> src = reluInput(w);
+    std::vector<float> dst(src.size());
+    for (auto _ : state) {
+        for (size_t e = 0; e < src.size(); e++)
+            dst[e] = std::max(0.0f, src[e]);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(src.size()));
+}
+BENCHMARK(BM_ReluRowsScalar)->Arg(4)->Arg(56)->Arg(224);
 
 void
 BM_WeightPack(benchmark::State &state)

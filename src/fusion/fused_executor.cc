@@ -5,13 +5,10 @@
 #include <cmath>
 #include <cstdio>
 
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
-
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
+#include "kernels/relu.hh"
 #include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
 #include "tune/tune_cache.hh"
@@ -26,32 +23,6 @@ wallSeconds()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** ReLU over @p rows rows of @p count floats, @p stride apart. Exactly
- *  std::max(0.0f, v), as the reference computes it: NaN and -0 become
- *  +0. */
-void
-reluRows(float *dst, int64_t stride, int rows, int count)
-{
-    for (int r = 0; r < rows; r++, dst += stride) {
-        int t = 0;
-#ifdef __SSE2__
-        // maxps/maxss return the second operand unless the first is
-        // greater, so max(v, +0) is (0 < v ? v : +0) = std::max(0.0f, v)
-        // bit for bit; the compiler's own std::max is a branch per
-        // element, which mispredicts on activations.
-        const __m128 zero = _mm_setzero_ps();
-        for (; t + 4 <= count; t += 4)
-            _mm_storeu_ps(dst + t,
-                          _mm_max_ps(_mm_loadu_ps(dst + t), zero));
-        for (; t < count; t++)
-            _mm_store_ss(dst + t, _mm_max_ss(_mm_load_ss(dst + t), zero));
-#else
-        for (; t < count; t++)
-            dst[t] = std::max(0.0f, dst[t]);
-#endif
-    }
 }
 
 } // namespace

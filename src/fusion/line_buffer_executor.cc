@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
+#include "kernels/relu.hh"
 #include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
 #include "tune/tune_cache.hh"
@@ -31,6 +32,15 @@ LineBufferExecutor::LineBufferExecutor(const Network &network,
         const Shape &in = net.inShape(first + li);
         const Shape &out = net.outShape(first + li);
         LayerState &st = states[static_cast<size_t>(li)];
+        const LayerSpec *next =
+            li + 1 < n ? &net.layer(first + li + 1) : nullptr;
+        // A conv directly followed by a fused ReLU clamps its rows in
+        // its own work items (drain); the ReLU then forwards the row.
+        st.reluEpilogue = spec.kind == LayerKind::Conv && next &&
+                          next->kind == LayerKind::ReLU;
+        // A Pad feeding a windowed layer writes into that layer's ring.
+        st.padIntoRing =
+            spec.kind == LayerKind::Pad && next && next->windowed();
         if (spec.windowed()) {
             st.ringRows =
                 (rowBlock - 1) * spec.stride + spec.kernel;
@@ -90,11 +100,13 @@ LineBufferExecutor::drain(int li, Tensor &output)
                          "conv kernel exceeds the strip row table");
             const Precision mode =
                 precision ? precision->mode() : Precision::Fp32;
+            const bool relu = st.reluEpilogue;
             // Each (filter-block, b) pair owns a disjoint set of output
             // row segments; the blocked kernel keeps every (filter,
             // pixel) accumulator private in the (bias, n, i, j) order,
-            // so the result is bit-identical at every thread count. The
-            // ring's modular row mapping goes through the kernel's
+            // so the result is bit-identical at every thread count; a
+            // following ReLU clamps those rows in the same work item.
+            // The ring's modular row mapping goes through the kernel's
             // row-offset / row-index table. Non-fp32 modes keep a
             // staged shadow of the ring, refreshed incrementally: only
             // the ring rows (re)written since the previous staging are
@@ -138,6 +150,9 @@ LineBufferExecutor::drain(int li, Tensor &output)
                             convBlockRowI8(bk, pw, bi, dst, out.w,
                                            out.w, st.stage, row_idx, 0,
                                            act);
+                            if (relu)
+                                reluRows(dst, out.w, pw.block(bi).lanes,
+                                         out.w);
                         }
                     },
                     st.plan.cfg.grain);
@@ -175,6 +190,9 @@ LineBufferExecutor::drain(int li, Tensor &output)
                             convBlockRowF16(bk, pw, bi, dst, out.w,
                                             out.w, st.stage, row_idx,
                                             0);
+                            if (relu)
+                                reluRows(dst, out.w, pw.block(bi).lanes,
+                                         out.w);
                         }
                     },
                     st.plan.cfg.grain);
@@ -213,6 +231,8 @@ LineBufferExecutor::drain(int li, Tensor &output)
                                st.ring.rowPtr(pw.nBase(bi), 0, 0),
                                ring_ch_stride, row_off, pw.panel(bi),
                                n_per_group);
+                        if (relu)
+                            reluRows(dst, out.w, blk.lanes, out.w);
                     }
                 },
                 st.plan.cfg.grain);
@@ -338,42 +358,59 @@ LineBufferExecutor::pushRow(int li, int y, const float *row_data,
         break;
       }
       case LayerKind::Pad: {
+        // Emits padded row oy: the source row's channels at column
+        // offset p, or zeros for a top/bottom pad row (src == nullptr).
+        // Only the interior is written. The left/right pad columns of
+        // the destination (rowBuf, or the next layer's ring when it is
+        // windowed) start zeroed and nothing ever writes a nonzero
+        // value into them, so they stay zero across rows and runs.
         const int p = spec.pad;
-        auto emit_zero_row = [&](int oy) {
-            std::fill(st.rowBuf.begin(), st.rowBuf.end(), 0.0f);
-            pushRow(li + 1, oy, st.rowBuf.data(), output);
+        LayerState *ring_st =
+            st.padIntoRing ? &states[static_cast<size_t>(li + 1)] : nullptr;
+        auto emit = [&](int oy, const float *src) {
+            for (int ch = 0; ch < in.c; ch++) {
+                float *d = ring_st
+                               ? &ring_st->ring(ch, oy % ring_st->ringRows, p)
+                               : st.rowBuf.data() +
+                                     static_cast<size_t>(ch) * out.w + p;
+                if (src) {
+                    const float *s = src + static_cast<size_t>(ch) * in.w;
+                    std::copy(s, s + in.w, d);
+                } else {
+                    std::fill(d, d + in.w, 0.0f);
+                }
+            }
+            if (ring_st) {
+                ring_st->rowsIn = oy + 1;
+                drain(li + 1, output);
+            } else {
+                pushRow(li + 1, oy, st.rowBuf.data(), output);
+            }
         };
         if (y == 0) {
             for (int oy = 0; oy < p; oy++)
-                emit_zero_row(oy);
+                emit(oy, nullptr);
         }
-        // No per-row refill: rowBuf starts zeroed, the interior is
-        // fully overwritten below, and nothing ever writes a nonzero
-        // value into the left/right pad columns — they stay zero
-        // across rows and runs.
-        for (int ch = 0; ch < in.c; ch++) {
-            const float *src =
-                row_data + static_cast<size_t>(ch) * in.w;
-            std::copy(src, src + in.w,
-                      st.rowBuf.data() +
-                          static_cast<size_t>(ch) * out.w + p);
-        }
-        pushRow(li + 1, y + p, st.rowBuf.data(), output);
+        emit(y + p, row_data);
         if (y == in.h - 1) {
             for (int oy = in.h + p; oy < in.h + 2 * p; oy++)
-                emit_zero_row(oy);
+                emit(oy, nullptr);
         }
         break;
       }
       case LayerKind::ReLU: {
-        for (int64_t e = 0; e < static_cast<int64_t>(in.c) * in.w; e++)
-            st.rowBuf[static_cast<size_t>(e)] =
-                std::max(0.0f, row_data[static_cast<size_t>(e)]);
-        curStats.ops.compares += static_cast<int64_t>(in.c) * in.w;
+        const int64_t elems = static_cast<int64_t>(in.c) * in.w;
+        curStats.ops.compares += elems;
         if (metrics)
-            layerOps[static_cast<size_t>(li)].compares +=
-                static_cast<int64_t>(in.c) * in.w;
-        pushRow(li + 1, y, st.rowBuf.data(), output);
+            layerOps[static_cast<size_t>(li)].compares += elems;
+        if (li > 0 && states[static_cast<size_t>(li - 1)].reluEpilogue) {
+            // The conv already clamped this row in its work items.
+            pushRow(li + 1, y, row_data, output);
+        } else {
+            reluRows(st.rowBuf.data(), 0, row_data, 0, 1,
+                     static_cast<int>(elems));
+            pushRow(li + 1, y, st.rowBuf.data(), output);
+        }
         break;
       }
       case LayerKind::LRN: {

@@ -9,6 +9,14 @@
  * to the next layer, which emits its own rows as soon as its window is
  * filled. Intermediates never materialize beyond K rows per layer.
  *
+ * The cascade runs on the calling thread; only the windowed layers'
+ * row blocks go through the thread pool. So the element-wise glue is
+ * kept inside those parallel work items or off the data entirely: a
+ * ReLU directly after a conv is clamped by the conv's (filter block,
+ * row) work items and then forwards the row pointer uncopied, and a
+ * Pad feeding a windowed layer writes each row's interior straight
+ * into that layer's ring.
+ *
  * The executor serves two purposes: an independent cross-check of the
  * pyramid executor (both must equal the layer-by-layer reference
  * bit-exactly), and the software vehicle for the paper's Section VI-C
@@ -77,8 +85,9 @@ class LineBufferExecutor
     /**
      * Run subsequent rows under @p prec's precision mode: conv rings
      * are staged into the mode's compute format before each drain and
-     * the mode's kernels emit the block (kernels/conv_layer.hh).
-     * Results are bit-identical to the precision reference. Pass
+     * the mode's kernels emit the block (kernels/conv_layer.hh),
+     * followed by the ReLU epilogue in every mode when a ReLU comes
+     * next. Results are bit-identical to the precision reference. Pass
      * nullptr for plain fp32. The state must outlive the executor.
      */
     void
@@ -104,9 +113,10 @@ class LineBufferExecutor
      * Record per-fused-layer breakdowns of subsequent runs into @p m
      * (scopes "layer:<i>:<name>"): mults / adds / compares,
      * dram_read_bytes (head) / dram_write_bytes (tail), and
-     * ring-buffer gauges. The row cascade interleaves layers, so wall
-     * time is recorded only as a run-level "" gauge, not per layer.
-     * Pass nullptr to detach.
+     * ring-buffer gauges. A ReLU fused into the preceding conv keeps
+     * its compares in its own scope. The row cascade interleaves
+     * layers, so wall time is recorded only as a run-level "" gauge,
+     * not per layer. Pass nullptr to detach.
      */
     void setMetrics(MetricsRegistry *m) { metrics = m; }
 
@@ -122,6 +132,10 @@ class LineBufferExecutor
         ConvStage stage;  //!< staged ring for non-fp32 conv modes
         int stagedIn = 0; //!< input rows already staged into `stage`
         ConvPlan plan;    //!< conv plan, refreshed at each run() start
+        bool reluEpilogue = false; //!< conv: clamp rows for the next
+                                   //!< layer, a ReLU that forwards them
+        bool padIntoRing = false;  //!< Pad: write rows into the next
+                                   //!< layer's ring, not rowBuf
     };
 
     /** Deliver input row @p y to fused layer @p li; cascade downstream. */

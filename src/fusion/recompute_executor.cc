@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
+#include "kernels/relu.hh"
 #include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
 #include "tune/tune_cache.hh"
@@ -232,13 +233,10 @@ RecomputeExecutor::computeLayer(int li, int r, int c, const Tensor &input)
       case LayerKind::ReLU:
         parallelFor(0, g.outPlane.c, [&](int64_t clo, int64_t chi) {
         for (int ch = static_cast<int>(clo); ch < chi; ch++) {
-            for (int gy = oy.begin; gy < oy.end; gy++) {
-                for (int gx = ox.begin; gx < ox.end; gx++) {
-                    out(ch, gy - oy.begin, gx - ox.begin) = std::max(
-                        0.0f,
-                        src(ch, gy - sy.begin, gx - sx.begin));
-                }
-            }
+            reluRows(&out(ch, 0, 0), out.shape().w,
+                     src.rowPtr(ch, oy.begin - sy.begin,
+                                ox.begin - sx.begin),
+                     src.shape().w, oy.width(), ox.width());
         }
         }, /*grain=*/2);
         curStats.ops.compares +=

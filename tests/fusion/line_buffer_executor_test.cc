@@ -203,6 +203,47 @@ TEST(LineBufferExecutor, DifferentialSweepBitExactAcrossThreadCounts)
     }
 }
 
+TEST(LineBufferExecutor, PadWritesIntoTheRingAtRowBlockFour)
+{
+    // Both Pads feed a windowed layer, so they write each row straight
+    // into its ring. At row block 4 the ring holds rows several blocks
+    // ahead of the drain, and every top/bottom pad row lands in a slot
+    // an interior row used before (and vice versa). Run twice to catch
+    // a ring whose pad columns do not stay zero across runs.
+    Network net("padring", Shape{3, 20, 17});
+    net.add(LayerSpec::padding("pad1", 2));
+    net.add(LayerSpec::conv("c1", 4, 5, 1));  // in 3 x 24 x 21
+    net.add(LayerSpec::relu("r1"));
+    net.add(LayerSpec::padding("pad2", 1));
+    net.add(LayerSpec::pool("p1", 3, 2));     // in 4 x 22 x 19
+    const int last = net.numLayers() - 1;
+    Rng wrng(50);
+    NetworkWeights weights(net, wrng);
+    Tensor input(net.inputShape());
+    Rng irng(51);
+    input.fillRandom(irng);
+
+    Tensor ref;
+    {
+        ScopedThreads serial(1);
+        ref = runRange(net, weights, input, 0, last);
+    }
+    for (int threads : {1, 2, 4, ThreadPool::defaultThreads()}) {
+        ScopedThreads scope(threads);
+        LineBufferExecutor exec(net, weights, 0, last, 4);
+        for (int rep = 0; rep < 2; rep++) {
+            LineBufferStats stats;
+            Tensor out = exec.run(input, &stats);
+            ASSERT_TRUE(tensorsEqual(ref, out))
+                << "threads=" << threads << " run " << rep;
+            EXPECT_EQ(stats.loadedBytes, net.inShape(0).bytes());
+            EXPECT_EQ(stats.storedBytes, net.outShape(last).bytes());
+        }
+        // Rings of (B-1)*S + K rows: conv 3*1+5 = 8, pool 3*2+3 = 9.
+        EXPECT_EQ(exec.bufferBytes(), (3LL * 8 * 21 + 4LL * 9 * 19) * 4);
+    }
+}
+
 TEST(LineBufferExecutor, ReferenceItselfIsThreadCountInvariant)
 {
     // runRange is also parallelized; its output must not depend on the

@@ -1,20 +1,24 @@
 /**
  * @file
- * Edge values through the fused ReLU. The pyramid executor applies a
- * ReLU that directly follows a conv inside the conv's work items; it
- * must still equal the reference's separate std::max(0.0f, v) pass on
- * every float: NaN and -0 become +0, -inf becomes +0, +inf stays. The
- * net below makes its first conv emit NaN (a NaN weight, and a NaN
- * bias for int8, whose weight quantization flushes a NaN weight to 0),
- * +inf and -inf (weights near FLT_MAX) and -0 (-0 weights and bias on
- * a non-negative input). The +inf that survives the ReLU then flows
+ * Edge values through the fused ReLU. The pyramid and line-buffer
+ * executors apply a ReLU that directly follows a conv inside the conv's
+ * work items; it must still equal the reference's separate
+ * std::max(0.0f, v) pass on every float: NaN and -0 become +0, -inf
+ * becomes +0, +inf stays. The net below makes its first conv emit NaN
+ * (a NaN weight, and a NaN bias for int8, whose weight quantization
+ * flushes a NaN weight to 0), +inf and -inf (weights near FLT_MAX)
+ * and -0 (-0 weights and bias on a non-negative input). The +inf that
+ * survives the ReLU then flows
  * through a pool, a stand-alone ReLU and the second conv, whose int8
  * staging must quantize it identically on every engine. Fused and
- * Recompute at threads {1, 2, 8}, in fp32 and int8, must match
- * nn::runRange bit for bit, compared as raw bytes so NaN payloads and
- * zero signs count: once on the range ending at the first ReLU, whose
- * clamped values are then the output itself, and once on the whole
- * net.
+ * Recompute (tips {1, 5}), LineBuffer through a plan and the
+ * LineBufferExecutor directly (row blocks {1, 3}) at threads {1, 2, 8},
+ * in fp32 and int8, must match nn::runRange bit for bit, compared as
+ * raw bytes so NaN payloads and zero signs count: once on the range
+ * ending at the first ReLU, whose clamped values are then the output
+ * itself, once on the whole net, and on two ranges fed the conv's raw
+ * edge values: one starting at that ReLU, one ending at the ReLU after
+ * the pool.
  */
 
 #include <gtest/gtest.h>
@@ -23,10 +27,12 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "fusion/fusion_plan.hh"
+#include "fusion/line_buffer_executor.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 
@@ -125,37 +131,65 @@ TEST(ReluEpilogue, EdgeValuesMatchRunRangeBitForBit)
         EXPECT_TRUE(has_ninf) << m;
         // int8 dequantizes bias + scale * float(i32), which cannot
         // produce -0.
-        if (mode == Precision::Fp32)
+        if (mode == Precision::Fp32) {
             EXPECT_TRUE(has_nzero);
+        }
 
         // Layers 0..2 end on the first ReLU, so its clamped edge values
         // are the group output; the whole net checks them downstream.
-        for (int range_last : {2, last}) {
+        // Downstream of c2 the +inf columns saturate every output to
+        // +inf or a clamped NaN, which hides a lost stand-alone clamp,
+        // so two short ranges are fed the conv's raw edge values: 2..4
+        // starts at the first ReLU (no conv epilogue can stand in for
+        // its clamp), 3..4 ends at the ReLU after the pool.
+        const std::pair<int, int> ranges[] = {
+            {0, 2}, {0, last}, {2, 4}, {3, 4}};
+        for (const auto &[range_first, range_last] : ranges) {
+            const Tensor &src = range_first == 0 ? in : c1;
             Tensor golden;
             {
                 ScopedThreads serial(1);
-                golden = runRange(net, w, in, 0, range_last, &prec);
+                golden = runRange(net, w, src, range_first, range_last,
+                                  &prec);
             }
-            for (PlanEngine e :
-                 {PlanEngine::Fused, PlanEngine::Recompute}) {
+            for (PlanEngine e : {PlanEngine::Fused, PlanEngine::Recompute,
+                                 PlanEngine::LineBuffer}) {
                 for (int tip : {1, 5}) {
+                    if (e == PlanEngine::LineBuffer && tip > 1)
+                        continue;  // a line buffer has no tip
                     PlanCompileOptions o;
                     o.engine = e;
                     o.tip = tip;
                     o.precision = &prec;
                     FusionPlan plan(net, w);
-                    plan.addRange(0, range_last);
+                    plan.addRange(range_first, range_last);
                     const std::string what =
-                        m + " layers 0.." + std::to_string(range_last) +
+                        m + " layers " + std::to_string(range_first) +
+                        ".." + std::to_string(range_last) +
                         " " + planEngineName(e) + " tip " +
                         std::to_string(tip);
                     ASSERT_EQ(plan.compile(o), CompileStatus::Ok)
                         << what << ": " << plan.diagnostic();
                     for (int threads : {1, 2, 8}) {
                         ScopedThreads pin(threads);
-                        EXPECT_TRUE(sameBits(golden, plan.execute(in)))
+                        EXPECT_TRUE(sameBits(golden, plan.execute(src)))
                             << what << " threads " << threads;
                     }
+                }
+            }
+            // Row blocking changes which conv work items clamp which
+            // rows and lets Pad write several rows ahead into the ring.
+            for (int row_block : {1, 3}) {
+                LineBufferExecutor lb(net, w, range_first, range_last,
+                                      row_block);
+                lb.setPrecision(&prec);
+                for (int threads : {1, 2, 8}) {
+                    ScopedThreads pin(threads);
+                    EXPECT_TRUE(sameBits(golden, lb.run(src)))
+                        << m << " layers " << range_first << ".."
+                        << range_last
+                        << " LineBufferExecutor row block " << row_block
+                        << " threads " << threads;
                 }
             }
         }

@@ -266,6 +266,24 @@ TEST(Observability, ExecutorMetricSumsMatchRunStats)
         EXPECT_EQ(lreg.sumCounters("mults"), ls.ops.mults);
         EXPECT_EQ(lreg.sumCounters("adds"), ls.ops.adds);
         EXPECT_EQ(lreg.sumCounters("compares"), ls.ops.compares);
+        // A ReLU fused into its conv must still be counted once, in
+        // its own scope, and the run total must be the reference's.
+        OpCount want;
+        for (int l = 0; l <= last; l++) {
+            const LayerSpec &spec = net.layer(l);
+            want += layerOpCount(spec, net.inShape(l));
+            if (spec.kind == LayerKind::ReLU) {
+                const Shape &sh = net.outShape(l);
+                EXPECT_EQ(lreg.counter(MetricsRegistry::layerScope(
+                                           l, spec.name),
+                                       "compares"),
+                          static_cast<int64_t>(sh.c) * sh.h * sh.w)
+                    << spec.name;
+            }
+        }
+        EXPECT_EQ(ls.ops.mults, want.mults);
+        EXPECT_EQ(ls.ops.adds, want.adds);
+        EXPECT_EQ(ls.ops.compares, want.compares);
     }
 }
 

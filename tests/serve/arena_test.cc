@@ -299,18 +299,32 @@ TEST(ServeArena, SteadyStateServingAllocatesNothing)
     expectSteadyStateAllocatesNothing(tinyNet(), EngineKind::LineBuffer);
 }
 
-TEST(ServeArena, SteadyStateFusedServingAllocatesNothing)
+/** Every fusable layer kind: pad, conv with its ReLU epilogue, LRN,
+ *  pool and a stand-alone ReLU. */
+Network
+everyKindNet()
 {
-    // The pyramid engine over every layer kind it runs per pyramid:
-    // pad, conv with its ReLU epilogue, LRN, pool and a stand-alone
-    // ReLU.
     Network net("fused-steady", Shape{3, 16, 16});
     net.addConvBlock("c1", 6, 3, 1, 1);
     net.add(LayerSpec::lrn("n1"));
     net.addMaxPool("p1", 2, 2);
     net.add(LayerSpec::relu("p1_relu"));
     net.addConvBlock("c2", 4, 3, 1, 1);
-    expectSteadyStateAllocatesNothing(net, EngineKind::Fused);
+    return net;
+}
+
+TEST(ServeArena, SteadyStateFusedServingAllocatesNothing)
+{
+    expectSteadyStateAllocatesNothing(everyKindNet(), EngineKind::Fused);
+}
+
+TEST(ServeArena, SteadyStateLineBufferEveryKindAllocatesNothing)
+{
+    // The same layer kinds through the row cascade: a Pad writing into
+    // the conv's ring, the ReLU forwarding the conv's clamped rows and
+    // the stand-alone ReLU clamping into its own row buffer.
+    expectSteadyStateAllocatesNothing(everyKindNet(),
+                                      EngineKind::LineBuffer);
 }
 
 #endif // !__SANITIZE_ADDRESS__
