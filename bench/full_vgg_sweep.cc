@@ -9,10 +9,11 @@
  * closed-form storage model, with and without on-chip weight residency
  * in the cost, and time it.
  *
- * The sweep itself is the library's: exploreFusionSpace prices each
- * contiguous stage range once through the shared GroupCostCache (the
- * per-(first,last) table this bench used to build privately) and
- * streams the million partitions over per-thread mask ranges.
+ * The sweep itself is the library's: dse::runSweep's Chain space
+ * prices each contiguous stage range once through the shared
+ * GroupCostCache (the per-(first,last) table this bench used to build
+ * privately) and walks the million partitions over per-thread mask
+ * ranges.
  */
 
 #include <chrono>
@@ -24,7 +25,7 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/units.hh"
-#include "model/explorer.hh"
+#include "dse/sweep.hh"
 #include "nn/zoo.hh"
 
 using namespace flcnn;
@@ -42,13 +43,13 @@ SweepResult
 sweep(const Network &net, bool with_weights)
 {
     auto t0 = std::chrono::steady_clock::now();
-    ExploreOptions opt;
-    opt.exactStorage = false;  // closed form: 2^20 points in seconds
-    opt.includeWeightStorage = with_weights;
-    ExplorationResult ex = exploreFusionSpace(net, opt);
+    dse::SweepOptions opt;
+    opt.cost.exactStorage = false;  // closed form: 2^20 points in seconds
+    opt.cost.includeWeightStorage = with_weights;
+    dse::SweepResult ex = dse::runSweep(net, opt);
     SweepResult res;
     res.points = static_cast<int64_t>(ex.points.size());
-    res.front = std::move(ex.front);
+    res.front = std::move(ex.legacyFront);
     res.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
@@ -104,11 +105,8 @@ main(int argc, char **argv)
                 formatBytes(plain.front.back().transferBytes).c_str());
 
     SweepResult weighted = sweep(net, true);
-    const DesignPoint *pick = nullptr;
-    for (const auto &p : weighted.front) {
-        if (p.storageBytes <= 2 * 1024 * 1024)
-            pick = &p;
-    }
+    const DesignPoint *pick =
+        bestUnderStorage(weighted.front, 2 * 1024 * 1024);
     std::printf("with on-chip weights priced in (%lld partitions in "
                 "%.1f s):\n",
                 static_cast<long long>(weighted.points),

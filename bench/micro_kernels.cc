@@ -21,7 +21,6 @@
 #include "kernels/relu.hh"
 #include "kernels/weight_pack.hh"
 #include "model/balance.hh"
-#include "model/explorer.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tune/solver.hh"
@@ -387,31 +386,10 @@ BM_TilePlanConstruction(benchmark::State &state)
 BENCHMARK(BM_TilePlanConstruction)->Arg(2)->Arg(5)->Arg(8);
 
 void
-BM_ExploreFusionSpace(benchmark::State &state)
-{
-    Network net = vggEPrefix(static_cast<int>(state.range(0)));
-    ExploreOptions opt;
-    opt.exactStorage = (state.range(1) != 0);
-    for (auto _ : state) {
-        auto res = exploreFusionSpace(net, opt);
-        benchmark::DoNotOptimize(res.front.size());
-    }
-}
-BENCHMARK(BM_ExploreFusionSpace)
-    ->Args({5, 1})
-    ->Args({5, 0})
-    ->Args({8, 0})
-    ->Args({10, 0})  // 13 stages, 4096 partitions: the group-cost
-                     // cache case (one model eval per range, not per
-                     // partition)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_DseChainSweep(benchmark::State &state)
 {
-    // The schedule-space engine restricted to the paper's chain space:
-    // same 2^(l-1) enumeration as BM_ExploreFusionSpace but pricing the
-    // full latency/energy/buffer surface per partition.
+    // The paper's chain space: all 2^(l-1) partitions, priced on the
+    // Figure 7 axes and the full latency/energy/buffer surface.
     Network net = vggEPrefix(static_cast<int>(state.range(0)));
     dse::SweepOptions opt;
     opt.space = dse::Space::Chain;

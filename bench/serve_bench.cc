@@ -89,7 +89,7 @@ struct Options
     std::vector<SloClass> slos;       // parallel to models
     int vggConvs = 5;
     Precision precision = Precision::Fp32;
-    EngineKind engine = EngineKind::LineBuffer;
+    PlanEngine engine = PlanEngine::LineBuffer;
     int workers = 0;          // 0 = auto
     int requests = 32;
     int concurrency = 4;      // closed loop unless --qps given
@@ -177,6 +177,19 @@ histJson(std::FILE *f, const char *indent, const char *key,
                  last ? "" : ",");
 }
 
+/** Parse --engine: one of the planEngineName() spellings. */
+PlanEngine
+engineFromName(const char *name)
+{
+    for (PlanEngine e : {PlanEngine::Reference, PlanEngine::Fused,
+                         PlanEngine::LineBuffer, PlanEngine::Recompute})
+        if (std::strcmp(name, planEngineName(e)) == 0)
+            return e;
+    fatal("unknown engine '%s' (want reference | fused | linebuffer | "
+          "recompute)",
+          name);
+}
+
 std::string
 joinNames(const std::vector<std::string> &names)
 {
@@ -211,7 +224,7 @@ writeServeJson(const Options &opt, const InferenceServer &server,
                  "\"deadline_ms\": %.3f, \"budget_ms\": %.3f, "
                  "\"pin\": %s, \"seed\": %" PRIu64 "},\n",
                  joinNames(opt.models).c_str(),
-                 engineKindName(opt.engine),
+                 planEngineName(opt.engine),
                  precisionName(opt.precision),
                  opt.qps > 0.0 ? "open" : "closed", workers,
                  opt.requests, opt.concurrency, opt.qps, opt.batchMax,
@@ -330,7 +343,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[a], "--precision") == 0) {
             opt.precision = precisionFromName(argValue(argc, argv, &a));
         } else if (std::strcmp(argv[a], "--engine") == 0) {
-            opt.engine = engineKindFromName(argValue(argc, argv, &a));
+            opt.engine = engineFromName(argValue(argc, argv, &a));
         } else if (std::strcmp(argv[a], "--workers") == 0) {
             opt.workers = parseIntArgI("--workers",
                                        argValue(argc, argv, &a), 1, 4096);
@@ -436,7 +449,7 @@ main(int argc, char **argv)
     }
 
     // --tune: sweep the models' conv layers through the autotuner up
-    // front (what ServeEngine::warmup() would do with tuneAtWarmup)
+    // front (what ServeEngine::warmup() would do with tuneFirst)
     // so the cold/warm split is visible in the output — the CI smoke
     // greps for "0 newly tuned" on the warm run.
     const bool fm = opt.fastMath && opt.precision == Precision::Fp32;
@@ -479,7 +492,7 @@ main(int argc, char **argv)
     cfg.shedHeadroom = opt.shedHeadroom;
 
     std::printf("== serve_bench: %s on %s (%s), %s loop ==\n",
-                engineKindName(opt.engine),
+                planEngineName(opt.engine),
                 joinNames(opt.models).c_str(),
                 precisionName(opt.precision),
                 open_loop ? "open" : "closed");
@@ -698,11 +711,12 @@ main(int argc, char **argv)
             spec.weights = &bweights;
             spec.firstLayer = 0;
             spec.lastLayer = bnet.numLayers() - 1;
-            spec.precision = opt.precision == Precision::Fp32
-                                 ? nullptr
-                                 : &bprec;
-            spec.fastMath = fm;
-            ServeEngine eng(spec, opt.engine);
+            spec.compile.engine = opt.engine;
+            spec.compile.precision = opt.precision == Precision::Fp32
+                                         ? nullptr
+                                         : &bprec;
+            spec.compile.fastMath = fm;
+            ServeEngine eng(spec);
             (void)eng.run(inputs[0][i % kInputPool]);
         }
         baseline_s = monotonicSeconds() - b0;

@@ -16,7 +16,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/units.hh"
-#include "model/explorer.hh"
+#include "dse/sweep.hh"
 #include "model/transfer.hh"
 #include "nn/zoo.hh"
 
@@ -48,16 +48,16 @@ main(int argc, char **argv)
 
     Network net =
         which == "alexnet" ? alexnet() : vggEPrefix(convs);
-    auto res = exploreFusionSpace(net);
+    const dse::SweepResult res = dse::runSweep(net, {});
 
     int64_t budget =
         static_cast<int64_t>(budget_kb * 1024.0);
-    const DesignPoint *pick = res.bestUnderStorage(budget);
+    const DesignPoint *pick = bestUnderStorage(res.legacyFront, budget);
     if (!pick) {
         std::printf("no design fits under %.0f KB (the cheapest "
                     "non-trivial fusion needs %s)\n",
                     budget_kb,
-                    formatBytes(res.front.front().storageBytes).c_str());
+                    formatBytes(res.legacyFront.front().storageBytes).c_str());
         return 1;
     }
 
@@ -89,7 +89,7 @@ main(int argc, char **argv)
 
     std::printf("\nfull Pareto frontier for reference:\n");
     Table t({"partition", "storage KB", "transfer MB"});
-    for (const auto &p : res.front) {
+    for (const auto &p : res.legacyFront) {
         t.addRow({partitionStr(p.partition),
                   fmtF(toKiB(p.storageBytes), 1),
                   fmtF(toMiB(p.transferBytes), 2)});

@@ -43,7 +43,7 @@ main()
 
     // 4. Run fused and compare against the layer-by-layer reference.
     FusedExecutor fused(net, weights, std::move(plan));
-    FusedRunStats stats;
+    RunStats stats;
     Tensor out = fused.run(image, &stats);
     Tensor ref = runNetwork(net, weights, image);
 

@@ -63,7 +63,7 @@ FusedAccelerator::stageCycles(int li, int r, int c) const
 Tensor
 FusedAccelerator::run(const Tensor &input, AccelStats *stats)
 {
-    FusedRunStats fstats;
+    RunStats fstats;
     Tensor out = exec.run(input, &fstats);
 
     const TilePlan &plan = exec.plan();

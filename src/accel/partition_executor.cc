@@ -26,19 +26,19 @@ PartitionExecutor::PartitionExecutor(const Network &network,
 }
 
 Tensor
-PartitionExecutor::run(const Tensor &input, PartitionRunStats *stats)
+PartitionExecutor::run(const Tensor &input, RunStats *stats)
 {
-    PartitionRunStats cur;
+    RunStats cur;
     Tensor data = input;
     for (FusedExecutor &exec : execs) {
-        FusedRunStats gs;
+        RunStats gs;
         data = exec.run(data, &gs);
-        cur.dramReadBytes += gs.loadedBytes;
-        cur.dramWriteBytes += gs.storedBytes;
+        cur.loadedBytes += gs.loadedBytes;
+        cur.storedBytes += gs.storedBytes;
         cur.reuseBytes += gs.reuseBytes;
         cur.workingBytes += gs.workingBytes;
+        cur.pyramids += gs.pyramids;
         cur.ops += gs.ops;
-        cur.groups.push_back(gs);
     }
     if (stats)
         *stats = cur;

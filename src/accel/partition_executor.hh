@@ -23,23 +23,6 @@
 
 namespace flcnn {
 
-/** Statistics from one partitioned run. */
-struct PartitionRunStats
-{
-    int64_t dramReadBytes = 0;   //!< all group inputs read
-    int64_t dramWriteBytes = 0;  //!< all group outputs written
-    int64_t reuseBytes = 0;      //!< sum of groups' reuse buffers
-    int64_t workingBytes = 0;    //!< sum of groups' working buffers
-    OpCount ops;
-    std::vector<FusedRunStats> groups;  //!< per-group detail
-
-    int64_t
-    totalDramBytes() const
-    {
-        return dramReadBytes + dramWriteBytes;
-    }
-};
-
 /** Executes a partition of a network's fusable stages. */
 class PartitionExecutor
 {
@@ -51,8 +34,10 @@ class PartitionExecutor
     PartitionExecutor(const Network &net, const NetworkWeights &weights,
                       Partition partition, int tip = 1);
 
-    /** Evaluate all groups in order on @p input. */
-    Tensor run(const Tensor &input, PartitionRunStats *stats = nullptr);
+    /** Evaluate all groups in order on @p input; @p stats receives
+     *  the sum of the groups' RunStats (per-group figures are in the
+     *  "group:<g>:" metric scopes, see setMetrics()). */
+    Tensor run(const Tensor &input, RunStats *stats = nullptr);
 
     int numGroups() const { return static_cast<int>(execs.size()); }
     const Partition &partition() const { return part; }

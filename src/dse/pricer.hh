@@ -13,10 +13,10 @@
  * group, subtract old, add new) and the sweep's prefix DP exact.
  *
  * Chain anchor: a {tileH = 1, Pyramid, all-retain} group prices
- * bit-identically to the legacy GroupCostCache cell on the storage /
+ * bit-identically to its GroupCostCache cell on the storage /
  * transfer / recompute axes (under the default exact storage model),
- * so the chain-restricted subspace reproduces the paper's explorer
- * exactly.
+ * so the chain-restricted subspace reproduces the paper's Figure 7
+ * costs exactly.
  */
 
 #ifndef FLCNN_DSE_PRICER_HH
@@ -70,8 +70,8 @@ struct ScheduleCost
 };
 
 /**
- * Prices schedules over one network. Construction builds the legacy
- * chain cost table (exposed via chainCache() for bit-identical chain
+ * Prices schedules over one network. Construction builds the chain
+ * cost table (exposed via chainCache() for bit-identical chain
  * sweeps); (range, tileH) tables build lazily on first use. Not
  * thread-safe — the sweep owns one pricer per thread-free phase.
  */

@@ -2,9 +2,9 @@
  * @file
  * Tiling-schedule IR for the LoopTree-class design-space explorer.
  *
- * The paper's explorer (model/explorer.hh) decides one thing per
- * design: where to cut the stage chain into fused groups, with one
- * global reuse-vs-recompute story. LoopTree (PAPERS.md) shows the real
+ * The paper's explorer (runSweep's Chain space, dse/sweep.hh) decides
+ * one thing per design: where to cut the stage chain into fused
+ * groups, with one global reuse-vs-recompute story. LoopTree (PAPERS.md) shows the real
  * space is richer; this IR captures the enlarged space while staying a
  * strict superset of the chain space:
  *
@@ -22,7 +22,7 @@
  *
  * A Schedule whose every group is {tileH = 1, Pyramid, all-retain} is
  * exactly a chain Partition, and the pricer guarantees it prices
- * bit-identically to the legacy GroupCostCache path.
+ * bit-identically to its GroupCostCache cells.
  */
 
 #ifndef FLCNN_DSE_SCHEDULE_HH
@@ -144,8 +144,8 @@ uint64_t scheduleHash(const Network &net, const Schedule &s);
  *  Pyramid, all-retain}. */
 Schedule chainSchedule(const Partition &p);
 
-/** True when @p s lies in the chain subspace (the legacy explorer's
- *  domain): 1-row pyramid tiles, all halos retained. */
+/** True when @p s lies in the chain subspace (the paper's partition
+ *  space): 1-row pyramid tiles, all halos retained. */
 bool isChainRestricted(const Network &net, const Schedule &s);
 
 /** The stage partition @p s induces (tile and dataflow info dropped). */

@@ -161,19 +161,94 @@ truncateEvenly(std::vector<T> &front, int cap)
     front = std::move(kept);
 }
 
-/** Chain-space sweep: the legacy enumeration through the schedule IR,
- *  plus the full-axis surface. */
-void
-runChainSweep(const Network &net, const SweepOptions &opt,
-              SchedulePricer &pricer, SweepResult &res)
+/**
+ * Chain-space enumeration over a contiguous cut-mask range.
+ *
+ * Cut bit s separates stages s and s+1, so masks sharing their high
+ * bits form contiguous ranges and agree on every group above the
+ * lowest decided cut. Walking the bits from the highest down and
+ * carrying the cost sums of the groups completed so far makes each of
+ * the 2^(l-1) partitions O(1) amortized: the per-group table lookups
+ * happen once per tree edge, not once per leaf below it. Two sums ride
+ * down the tree, the GroupCostCache cells (the Figure 7 axes) and the
+ * fully priced ScheduleCost (the surface axes). All sums are integers
+ * and each leaf writes only its own mask's slots, so parallel [lo, hi)
+ * chunks reproduce the serial enumeration bit for bit.
+ */
+struct ChainWalk
 {
-    (void)opt;  // chain mode has no knobs beyond the pricer's
+    const GroupCostCache &cache;
+    const std::vector<ScheduleCost> &cost3;  //!< stages x stages
+    int stages;
+    std::vector<DesignPoint> &points;
+    std::vector<ParetoPoint3> &axes;
+    int64_t lo, hi;
+    // Groups completed on the current path, highest stage range first.
+    StageGroup done[32];
+    int num_done = 0;
+
+    const ScheduleCost &
+    full(int a, int b) const
+    {
+        return cost3[static_cast<size_t>(a) * stages + b];
+    }
+
+    void
+    emit(int64_t mask, const GroupCostCache::Cell &sum, ScheduleCost cost,
+         int open_end)
+    {
+        DesignPoint &d = points[static_cast<size_t>(mask)];
+        const GroupCostCache::Cell &c = cache.cell(0, open_end);
+        d.storageBytes = sum.storage + c.storage;
+        d.transferBytes = sum.transfer + c.transfer;
+        d.extraOps = sum.extra + c.extra;
+        d.partition.resize(static_cast<size_t>(num_done) + 1);
+        d.partition[0] = StageGroup{0, open_end};
+        for (int i = 0; i < num_done; i++)  // reverse: lowest range first
+            d.partition[static_cast<size_t>(i) + 1] =
+                done[num_done - 1 - i];
+        cost += full(0, open_end);
+        axes[static_cast<size_t>(mask)] = surfaceAxes(cost);
+    }
+
+    void
+    walk(int bit, int64_t prefix, const GroupCostCache::Cell &sum,
+         const ScheduleCost &cost, int open_end)
+    {
+        if (bit < 0) {
+            if (prefix >= lo && prefix < hi)
+                emit(prefix, sum, cost, open_end);
+            return;
+        }
+        const int64_t span = int64_t{1} << bit;
+        if (prefix < hi && prefix + span > lo)  // bit clear: no cut
+            walk(bit - 1, prefix, sum, cost, open_end);
+        const int64_t p1 = prefix + span;  // bit set: cut after stage bit
+        if (p1 < hi && p1 + span > lo) {
+            const GroupCostCache::Cell &c = cache.cell(bit + 1, open_end);
+            const GroupCostCache::Cell next{sum.storage + c.storage,
+                                            sum.transfer + c.transfer,
+                                            sum.extra + c.extra};
+            ScheduleCost next_cost = cost;
+            next_cost += full(bit + 1, open_end);
+            done[num_done++] = StageGroup{bit + 1, open_end};
+            walk(bit - 1, p1, next, next_cost, bit);
+            num_done--;
+        }
+    }
+};
+
+/** Chain-space sweep: the paper's 2^(l-1) partitions with their
+ *  Figure 7 costs, plus the full-axis surface. */
+void
+runChainSweep(const Network &net, SchedulePricer &pricer,
+              SweepResult &res)
+{
     const int stages = static_cast<int>(net.stages().size());
-    const GroupCostCache &cache = pricer.chainCache();
 
     // Pre-price every stage range's full cost vector serially (the
-    // pricer is not thread-safe); the parallel enumeration below then
-    // only sums plain structs.
+    // pricer is not thread-safe); the parallel walk below then only
+    // sums plain structs.
     std::vector<ScheduleCost> cost3(
         static_cast<size_t>(stages) * static_cast<size_t>(stages));
     for (int a = 0; a < stages; a++)
@@ -181,33 +256,24 @@ runChainSweep(const Network &net, const SweepOptions &opt,
             cost3[static_cast<size_t>(a) * stages + b] = pricer.priceGroup(
                 GroupSchedule{a, b, 1, Dataflow::Pyramid, ~0u});
 
+    // Each point lands at its cut-mask index, so the result order, and
+    // every Pareto tie-break downstream, matches a serial
+    // forEachPartition sweep at any thread count.
     const int64_t count = countPartitions(stages);
     res.points.resize(static_cast<size_t>(count));
     std::vector<ParetoPoint3> axes(static_cast<size_t>(count));
-    // Each mask writes only its own slot, so parallel chunks reproduce
-    // the serial enumeration bit for bit (the legacy explorer's
-    // determinism argument).
     parallelFor(
         0, count,
         [&](int64_t lo, int64_t hi) {
-            forEachPartitionRange(
-                stages, lo, hi,
-                [&](int64_t mask, const Partition &p) {
-                    DesignPoint &d =
-                        res.points[static_cast<size_t>(mask)];
-                    cache.price(p, d);
-                    d.partition = p;
-                    ScheduleCost full;
-                    for (const StageGroup &g : p)
-                        full += cost3[static_cast<size_t>(g.firstStage) *
-                                          stages +
-                                      g.lastStage];
-                    axes[static_cast<size_t>(mask)] = surfaceAxes(full);
-                });
+            ChainWalk w{pricer.chainCache(), cost3, stages, res.points,
+                        axes, lo, hi, {}, 0};
+            w.walk(stages - 2, 0, {}, {}, stages - 1);
         },
         /*grain=*/512);
     res.pointsVisited = count;
 
+    // Index-based front extraction: only the handful of surviving
+    // points get copied, not all 2^(l-1).
     for (size_t i : paretoFrontIndices(res.points))
         res.legacyFront.push_back(res.points[i]);
 
@@ -315,7 +381,7 @@ runLoopTreeSweep(const Network &net, const SweepOptions &opt,
 
     // Exact chain front by the same prefix DP on the 2-objective
     // (storage, transfer) axes — additive costs make the prefix-front
-    // recursion exact, so the values reproduce the legacy explorer's
+    // recursion exact, so the values reproduce the Chain space's
     // front without enumerating 2^(l-1) points.
     const GroupCostCache &cache = pricer.chainCache();
     struct ChainCand
@@ -387,7 +453,7 @@ runSweep(const Network &net, const SweepOptions &opt)
     res.space = opt.space;
     SchedulePricer pricer(net, opt.cost, opt.machine);
     if (opt.space == Space::Chain)
-        runChainSweep(net, opt, pricer, res);
+        runChainSweep(net, pricer, res);
     else
         runLoopTreeSweep(net, opt, pricer, res);
     res.seconds = std::chrono::duration<double>(

@@ -4,13 +4,14 @@
  *
  * Two spaces:
  *
- *  - **Chain** re-enumerates the paper's 2^(l-1) partition space
- *    through the schedule IR. The enumeration prices through the same
- *    GroupCostCache cells as the legacy explorer and lands each point
- *    at its cut-mask index, so points and front are bit-identical to
- *    exploreFusionSpace() — the differential anchor. A second pass
- *    prices the full latency/energy/buffer axes per point and extracts
- *    the 3-objective surface.
+ *  - **Chain** is the paper's Section V tool: it enumerates all 2^(l-1)
+ *    partitions of the stage chain by a walk over the cut-mask tree
+ *    that carries the GroupCostCache cell sums (the Figure 7 storage /
+ *    transfer / recompute axes) and the fully priced ScheduleCost sum
+ *    down each edge. Every point lands at its cut-mask index, the
+ *    forEachPartition order, at any thread count. The 2-objective
+ *    front is the Figure 7 frontier; the full latency/energy/buffer
+ *    axes give the 3-objective surface.
  *
  *  - **LoopTree** explores the enlarged space (tile heights, per-layer
  *    retain-vs-recompute, Independent and UniformStride dataflows)
@@ -42,7 +43,7 @@ namespace dse {
 /** Which schedule space to sweep. */
 enum class Space
 {
-    Chain,     //!< the paper's partitions, bit-identical to the legacy tool
+    Chain,     //!< the paper's partitions (the Figure 7 space)
     LoopTree,  //!< tiles + per-layer recompute + alternative dataflows
 };
 
@@ -75,7 +76,8 @@ struct SweepOptions
      *  budget. */
     int frontierCap = 0;
 
-    /** Cost-model switches shared with the legacy explorer. */
+    /** Cost-model switches: storage model, weight residency,
+     *  recompute pricing and element type (see GroupCostOptions). */
     GroupCostOptions cost;
 
     /** Latency-model knobs. */
@@ -105,7 +107,9 @@ struct SweepResult
     std::vector<SweepPoint> chainFront;
 
     /** Chain space only: the full enumeration in cut-mask order and
-     *  its 2-objective front, bit-identical to exploreFusionSpace(). */
+     *  its 2-objective (storage, transfer) front, ascending storage:
+     *  front() is Figure 7's point A, back() the minimum-transfer
+     *  point. */
     std::vector<DesignPoint> points;
     std::vector<DesignPoint> legacyFront;
 };

@@ -549,7 +549,7 @@ FusedExecutor::runPointwise(int li, int r, int c)
 }
 
 Tensor
-FusedExecutor::run(const Tensor &input, FusedRunStats *stats)
+FusedExecutor::run(const Tensor &input, RunStats *stats)
 {
     Tensor output(tplan.groupOutput());
     runInto(input, &output, stats);
@@ -558,7 +558,7 @@ FusedExecutor::run(const Tensor &input, FusedRunStats *stats)
 
 void
 FusedExecutor::runInto(const Tensor &input, Tensor *out,
-                       FusedRunStats *stats)
+                       RunStats *stats)
 {
     FLCNN_ASSERT(input.shape() == tplan.groupInput(),
                  "input shape does not match the fusion plan");
@@ -568,7 +568,7 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     Tensor &output = *out;
     groupInput = &input;
     groupOutput = &output;
-    curStats = FusedRunStats{};
+    curStats = RunStats{};
 
     const int n = tplan.numFusedLayers();
     std::vector<double> layerWall;

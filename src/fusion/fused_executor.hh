@@ -34,30 +34,17 @@
 #include <string>
 #include <vector>
 
-#include "common/opcount.hh"
 #include "fusion/plan.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/weight_pack.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/weights.hh"
+#include "obs/metrics.hh"
 #include "sim/trace.hh"
 #include "tune/solver.hh"
 
 namespace flcnn {
-
-class MetricsRegistry;
-
-/** Statistics from one fused run. */
-struct FusedRunStats
-{
-    int64_t loadedBytes = 0;   //!< DRAM bytes read (group input)
-    int64_t storedBytes = 0;   //!< DRAM bytes written (group output)
-    int64_t reuseBytes = 0;    //!< BL + BT capacity (the paper's cost)
-    int64_t workingBytes = 0;  //!< tile + fresh-output buffer capacity
-    int64_t pyramids = 0;      //!< number of pyramids evaluated
-    OpCount ops;               //!< arithmetic performed
-};
 
 /** Functional fused-layer (reuse model) executor for one fusion group. */
 class FusedExecutor
@@ -72,7 +59,7 @@ class FusedExecutor
 
     /** Evaluate the fusion group on @p input (the first fused layer's
      *  full input plane). Returns the group output plane. */
-    Tensor run(const Tensor &input, FusedRunStats *stats = nullptr);
+    Tensor run(const Tensor &input, RunStats *stats = nullptr);
 
     /**
      * As run(), but write the group output into @p out, whose shape
@@ -82,7 +69,7 @@ class FusedExecutor
      * arena-backed view and this call performs no output allocation.
      */
     void runInto(const Tensor &input, Tensor *out,
-                 FusedRunStats *stats = nullptr);
+                 RunStats *stats = nullptr);
 
     const TilePlan &plan() const { return tplan; }
 
@@ -213,7 +200,7 @@ class FusedExecutor
     std::vector<LayerState> states;
     const Tensor *groupInput = nullptr;
     Tensor *groupOutput = nullptr;
-    FusedRunStats curStats;
+    RunStats curStats;
     WeightPackCache packCache;  //!< per-fused-layer packed conv banks
     const NetPrecision *precision = nullptr;
     bool fastMath = false;

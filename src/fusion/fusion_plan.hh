@@ -56,9 +56,8 @@ class LineBufferExecutor;
 class RecomputeExecutor;
 class MetricsRegistry;
 
-/** Which executor a plan compiles onto. Mirrors serve::EngineKind
- *  (serve maps its enum onto this one; fusion/ cannot depend on
- *  serve/). */
+/** Which executor a plan compiles onto (also the serving engine:
+ *  ServeConfig::engine picks one for every worker). */
 enum class PlanEngine
 {
     Reference,   //!< layer-by-layer nn::runRange (explicit choice)

@@ -445,7 +445,7 @@ LineBufferExecutor::pushRow(int li, int y, const float *row_data,
 }
 
 Tensor
-LineBufferExecutor::run(const Tensor &input, LineBufferStats *stats)
+LineBufferExecutor::run(const Tensor &input, RunStats *stats)
 {
     Tensor output(net.outShape(last));
     runInto(input, &output, stats);
@@ -454,15 +454,15 @@ LineBufferExecutor::run(const Tensor &input, LineBufferStats *stats)
 
 void
 LineBufferExecutor::runInto(const Tensor &input, Tensor *out,
-                            LineBufferStats *stats)
+                            RunStats *stats)
 {
     FLCNN_ASSERT(input.shape() == net.inShape(first),
                  "input shape does not match the fused range");
     FLCNN_ASSERT(out != nullptr && out->shape() == net.outShape(last),
                  "output shape does not match the fused range");
     Tensor &output = *out;
-    curStats = LineBufferStats{};
-    curStats.bufferBytes = bufferBytes();
+    curStats = RunStats{};
+    curStats.reuseBytes = bufferBytes();
     const Precision runMode =
         precision ? precision->mode() : Precision::Fp32;
     // Re-plan only when the tune cache changed (planner lookups build

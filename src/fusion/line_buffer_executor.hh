@@ -35,21 +35,11 @@
 #include "nn/network.hh"
 #include "nn/precision.hh"
 #include "nn/weights.hh"
+#include "obs/metrics.hh"
 #include "tensor/tensor.hh"
 #include "tune/solver.hh"
 
 namespace flcnn {
-
-class MetricsRegistry;
-
-/** Statistics from one line-buffered run. */
-struct LineBufferStats
-{
-    int64_t bufferBytes = 0;  //!< total line-buffer capacity
-    int64_t loadedBytes = 0;  //!< input bytes consumed (exactly once)
-    int64_t storedBytes = 0;  //!< output bytes produced
-    OpCount ops;
-};
 
 /** Row-streaming fused executor for a contiguous fusable layer range. */
 class LineBufferExecutor
@@ -69,7 +59,7 @@ class LineBufferExecutor
                        int row_block = 1);
 
     /** Evaluate the fused range on @p input. */
-    Tensor run(const Tensor &input, LineBufferStats *stats = nullptr);
+    Tensor run(const Tensor &input, RunStats *stats = nullptr);
 
     /** As run(), but write the range output into @p out (shape must
      *  equal net.outShape(last)). Every output row is emitted by the
@@ -77,7 +67,7 @@ class LineBufferExecutor
      *  path it is an arena-backed view and this call performs no
      *  output allocation. */
     void runInto(const Tensor &input, Tensor *out,
-                 LineBufferStats *stats = nullptr);
+                 RunStats *stats = nullptr);
 
     /** Line-buffer capacity in bytes (K rows per windowed layer). */
     int64_t bufferBytes() const;
@@ -149,7 +139,7 @@ class LineBufferExecutor
     int first, last;
     int rowBlock;
     std::vector<LayerState> states;
-    LineBufferStats curStats;
+    RunStats curStats;
     WeightPackCache packCache;  //!< per-fused-layer packed conv banks
     const NetPrecision *precision = nullptr;
     bool fastMath = false;

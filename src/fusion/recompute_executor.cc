@@ -290,7 +290,7 @@ RecomputeExecutor::computeLayer(int li, int r, int c, const Tensor &input)
 }
 
 Tensor
-RecomputeExecutor::run(const Tensor &input, RecomputeRunStats *stats)
+RecomputeExecutor::run(const Tensor &input, RunStats *stats)
 {
     Tensor output(tplan.groupOutput());
     runInto(input, &output, stats);
@@ -299,7 +299,7 @@ RecomputeExecutor::run(const Tensor &input, RecomputeRunStats *stats)
 
 void
 RecomputeExecutor::runInto(const Tensor &input, Tensor *out,
-                           RecomputeRunStats *stats)
+                           RunStats *stats)
 {
     FLCNN_ASSERT(input.shape() == tplan.groupInput(),
                  "input shape does not match the fusion plan");
@@ -308,7 +308,7 @@ RecomputeExecutor::runInto(const Tensor &input, Tensor *out,
                  "output shape does not match the fusion plan");
     Tensor &output = *out;
     int64_t working = curStats.workingBytes;
-    curStats = RecomputeRunStats{};
+    curStats = RunStats{};
     curStats.workingBytes = working;
 
     const LayerGeom &g0 = tplan.geom(0);

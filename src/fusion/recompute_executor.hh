@@ -17,28 +17,16 @@
 
 #include <vector>
 
-#include "common/opcount.hh"
 #include "fusion/plan.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/weight_pack.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/weights.hh"
+#include "obs/metrics.hh"
 #include "tune/solver.hh"
 
 namespace flcnn {
-
-class MetricsRegistry;
-
-/** Statistics from one recompute-model run. */
-struct RecomputeRunStats
-{
-    int64_t loadedBytes = 0;   //!< DRAM bytes read (incl. re-reads)
-    int64_t storedBytes = 0;   //!< DRAM bytes written
-    int64_t workingBytes = 0;  //!< per-layer tile buffer capacity
-    int64_t pyramids = 0;
-    OpCount ops;               //!< includes all redundant recomputation
-};
 
 /** Functional fused-layer executor under the recompute strategy. */
 class RecomputeExecutor
@@ -48,7 +36,7 @@ class RecomputeExecutor
                       TilePlan plan);
 
     /** Evaluate the fusion group on @p input. */
-    Tensor run(const Tensor &input, RecomputeRunStats *stats = nullptr);
+    Tensor run(const Tensor &input, RunStats *stats = nullptr);
 
     /** As run(), but write the group output into @p out (shape must
      *  equal plan().groupOutput()). Every output element is stored by
@@ -56,7 +44,7 @@ class RecomputeExecutor
      *  serving hot path it is an arena-backed view and this call
      *  performs no output allocation. */
     void runInto(const Tensor &input, Tensor *out,
-                 RecomputeRunStats *stats = nullptr);
+                 RunStats *stats = nullptr);
 
     const TilePlan &plan() const { return tplan; }
 
@@ -107,7 +95,7 @@ class RecomputeExecutor
     std::vector<ConvPlan> plans;    //!< conv plans, refreshed per run
     Tensor inTile;
     Span inTileY, inTileX;
-    RecomputeRunStats curStats;
+    RunStats curStats;
     WeightPackCache packCache;  //!< per-fused-layer packed conv banks
     const NetPrecision *precision = nullptr;
     bool fastMath = false;

@@ -8,9 +8,9 @@
  * stage range [first, last]. A network with l fusable stages therefore
  * has only l * (l + 1) / 2 distinct group costs, while the sweep visits
  * 2^(l-1) partitions — pricing each range once turns the sweep's model
- * evaluations from O(2^l) into O(l^2) plus pure table lookups. (This
- * table was first built privately by bench/full_vgg_sweep; it is now
- * the library's, used by exploreFusionSpace and the bench alike.)
+ * evaluations from O(2^l) into O(l^2) plus pure table lookups. The
+ * schedule pricer (dse/pricer.hh) owns one, and runSweep's Chain space
+ * (dse/sweep.hh) sums its cells over every partition.
  */
 
 #ifndef FLCNN_MODEL_GROUP_COST_HH
@@ -27,7 +27,7 @@
 
 namespace flcnn {
 
-/** Pricing knobs (mirrors ExploreOptions' cost-model switches). */
+/** Pricing knobs (dse::SweepOptions::cost carries one). */
 struct GroupCostOptions
 {
     /** Exact TilePlan-based reuse storage vs the closed form. */

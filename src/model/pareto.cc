@@ -249,4 +249,16 @@ paretoFront(std::vector<DesignPoint> points)
     return front;
 }
 
+const DesignPoint *
+bestUnderStorage(const std::vector<DesignPoint> &front,
+                 int64_t max_storage_bytes)
+{
+    const DesignPoint *best = nullptr;
+    for (const DesignPoint &p : front) {
+        if (p.storageBytes <= max_storage_bytes)
+            best = &p;  // ascending storage: later fits transfer less
+    }
+    return best;
+}
+
 } // namespace flcnn

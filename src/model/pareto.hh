@@ -49,6 +49,12 @@ std::vector<DesignPoint> paretoFront(std::vector<DesignPoint> points);
 std::vector<size_t>
 paretoFrontIndices(const std::vector<DesignPoint> &points);
 
+/** The point of @p front (ascending storage, as paretoFront returns
+ *  it) with the least transfer under a storage budget: how a designer
+ *  picks Figure 7's point B. nullptr if none fits. */
+const DesignPoint *bestUnderStorage(const std::vector<DesignPoint> &front,
+                                    int64_t max_storage_bytes);
+
 /** A point in a three-objective (minimize, minimize, minimize) space —
  *  the latency/energy/buffer surface of the schedule explorer. */
 struct ParetoPoint3

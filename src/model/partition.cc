@@ -51,33 +51,6 @@ forEachPartition(int num_stages,
     }
 }
 
-void
-forEachPartitionRange(
-    int num_stages, int64_t mask_begin, int64_t mask_end,
-    const std::function<void(int64_t, const Partition &)> &visit)
-{
-    FLCNN_ASSERT(num_stages >= 1 && num_stages <= 30,
-                 "stage count out of sweepable range");
-    const int cuts = num_stages - 1;
-    const int64_t total = int64_t{1} << cuts;
-    FLCNN_ASSERT(mask_begin >= 0 && mask_end <= total &&
-                     mask_begin <= mask_end,
-                 "mask range out of bounds");
-    Partition p;
-    for (int64_t mask = mask_begin; mask < mask_end; mask++) {
-        p.clear();
-        int first = 0;
-        for (int s = 0; s < cuts; s++) {
-            if (mask & (int64_t{1} << s)) {
-                p.push_back(StageGroup{first, s});
-                first = s + 1;
-            }
-        }
-        p.push_back(StageGroup{first, num_stages - 1});
-        visit(mask, p);
-    }
-}
-
 int64_t
 countPartitions(int num_stages)
 {

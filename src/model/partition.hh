@@ -52,17 +52,6 @@ std::vector<Partition> enumeratePartitions(int num_stages);
 void forEachPartition(int num_stages,
                       const std::function<void(const Partition &)> &visit);
 
-/**
- * Visit the partitions whose cut masks lie in [mask_begin, mask_end) —
- * a contiguous sub-range of the forEachPartition order, so a sweep can
- * be split across threads deterministically. @p visit receives the
- * mask (the partition's index in enumeration order) and the partition;
- * the Partition object is reused between calls.
- */
-void forEachPartitionRange(
-    int num_stages, int64_t mask_begin, int64_t mask_end,
-    const std::function<void(int64_t, const Partition &)> &visit);
-
 /** Number of partitions without materializing them. */
 int64_t countPartitions(int num_stages);
 

@@ -3,10 +3,10 @@
  * MetricsRegistry: named, scoped counters and gauges for the
  * executable accelerator models.
  *
- * The flat AccelStats structs report one number per run; the registry
- * keeps the *breakdown* — per fused layer, per accelerator stage, per
- * partition group — that makes a regression attributable. A metric is
- * identified by (scope, name):
+ * The flat RunStats (below) and AccelStats structs report one number
+ * per run; the registry keeps the *breakdown* — per fused layer, per
+ * accelerator stage, per partition group — that makes a regression
+ * attributable. A metric is identified by (scope, name):
  *
  *  - scope: where the value was measured. Executors use
  *    "layer:<i>:<layer-name>" for per-fused-layer values, accelerator
@@ -21,7 +21,7 @@
  * folds a counter across every scope — the cross-check the test suite
  * leans on: the per-scope breakdown of dram_read_bytes /
  * dram_write_bytes / compute_cycles must sum bit-exactly to the
- * AccelStats totals of the same run.
+ * RunStats or AccelStats totals of the same run.
  *
  * The registry is not thread-safe; executors update it only from the
  * serial portions of their runs (the same discipline the OpCount
@@ -37,7 +37,31 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/opcount.hh"
+
 namespace flcnn {
+
+/**
+ * Totals of one fused-executor run, the same fields for every engine
+ * (FusedExecutor, LineBufferExecutor, RecomputeExecutor and the
+ * PartitionExecutor's sum over its groups). With a registry attached
+ * to the run, each counted field equals the sum of its counter over
+ * every scope: loadedBytes = sumCounters("dram_read_bytes"),
+ * storedBytes = sumCounters("dram_write_bytes"), pyramids =
+ * sumCounters("pyramids"), and ops = the "mults" / "adds" /
+ * "compares" sums.
+ */
+struct RunStats
+{
+    int64_t loadedBytes = 0;   //!< DRAM bytes read (incl. re-reads)
+    int64_t storedBytes = 0;   //!< DRAM bytes written
+    int64_t reuseBytes = 0;    //!< BL + BT capacity (the paper's cost);
+                               //!< the line buffer's ring capacity
+    int64_t workingBytes = 0;  //!< tile + fresh-output buffer capacity
+    int64_t pyramids = 0;      //!< pyramids evaluated (0: line buffer)
+    OpCount ops;               //!< arithmetic performed, including any
+                               //!< recomputation
+};
 
 /** One named value: either an int64 counter or a double gauge. */
 struct Metric

@@ -4,46 +4,6 @@
 
 namespace flcnn {
 
-const char *
-engineKindName(EngineKind k)
-{
-    switch (k) {
-      case EngineKind::Reference:  return "reference";
-      case EngineKind::Fused:      return "fused";
-      case EngineKind::LineBuffer: return "linebuffer";
-      case EngineKind::Recompute:  return "recompute";
-    }
-    return "?";
-}
-
-EngineKind
-engineKindFromName(const std::string &name)
-{
-    if (name == "reference")
-        return EngineKind::Reference;
-    if (name == "fused")
-        return EngineKind::Fused;
-    if (name == "linebuffer")
-        return EngineKind::LineBuffer;
-    if (name == "recompute")
-        return EngineKind::Recompute;
-    fatal("unknown engine '%s' (want reference | fused | linebuffer | "
-          "recompute)",
-          name.c_str());
-}
-
-PlanEngine
-planEngineForKind(EngineKind k)
-{
-    switch (k) {
-      case EngineKind::Reference:  return PlanEngine::Reference;
-      case EngineKind::Fused:      return PlanEngine::Fused;
-      case EngineKind::LineBuffer: return PlanEngine::LineBuffer;
-      case EngineKind::Recompute:  return PlanEngine::Recompute;
-    }
-    panic("unreachable engine kind");
-}
-
 namespace {
 
 /** The engine's private plan: a copy of the registered template when
@@ -62,25 +22,19 @@ makeEnginePlan(const ModelSpec &spec)
 
 } // namespace
 
-ServeEngine::ServeEngine(const ModelSpec &spec, EngineKind kind)
-    : mspec(spec), knd(kind), fplan(makeEnginePlan(spec))
+ServeEngine::ServeEngine(const ModelSpec &spec)
+    : mspec(spec), fplan(makeEnginePlan(spec))
 {
 }
 
 void
 ServeEngine::compileNow()
 {
-    PlanCompileOptions opt;
-    opt.engine = planEngineForKind(knd);
-    opt.tip = mspec.tip;
-    opt.precision = mspec.precision;
-    opt.fastMath = mspec.fastMath;
-    opt.tuneFirst = mspec.tuneAtWarmup;
-    CompileStatus st = fplan.compile(opt);
+    CompileStatus st = fplan.compile(mspec.compile);
     if (st != CompileStatus::Ok) {
         fatal("model '%s': fusion plan does not compile onto the %s "
               "engine (%s)",
-              mspec.name.c_str(), engineKindName(knd),
+              mspec.name.c_str(), planEngineName(mspec.compile.engine),
               fplan.diagnostic().c_str());
     }
 }

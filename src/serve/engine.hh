@@ -35,25 +35,6 @@
 
 namespace flcnn {
 
-/** Which executor realizes the model inside a serving worker. */
-enum class EngineKind
-{
-    Reference,   //!< layer-by-layer nn::runRange (golden baseline)
-    Fused,       //!< FusedExecutor (reuse model, pyramid dataflow)
-    LineBuffer,  //!< LineBufferExecutor (row-streaming dataflow)
-    Recompute,   //!< RecomputeExecutor (no reuse buffers)
-};
-
-const char *engineKindName(EngineKind k);
-
-/** Parse an engine name ("reference" | "fused" | "linebuffer" |
- *  "recompute"); fatal()s on anything else. */
-EngineKind engineKindFromName(const std::string &name);
-
-/** The fusion-plan engine realizing an EngineKind (serve's enum maps
- *  onto fusion's — fusion/ cannot depend on serve/). */
-PlanEngine planEngineForKind(EngineKind k);
-
 /** One model as registered with the server. The referenced network
  *  and weights must outlive every engine built from the spec. */
 struct ModelSpec
@@ -63,21 +44,13 @@ struct ModelSpec
     const NetworkWeights *weights = nullptr;
     int firstLayer = 0;
     int lastLayer = 0;   //!< inclusive; set by the server at addModel
-    int tip = 1;         //!< pyramid tip for fused/recompute plans
-    /** Precision state for non-fp32 serving (nullptr = fp32). Must be
-     *  calibrated for @p net + @p weights and outlive every engine. */
-    const NetPrecision *precision = nullptr;
-    /** Serve fp32 requests through the fast-math conv tier
-     *  (ULP-bounded, not bit-exact; see tune/solver.hh). Ignored by
-     *  non-fp32 precision modes and by the Reference engine — both
-     *  always stay exact. */
-    bool fastMath = false;
-    /** Autotune every conv layer of the range when the plan compiles
-     *  (results land in the process-wide tune cache, so the serving
-     *  loop runs tuned plans from the first request). Warm tune-cache
-     *  entries make this a no-op — tune once per machine, serve
-     *  forever. */
-    bool tuneAtWarmup = false;
+    /** How every worker compiles the model: engine, pyramid tip,
+     *  precision state (calibrated for @p net + @p weights; must
+     *  outlive every engine), the opt-in fast-math tier and
+     *  tuneFirst (autotune the range's convs at warmup, so the serving
+     *  loop runs tuned plans from the first request). addModel()
+     *  check()s the plan template with this same object. */
+    PlanCompileOptions compile;
     /** Service class: latency-critical models batch first and carry a
      *  p99 budget; best-effort models are shed at admission when the
      *  projected LC backlog threatens that budget. */
@@ -86,7 +59,7 @@ struct ModelSpec
      *  0 = unspecified, disables shedding on this model's behalf). */
     double p99BudgetMs = 0.0;
     /** Plan template registered by addModel(): the op sequence,
-     *  already check()ed against the server's engine kind. Uncompiled
+     *  already check()ed against @p compile. Uncompiled
      *  (compiled plans pin per-worker executors); every worker engine
      *  copies it and compiles privately at warmup. Null = the engine
      *  declares its own plan from [firstLayer, lastLayer]. */
@@ -97,7 +70,7 @@ struct ModelSpec
 class ServeEngine
 {
   public:
-    ServeEngine(const ModelSpec &spec, EngineKind kind);
+    explicit ServeEngine(const ModelSpec &spec);
 
     /** Evaluate one image; bit-identical to the reference range.
      *  Compiles the plan lazily (counted) if warmup() was skipped. */
@@ -111,7 +84,11 @@ class ServeEngine
 
     /** Whether runInto() is available (all executor-backed engines;
      *  the Reference baseline is exempt from the zero-copy path). */
-    bool producesInto() const { return knd != EngineKind::Reference; }
+    bool
+    producesInto() const
+    {
+        return mspec.compile.engine != PlanEngine::Reference;
+    }
 
     /** Output shape of the served layer range. */
     Shape outShape() const { return mspec.net->outShape(mspec.lastLayer); }
@@ -124,7 +101,6 @@ class ServeEngine
      *  fatal()s with the typed status if the plan does not compile. */
     void warmup();
 
-    EngineKind kind() const { return knd; }
     const ModelSpec &spec() const { return mspec; }
 
     /** The engine's pinned plan (compiled after warmup() or the first
@@ -139,7 +115,6 @@ class ServeEngine
     void compileNow();
 
     ModelSpec mspec;
-    EngineKind knd;
     FusionPlan fplan;
     int lazyCount = 0;
 };

@@ -48,10 +48,11 @@ InferenceServer::addModel(const std::string &name, const Network &net,
     spec.weights = &weights;
     spec.firstLayer = first_layer;
     spec.lastLayer = last_layer;
-    spec.tip = cfg.tip;
-    spec.precision = precision;
-    spec.fastMath = fast_math;
-    spec.tuneAtWarmup = tune_at_warmup;
+    spec.compile.engine = cfg.engine;
+    spec.compile.tip = cfg.tip;
+    spec.compile.precision = precision;
+    spec.compile.fastMath = fast_math;
+    spec.compile.tuneFirst = tune_at_warmup;
     spec.slo = slo;
     spec.p99BudgetMs = p99_budget_ms;
 
@@ -61,16 +62,11 @@ InferenceServer::addModel(const std::string &name, const Network &net,
     // thread, and never a silent fallback to another engine.
     auto plan = std::make_shared<FusionPlan>(net, weights);
     plan->addRange(first_layer, last_layer);
-    PlanCompileOptions popt;
-    popt.engine = planEngineForKind(cfg.engine);
-    popt.tip = cfg.tip;
-    popt.precision = precision;
-    popt.fastMath = fast_math;
-    CompileStatus st = plan->check(popt);
+    CompileStatus st = plan->check(spec.compile);
     if (st != CompileStatus::Ok) {
         fatal("model '%s': fusion plan rejected for the %s engine "
               "(%s)",
-              name.c_str(), engineKindName(cfg.engine),
+              name.c_str(), planEngineName(cfg.engine),
               plan->diagnostic().c_str());
     }
     spec.plan = std::move(plan);
@@ -132,7 +128,6 @@ InferenceServer::start()
 
     WorkerPoolOptions opt;
     opt.numWorkers = cfg.workers;
-    opt.engine = cfg.engine;
     opt.intraOp = cfg.intraOp;
     opt.warmup = cfg.warmup;
     opt.pinWorkers = cfg.pinWorkers;

@@ -63,7 +63,7 @@ struct ServeConfig
     OverflowPolicy policy = OverflowPolicy::Block;
     BatchPolicy batch;
     double deadlineSeconds = 0.0;   //!< <= 0: no deadline
-    EngineKind engine = EngineKind::LineBuffer;
+    PlanEngine engine = PlanEngine::LineBuffer;
     IntraOpMode intraOp = IntraOpMode::Auto;
     bool warmup = true;
     int tip = 1;                    //!< pyramid tip (fused/recompute)

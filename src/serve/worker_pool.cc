@@ -115,7 +115,7 @@ WorkerPool::workerMain(int wid)
     bool anyInto = false;
     for (const ModelSpec &spec : models) {
         engines.push_back(
-            std::make_unique<ServeEngine>(spec, opt.engine));
+            std::make_unique<ServeEngine>(spec));
         if (opt.warmup)
             engines.back()->warmup();
         if (engines.back()->producesInto()) {

@@ -60,7 +60,6 @@ const char *intraOpModeName(IntraOpMode m);
 struct WorkerPoolOptions
 {
     int numWorkers = 1;
-    EngineKind engine = EngineKind::LineBuffer;
     IntraOpMode intraOp = IntraOpMode::Auto;
     bool warmup = true;
     /** Pin worker w to the w-th allowed CPU (no-op where

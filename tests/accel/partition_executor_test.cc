@@ -11,6 +11,7 @@
 #include "model/transfer.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
+#include "obs/metrics.hh"
 #include "tensor/compare.hh"
 
 namespace flcnn {
@@ -29,7 +30,7 @@ smallVggish()
 
 void
 runPartition(const Network &net, const Partition &p, uint64_t seed,
-             PartitionRunStats *stats_out = nullptr)
+             RunStats *stats_out = nullptr, MetricsRegistry *reg = nullptr)
 {
     Rng wrng(seed);
     NetworkWeights weights(net, wrng);
@@ -38,7 +39,8 @@ runPartition(const Network &net, const Partition &p, uint64_t seed,
     input.fillRandom(irng);
 
     PartitionExecutor exec(net, weights, p);
-    PartitionRunStats stats;
+    exec.setMetrics(reg);
+    RunStats stats;
     Tensor out = exec.run(input, &stats);
 
     Tensor ref = runRange(net, weights, input, 0,
@@ -66,9 +68,10 @@ TEST(PartitionExecutor, MeasuredTrafficEqualsFigure7Model)
     Network net = smallVggish();
     int stages = static_cast<int>(net.stages().size());
     for (const Partition &p : enumeratePartitions(stages)) {
-        PartitionRunStats stats;
+        RunStats stats;
         runPartition(net, p, 52, &stats);
-        EXPECT_EQ(stats.totalDramBytes(), partitionTransferBytes(net, p))
+        EXPECT_EQ(stats.loadedBytes + stats.storedBytes,
+                  partitionTransferBytes(net, p))
             << partitionStr(p);
     }
 }
@@ -77,20 +80,36 @@ TEST(PartitionExecutor, SingletonsMeanLayerByLayer)
 {
     Network net = smallVggish();
     int stages = static_cast<int>(net.stages().size());
-    PartitionRunStats stats;
-    runPartition(net, singletonPartition(stages), 53, &stats);
-    EXPECT_EQ(stats.totalDramBytes(), layerByLayerTransferBytes(net));
-    EXPECT_EQ(stats.groups.size(), static_cast<size_t>(stages));
+    RunStats stats;
+    MetricsRegistry reg;
+    runPartition(net, singletonPartition(stages), 53, &stats, &reg);
+    EXPECT_EQ(stats.loadedBytes + stats.storedBytes,
+              layerByLayerTransferBytes(net));
+    // Each group's "group:<g>:" scope reports its own reads (a
+    // singleton group reads its stage's input plane), and the groups'
+    // reads sum to the run's total.
+    int64_t sum = 0;
+    for (int g = 0; g < stages; g++) {
+        const std::string prefix = MetricsRegistry::groupPrefix(g);
+        int64_t reads = 0;
+        for (const Metric &m : reg.items())
+            if (m.name == "dram_read_bytes" && m.scope.rfind(prefix, 0) == 0)
+                reads += m.count;
+        const Stage &st = net.stages()[static_cast<size_t>(g)];
+        EXPECT_EQ(reads, net.inShape(st.first).bytes()) << "group " << g;
+        sum += reads;
+    }
+    EXPECT_EQ(sum, stats.loadedBytes);
 }
 
 TEST(PartitionExecutor, FullFusionMovesOnlyEndpoints)
 {
     Network net = smallVggish();
     int stages = static_cast<int>(net.stages().size());
-    PartitionRunStats stats;
+    RunStats stats;
     runPartition(net, fullFusionPartition(stages), 54, &stats);
-    EXPECT_EQ(stats.dramReadBytes, net.inputShape().bytes());
-    EXPECT_EQ(stats.dramWriteBytes, net.outputShape().bytes());
+    EXPECT_EQ(stats.loadedBytes, net.inputShape().bytes());
+    EXPECT_EQ(stats.storedBytes, net.outputShape().bytes());
 }
 
 TEST(PartitionExecutor, ArithmeticIsPartitionInvariant)
@@ -99,7 +118,7 @@ TEST(PartitionExecutor, ArithmeticIsPartitionInvariant)
     // partitioning.
     Network net = smallVggish();
     int stages = static_cast<int>(net.stages().size());
-    PartitionRunStats a, b;
+    RunStats a, b;
     runPartition(net, singletonPartition(stages), 55, &a);
     runPartition(net, fullFusionPartition(stages), 55, &b);
     EXPECT_EQ(a.ops.mults, b.ops.mults);

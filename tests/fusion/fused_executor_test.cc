@@ -33,7 +33,7 @@ expectFusedMatchesReference(const Network &net, int first, int last,
     TilePlan plan(net, first, last, tip_h, tip_w);
     FusedExecutor exec(net, weights, std::move(plan));
     exec.setTrackCoverage(true);
-    FusedRunStats stats;
+    RunStats stats;
     Tensor fused = exec.run(input, &stats);
 
     CompareResult cmp = compareTensors(ref, fused);

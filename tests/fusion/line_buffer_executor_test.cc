@@ -28,7 +28,7 @@ expectLineBufferMatches(const Network &net, int first, int last,
 
     Tensor ref = runRange(net, weights, input, first, last);
     LineBufferExecutor exec(net, weights, first, last, row_block);
-    LineBufferStats stats;
+    RunStats stats;
     Tensor out = exec.run(input, &stats);
 
     CompareResult cmp = compareTensors(ref, out);
@@ -141,6 +141,13 @@ TEST(LineBufferExecutor, RowBlockingGrowsBuffers)
     // ring rows: K vs (B-1)*S + K.
     EXPECT_EQ(one.bufferBytes(), 3LL * 3 * 18 * 4);
     EXPECT_EQ(four.bufferBytes(), 3LL * 6 * 18 * 4);
+    // A run reports the ring capacity as its reuse bytes.
+    Tensor input(net.inputShape());
+    for (LineBufferExecutor *exec : {&one, &four}) {
+        RunStats stats;
+        exec->run(input, &stats);
+        EXPECT_EQ(stats.reuseBytes, exec->bufferBytes());
+    }
 }
 
 /** RAII: run a scope at a fixed global thread count, then restore the
@@ -232,7 +239,7 @@ TEST(LineBufferExecutor, PadWritesIntoTheRingAtRowBlockFour)
         ScopedThreads scope(threads);
         LineBufferExecutor exec(net, weights, 0, last, 4);
         for (int rep = 0; rep < 2; rep++) {
-            LineBufferStats stats;
+            RunStats stats;
             Tensor out = exec.run(input, &stats);
             ASSERT_TRUE(tensorsEqual(ref, out))
                 << "threads=" << threads << " run " << rep;

@@ -19,7 +19,7 @@ namespace {
 struct RunResult
 {
     Tensor out;
-    RecomputeRunStats stats;
+    RunStats stats;
 };
 
 RunResult
@@ -86,7 +86,7 @@ TEST(RecomputeExecutor, ArithmeticBlowupVsReuse)
     Rng irng(34 ^ 0x77);
     input.fillRandom(irng);
     FusedExecutor fused(net, weights, TilePlan(net, 0, 1, 1, 1));
-    FusedRunStats fstats;
+    RunStats fstats;
     fused.run(input, &fstats);
 
     // The reuse model performs the baseline work exactly (paper:

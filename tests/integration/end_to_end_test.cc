@@ -10,15 +10,16 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 
 #include "accel/baseline_accel.hh"
 #include "accel/fused_accel.hh"
 #include "accel/partition_executor.hh"
 #include "common/thread_pool.hh"
+#include "dse/sweep.hh"
 #include "fusion/line_buffer_executor.hh"
 #include "fusion/recompute_executor.hh"
 #include "hls/emitter.hh"
-#include "model/explorer.hh"
 #include "model/transfer.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -48,15 +49,15 @@ TEST(EndToEnd, ExploreThenExecuteTheParetoFront)
     Tensor ref = runRange(net, weights, input, 0,
                           net.stages().back().last);
 
-    auto res = exploreFusionSpace(net);
-    ASSERT_GE(res.front.size(), 2u);
-    for (const DesignPoint &p : res.front) {
+    const dse::SweepResult res = dse::runSweep(net, {});
+    ASSERT_GE(res.legacyFront.size(), 2u);
+    for (const DesignPoint &p : res.legacyFront) {
         PartitionExecutor exec(net, weights, p.partition);
-        PartitionRunStats stats;
+        RunStats stats;
         Tensor out = exec.run(input, &stats);
         EXPECT_TRUE(tensorsEqual(ref, out))
             << partitionStr(p.partition);
-        EXPECT_EQ(stats.totalDramBytes(), p.transferBytes)
+        EXPECT_EQ(stats.loadedBytes + stats.storedBytes, p.transferBytes)
             << partitionStr(p.partition);
     }
 }
@@ -205,11 +206,24 @@ struct ThreadCountGuard
     ~ThreadCountGuard() { ThreadPool::setGlobalThreads(0); }
 };
 
+/** Every RunStats total must equal its registry counter summed over
+ *  every scope of the same run. */
+void
+expectStatsMatchRegistry(const RunStats &s, const MetricsRegistry &reg)
+{
+    EXPECT_EQ(reg.sumCounters("dram_read_bytes"), s.loadedBytes);
+    EXPECT_EQ(reg.sumCounters("dram_write_bytes"), s.storedBytes);
+    EXPECT_EQ(reg.sumCounters("pyramids"), s.pyramids);
+    EXPECT_EQ(reg.sumCounters("mults"), s.ops.mults);
+    EXPECT_EQ(reg.sumCounters("adds"), s.ops.adds);
+    EXPECT_EQ(reg.sumCounters("compares"), s.ops.compares);
+}
+
 TEST(Observability, ExecutorMetricSumsMatchRunStats)
 {
     // The registry's per-layer breakdown must reproduce the flat run
-    // statistics bit-exactly — at every thread count, since the
-    // tallies live outside the parallel regions.
+    // statistics bit-exactly on every engine and at every thread
+    // count, since the tallies live outside the parallel regions.
     Network net("obs1", Shape{3, 24, 24});
     net.addConvBlock("c1", 4, 3, 1, 1);
     net.addMaxPool("p1", 2, 2);
@@ -221,69 +235,74 @@ TEST(Observability, ExecutorMetricSumsMatchRunStats)
     Rng irng(96);
     input.fillRandom(irng);
     const int last = net.numLayers() - 1;
+    const int stages = static_cast<int>(net.stages().size());
 
-    for (int threads : {1, 2, 8}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        ThreadCountGuard guard(threads);
-
-        // Reuse model: metrics, and the trace sink must agree with
-        // both the metrics and the counted stats.
-        FusedExecutor fx(net, weights, TilePlan(net, 0, last));
-        MetricsRegistry freg;
-        TraceRecorder rec(false);
-        fx.setMetrics(&freg);
-        fx.setTraceSink(rec.sink());
-        FusedRunStats fs;
-        fx.run(input, &fs);
-        EXPECT_EQ(freg.sumCounters("dram_read_bytes"), fs.loadedBytes);
-        EXPECT_EQ(freg.sumCounters("dram_write_bytes"), fs.storedBytes);
-        EXPECT_EQ(freg.sumCounters("mults"), fs.ops.mults);
-        EXPECT_EQ(freg.sumCounters("adds"), fs.ops.adds);
-        EXPECT_EQ(freg.sumCounters("compares"), fs.ops.compares);
-        EXPECT_EQ(rec.readBytes(), fs.loadedBytes);
-        EXPECT_EQ(rec.writeBytes(), fs.storedBytes);
-
-        // Recompute model.
-        RecomputeExecutor rx(net, weights, TilePlan(net, 0, last));
-        MetricsRegistry rreg;
-        rx.setMetrics(&rreg);
-        RecomputeRunStats rs;
-        rx.run(input, &rs);
-        EXPECT_EQ(rreg.sumCounters("dram_read_bytes"), rs.loadedBytes);
-        EXPECT_EQ(rreg.sumCounters("dram_write_bytes"), rs.storedBytes);
-        EXPECT_EQ(rreg.sumCounters("mults"), rs.ops.mults);
-        EXPECT_EQ(rreg.sumCounters("adds"), rs.ops.adds);
-        EXPECT_EQ(rreg.sumCounters("compares"), rs.ops.compares);
-
-        // Line buffer model (ops attributed at the tally sites).
-        LineBufferExecutor lb(net, weights, 0, last);
-        MetricsRegistry lreg;
-        lb.setMetrics(&lreg);
-        LineBufferStats ls;
-        lb.run(input, &ls);
-        EXPECT_EQ(lreg.sumCounters("dram_read_bytes"), ls.loadedBytes);
-        EXPECT_EQ(lreg.sumCounters("dram_write_bytes"), ls.storedBytes);
-        EXPECT_EQ(lreg.sumCounters("mults"), ls.ops.mults);
-        EXPECT_EQ(lreg.sumCounters("adds"), ls.ops.adds);
-        EXPECT_EQ(lreg.sumCounters("compares"), ls.ops.compares);
-        // A ReLU fused into its conv must still be counted once, in
-        // its own scope, and the run total must be the reference's.
-        OpCount want;
-        for (int l = 0; l <= last; l++) {
-            const LayerSpec &spec = net.layer(l);
-            want += layerOpCount(spec, net.inShape(l));
-            if (spec.kind == LayerKind::ReLU) {
-                const Shape &sh = net.outShape(l);
-                EXPECT_EQ(lreg.counter(MetricsRegistry::layerScope(
+    // Each runner runs one engine with @p reg attached, plus the checks
+    // only that engine owes.
+    using Runner = std::function<void(MetricsRegistry &, RunStats &)>;
+    const std::pair<const char *, Runner> engines[] = {
+        {"fused",
+         [&](MetricsRegistry &reg, RunStats &s) {
+             // The trace sink must agree with the counted stats too.
+             FusedExecutor x(net, weights, TilePlan(net, 0, last));
+             TraceRecorder rec(false);
+             x.setMetrics(&reg);
+             x.setTraceSink(rec.sink());
+             x.run(input, &s);
+             EXPECT_EQ(rec.readBytes(), s.loadedBytes);
+             EXPECT_EQ(rec.writeBytes(), s.storedBytes);
+         }},
+        {"linebuffer",
+         [&](MetricsRegistry &reg, RunStats &s) {
+             LineBufferExecutor x(net, weights, 0, last);
+             x.setMetrics(&reg);
+             x.run(input, &s);
+             // A ReLU fused into its conv must still be counted once,
+             // in its own scope, and the run total must be the
+             // reference's (ops attributed at the tally sites).
+             OpCount want;
+             for (int l = 0; l <= last; l++) {
+                 const LayerSpec &spec = net.layer(l);
+                 want += layerOpCount(spec, net.inShape(l));
+                 if (spec.kind != LayerKind::ReLU)
+                     continue;
+                 const Shape &sh = net.outShape(l);
+                 EXPECT_EQ(reg.counter(MetricsRegistry::layerScope(
                                            l, spec.name),
                                        "compares"),
-                          static_cast<int64_t>(sh.c) * sh.h * sh.w)
-                    << spec.name;
-            }
+                           static_cast<int64_t>(sh.c) * sh.h * sh.w)
+                     << spec.name;
+             }
+             EXPECT_EQ(s.ops.mults, want.mults);
+             EXPECT_EQ(s.ops.adds, want.adds);
+             EXPECT_EQ(s.ops.compares, want.compares);
+         }},
+        {"recompute",
+         [&](MetricsRegistry &reg, RunStats &s) {
+             RecomputeExecutor x(net, weights, TilePlan(net, 0, last));
+             x.setMetrics(&reg);
+             x.run(input, &s);
+         }},
+        {"partition",
+         [&](MetricsRegistry &reg, RunStats &s) {
+             PartitionExecutor x(
+                 net, weights,
+                 Partition{StageGroup{0, 0}, StageGroup{1, stages - 1}});
+             x.setMetrics(&reg);
+             x.run(input, &s);
+         }},
+    };
+
+    for (int threads : {1, 2, 8}) {
+        ThreadCountGuard guard(threads);
+        for (const auto &[name, run] : engines) {
+            SCOPED_TRACE(std::string(name) +
+                         " threads=" + std::to_string(threads));
+            MetricsRegistry reg;
+            RunStats s;
+            run(reg, s);
+            expectStatsMatchRegistry(s, reg);
         }
-        EXPECT_EQ(ls.ops.mults, want.mults);
-        EXPECT_EQ(ls.ops.adds, want.adds);
-        EXPECT_EQ(ls.ops.compares, want.compares);
     }
 }
 
@@ -360,12 +379,10 @@ TEST(Observability, PartitionExecutorScopesMetricsByGroup)
     PartitionExecutor exec(net, weights, part);
     MetricsRegistry reg;
     exec.setMetrics(&reg);
-    PartitionRunStats stats;
+    RunStats stats;
     exec.run(input, &stats);
 
-    EXPECT_EQ(reg.sumCounters("dram_read_bytes"), stats.dramReadBytes);
-    EXPECT_EQ(reg.sumCounters("dram_write_bytes"),
-              stats.dramWriteBytes);
+    expectStatsMatchRegistry(stats, reg);
     bool saw_g0 = false, saw_g1 = false;
     for (const std::string &scope : reg.scopes()) {
         if (scope.rfind("group:0:", 0) == 0)
@@ -388,8 +405,8 @@ TEST(EndToEnd, AdvisorPickIsExecutable)
     net.addMaxPool("p1", 2, 2);
     net.addConvBlock("c2", 8, 3, 1, 1);
 
-    auto res = exploreFusionSpace(net);
-    const DesignPoint *pick = res.bestUnderStorage(4 * 1024);
+    const dse::SweepResult res = dse::runSweep(net, {});
+    const DesignPoint *pick = bestUnderStorage(res.legacyFront, 4 * 1024);
     ASSERT_NE(pick, nullptr);
 
     Rng wrng(90);
@@ -398,12 +415,12 @@ TEST(EndToEnd, AdvisorPickIsExecutable)
     Rng irng(91);
     input.fillRandom(irng);
     PartitionExecutor exec(net, weights, pick->partition);
-    PartitionRunStats stats;
+    RunStats stats;
     Tensor out = exec.run(input, &stats);
     Tensor ref = runRange(net, weights, input, 0,
                           net.stages().back().last);
     EXPECT_TRUE(tensorsEqual(ref, out));
-    EXPECT_EQ(stats.totalDramBytes(), pick->transferBytes);
+    EXPECT_EQ(stats.loadedBytes + stats.storedBytes, pick->transferBytes);
 }
 
 } // namespace

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "model/explorer.hh"
+#include "dse/sweep.hh"
 #include "model/group_cost.hh"
 #include "model/recompute.hh"
 #include "model/storage.hh"
@@ -92,16 +92,17 @@ TEST(GroupCostCache, PricePartitionEqualsDirectPartitionModels)
 
 TEST(GroupCostCache, ExplorerMatchesBruteForceSweep)
 {
-    // The cached, mask-tree explorer must reproduce the obvious
-    // implementation — enumerate every partition, price it with the
-    // models directly, take the Pareto front — in enumeration order.
+    // The cached, mask-tree explorer (runSweep's Chain space) must
+    // reproduce the obvious implementation — enumerate every
+    // partition, price it with the models directly, take the Pareto
+    // front — in enumeration order.
     Network net = vggEPrefix(5);
     for (bool weights : {false, true}) {
-        ExploreOptions opt;
-        opt.exactStorage = false;
-        opt.includeWeightStorage = weights;
-        opt.withRecompute = true;
-        ExplorationResult res = exploreFusionSpace(net, opt);
+        dse::SweepOptions opt;
+        opt.cost.exactStorage = false;
+        opt.cost.includeWeightStorage = weights;
+        opt.cost.withRecompute = true;
+        const dse::SweepResult res = dse::runSweep(net, opt);
 
         const int stages = static_cast<int>(net.stages().size());
         std::vector<Partition> all = enumeratePartitions(stages);
@@ -132,11 +133,12 @@ TEST(GroupCostCache, ExplorerMatchesBruteForceSweep)
         }
 
         std::vector<DesignPoint> front = paretoFront(std::move(brute));
-        ASSERT_EQ(res.front.size(), front.size());
+        ASSERT_EQ(res.legacyFront.size(), front.size());
         for (size_t i = 0; i < front.size(); i++) {
-            EXPECT_EQ(res.front[i].partition, front[i].partition) << i;
-            EXPECT_EQ(res.front[i].storageBytes, front[i].storageBytes);
-            EXPECT_EQ(res.front[i].transferBytes, front[i].transferBytes);
+            const DesignPoint &got = res.legacyFront[i];
+            EXPECT_EQ(got.partition, front[i].partition) << i;
+            EXPECT_EQ(got.storageBytes, front[i].storageBytes);
+            EXPECT_EQ(got.transferBytes, front[i].transferBytes);
         }
     }
 }
@@ -175,11 +177,11 @@ TEST(Explorer, DtypeThreadsThroughExploration)
     // point's byte costs shrink by the element width, so the int8
     // sweep is the fp32 sweep scaled — same partitions, same ops.
     Network net = vggEPrefix(4);
-    ExploreOptions f32opt;
-    ExploreOptions i8opt;
-    i8opt.dtype = Precision::Int8;
-    const ExplorationResult f32 = exploreFusionSpace(net, f32opt);
-    const ExplorationResult i8 = exploreFusionSpace(net, i8opt);
+    dse::SweepOptions f32opt;
+    dse::SweepOptions i8opt;
+    i8opt.cost.dtype = Precision::Int8;
+    const dse::SweepResult f32 = dse::runSweep(net, f32opt);
+    const dse::SweepResult i8 = dse::runSweep(net, i8opt);
     ASSERT_EQ(i8.points.size(), f32.points.size());
     for (size_t i = 0; i < f32.points.size(); i++) {
         EXPECT_EQ(i8.points[i].partition, f32.points[i].partition);

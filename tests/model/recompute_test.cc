@@ -28,7 +28,7 @@ TEST(Recompute, AnalyticModelMatchesExecutorExactly)
         Rng irng(trial + 77);
         in.fillRandom(irng);
         RecomputeExecutor exec(net, w, TilePlan(net, 0, last, 1, 1));
-        RecomputeRunStats stats;
+        RunStats stats;
         exec.run(in, &stats);
         EXPECT_EQ(analytic, stats.ops) << net.str();
     }
@@ -48,7 +48,7 @@ TEST(Recompute, AnalyticModelMatchesExecutorWithWideTips)
         Rng irng(6);
         in.fillRandom(irng);
         RecomputeExecutor exec(net, w, TilePlan(net, 0, last, tip, tip));
-        RecomputeRunStats stats;
+        RunStats stats;
         exec.run(in, &stats);
         EXPECT_EQ(analytic, stats.ops) << "tip " << tip;
     }

@@ -239,7 +239,7 @@ TEST(HandlePool, HandlesOutlivePool)
  * engine's executor reusing its buffers across pyramids.
  */
 void
-expectSteadyStateAllocatesNothing(const Network &net, EngineKind engine)
+expectSteadyStateAllocatesNothing(const Network &net, PlanEngine engine)
 {
     Rng wrng(3);
     NetworkWeights weights(net, wrng);
@@ -296,7 +296,7 @@ expectSteadyStateAllocatesNothing(const Network &net, EngineKind engine)
 
 TEST(ServeArena, SteadyStateServingAllocatesNothing)
 {
-    expectSteadyStateAllocatesNothing(tinyNet(), EngineKind::LineBuffer);
+    expectSteadyStateAllocatesNothing(tinyNet(), PlanEngine::LineBuffer);
 }
 
 /** Every fusable layer kind: pad, conv with its ReLU epilogue, LRN,
@@ -315,7 +315,7 @@ everyKindNet()
 
 TEST(ServeArena, SteadyStateFusedServingAllocatesNothing)
 {
-    expectSteadyStateAllocatesNothing(everyKindNet(), EngineKind::Fused);
+    expectSteadyStateAllocatesNothing(everyKindNet(), PlanEngine::Fused);
 }
 
 TEST(ServeArena, SteadyStateLineBufferEveryKindAllocatesNothing)
@@ -324,7 +324,7 @@ TEST(ServeArena, SteadyStateLineBufferEveryKindAllocatesNothing)
     // the conv's ring, the ReLU forwarding the conv's clamped rows and
     // the stand-alone ReLU clamping into its own row buffer.
     expectSteadyStateAllocatesNothing(everyKindNet(),
-                                      EngineKind::LineBuffer);
+                                      PlanEngine::LineBuffer);
 }
 
 #endif // !__SANITIZE_ADDRESS__

@@ -64,13 +64,13 @@ vggFiveScaled(int hw)
  */
 void
 runDifferential(const Network &net, int workers, int batch_max,
-                int requests, EngineKind engine,
+                int requests, PlanEngine engine,
                 IntraOpMode intra_op = IntraOpMode::Auto)
 {
     SCOPED_TRACE(std::string(net.name()) + " workers=" +
                  std::to_string(workers) + " batch=" +
                  std::to_string(batch_max) + " engine=" +
-                 engineKindName(engine));
+                 planEngineName(engine));
 
     Rng wrng(7);
     NetworkWeights weights(net, wrng);
@@ -130,7 +130,7 @@ TEST(ServeDifferential, AlexNetPrefixGrid)
     for (int workers : {1, 2, 8})
         for (int batch : {1, 3, 8})
             runDifferential(net, workers, batch, 10,
-                            EngineKind::LineBuffer);
+                            PlanEngine::LineBuffer);
 }
 
 TEST(ServeDifferential, VggFirstFiveGrid)
@@ -139,28 +139,28 @@ TEST(ServeDifferential, VggFirstFiveGrid)
     for (int workers : {1, 2, 8})
         for (int batch : {1, 3, 8})
             runDifferential(net, workers, batch, 10,
-                            EngineKind::Fused);
+                            PlanEngine::Fused);
 }
 
 TEST(ServeDifferential, FullScaleAlexNetPrefix)
 {
     // The real 227x227 network, once, through the batched server.
     Network net = alexnetFusedPrefix();
-    runDifferential(net, 2, 3, 6, EngineKind::LineBuffer);
+    runDifferential(net, 2, 3, 6, PlanEngine::LineBuffer);
 }
 
 TEST(ServeDifferential, FullScaleVggFirstFive)
 {
     Network net = vggEPrefix(5);
-    runDifferential(net, 2, 8, 4, EngineKind::LineBuffer);
+    runDifferential(net, 2, 8, 4, PlanEngine::LineBuffer);
 }
 
-TEST(ServeDifferential, EveryEngineKindMatches)
+TEST(ServeDifferential, EveryEngineMatches)
 {
     Network net = alexPrefixScaled(67);
-    for (EngineKind kind :
-         {EngineKind::Reference, EngineKind::Fused,
-          EngineKind::LineBuffer, EngineKind::Recompute})
+    for (PlanEngine kind :
+         {PlanEngine::Reference, PlanEngine::Fused,
+          PlanEngine::LineBuffer, PlanEngine::Recompute})
         runDifferential(net, 2, 3, 6, kind);
 }
 
@@ -171,7 +171,7 @@ TEST(ServeDifferential, IntraOpModesMatch)
     Network net = vggFiveScaled(40);
     for (IntraOpMode mode :
          {IntraOpMode::Inline, IntraOpMode::Pool, IntraOpMode::Auto})
-        runDifferential(net, 2, 3, 8, EngineKind::LineBuffer, mode);
+        runDifferential(net, 2, 3, 8, PlanEngine::LineBuffer, mode);
 }
 
 TEST(ServeDifferential, DeterministicBatchFormation)

@@ -67,11 +67,11 @@ vggFiveScaled(int hw)
  */
 void
 runPlanDifferential(const Network &net, Precision mode, int workers,
-                    EngineKind engine, int requests = 8)
+                    PlanEngine engine, int requests = 8)
 {
     SCOPED_TRACE(std::string(net.name()) + " " + precisionName(mode) +
                  " workers=" + std::to_string(workers) + " engine=" +
-                 engineKindName(engine));
+                 planEngineName(engine));
 
     Rng wrng(7);
     NetworkWeights weights(net, wrng);
@@ -130,8 +130,9 @@ TEST(ServePlan, WarmupCompilesOnceWorkersOnlyExecute)
     spec.weights = &w;
     spec.firstLayer = 0;
     spec.lastLayer = net.numLayers() - 1;
+    spec.compile.engine = PlanEngine::LineBuffer;
 
-    ServeEngine eng(spec, EngineKind::LineBuffer);
+    ServeEngine eng(spec);
     EXPECT_FALSE(eng.plan().compiled());
     eng.warmup();
     EXPECT_TRUE(eng.plan().compiled());
@@ -159,8 +160,9 @@ TEST(ServePlan, SkippedWarmupCompilesLazilyExactlyOnce)
     spec.weights = &w;
     spec.firstLayer = 0;
     spec.lastLayer = net.numLayers() - 1;
+    spec.compile.engine = PlanEngine::Fused;
 
-    ServeEngine eng(spec, EngineKind::Fused);
+    ServeEngine eng(spec);
     Tensor in(net.inputShape());
     Rng irng(6);
     in.fillRandom(irng);
@@ -185,8 +187,9 @@ TEST(ServePlan, EngineUsesTheRegisteredPlanTemplate)
     spec.firstLayer = 1;
     spec.lastLayer = 3;
     spec.plan = tmpl;
+    spec.compile.engine = PlanEngine::LineBuffer;
 
-    ServeEngine eng(spec, EngineKind::LineBuffer);
+    ServeEngine eng(spec);
     EXPECT_EQ(eng.plan().ops(), tmpl->ops());
     eng.warmup();
     EXPECT_FALSE(tmpl->compiled());  // workers compile private copies
@@ -198,13 +201,34 @@ TEST(ServePlan, EngineUsesTheRegisteredPlanTemplate)
     EXPECT_TRUE(tensorsEqual(golden, eng.run(in)));
 }
 
+TEST(ServePlan, ConfigEngineReachesTheWorkerPlan)
+{
+    // ServeConfig::engine is the one engine setting: addModel() stores
+    // it in the spec's compile options, and the engine a worker builds
+    // from that spec compiles onto it.
+    Network net = alexPrefixScaled(67);
+    Rng rng(15);
+    NetworkWeights w(net, rng);
+    for (PlanEngine e : {PlanEngine::Reference, PlanEngine::Fused,
+                         PlanEngine::LineBuffer, PlanEngine::Recompute}) {
+        ServeConfig cfg;
+        cfg.engine = e;
+        InferenceServer server(cfg);
+        server.addModel("alex", net, w);
+        ServeEngine eng(server.models().front());
+        eng.warmup();
+        EXPECT_EQ(eng.plan().engine(), e) << planEngineName(e);
+        EXPECT_EQ(eng.producesInto(), e != PlanEngine::Reference);
+    }
+}
+
 TEST(ServePlan, Fp32GridAlexNetPrefix)
 {
     Network net = alexPrefixScaled(67);
     for (int workers : {1, 2, 8})
-        for (EngineKind kind :
-             {EngineKind::Reference, EngineKind::Fused,
-              EngineKind::LineBuffer, EngineKind::Recompute})
+        for (PlanEngine kind :
+             {PlanEngine::Reference, PlanEngine::Fused,
+              PlanEngine::LineBuffer, PlanEngine::Recompute})
             runPlanDifferential(net, Precision::Fp32, workers, kind);
 }
 
@@ -212,9 +236,9 @@ TEST(ServePlan, Fp32GridVggFirstFive)
 {
     Network net = vggFiveScaled(40);
     for (int workers : {1, 2, 8})
-        for (EngineKind kind :
-             {EngineKind::Reference, EngineKind::Fused,
-              EngineKind::LineBuffer, EngineKind::Recompute})
+        for (PlanEngine kind :
+             {PlanEngine::Reference, PlanEngine::Fused,
+              PlanEngine::LineBuffer, PlanEngine::Recompute})
             runPlanDifferential(net, Precision::Fp32, workers, kind);
 }
 
@@ -223,9 +247,9 @@ TEST(ServePlan, PrecisionGridAlexNetPrefix)
     Network net = alexPrefixScaled(67);
     for (Precision mode : {Precision::Int8, Precision::Fp16})
         for (int workers : {1, 2, 8})
-            for (EngineKind kind :
-                 {EngineKind::Reference, EngineKind::Fused,
-                  EngineKind::LineBuffer, EngineKind::Recompute})
+            for (PlanEngine kind :
+                 {PlanEngine::Reference, PlanEngine::Fused,
+                  PlanEngine::LineBuffer, PlanEngine::Recompute})
                 runPlanDifferential(net, mode, workers, kind, 6);
 }
 
@@ -234,9 +258,9 @@ TEST(ServePlan, PrecisionGridVggFirstFive)
     Network net = vggFiveScaled(40);
     for (Precision mode : {Precision::Int8, Precision::Fp16})
         for (int workers : {1, 2, 8})
-            for (EngineKind kind :
-                 {EngineKind::Reference, EngineKind::Fused,
-                  EngineKind::LineBuffer, EngineKind::Recompute})
+            for (PlanEngine kind :
+                 {PlanEngine::Reference, PlanEngine::Fused,
+                  PlanEngine::LineBuffer, PlanEngine::Recompute})
                 runPlanDifferential(net, mode, workers, kind, 6);
 }
 
@@ -253,7 +277,7 @@ TEST(ServePlanDeath, AddModelRejectsUnsupportedPlanTyped)
     NetworkWeights w(net, rng);
 
     ServeConfig cfg;
-    cfg.engine = EngineKind::LineBuffer;
+    cfg.engine = PlanEngine::LineBuffer;
     auto reject = [&] {
         InferenceServer server(cfg);
         server.addModel("m", net, w);
@@ -264,7 +288,7 @@ TEST(ServePlanDeath, AddModelRejectsUnsupportedPlanTyped)
     // The same model is a legal explicit choice on the reference
     // engine.
     ServeConfig ok = cfg;
-    ok.engine = EngineKind::Reference;
+    ok.engine = PlanEngine::Reference;
     ok.warmup = false;
     InferenceServer server(ok);
     server.addModel("m", net, w);

@@ -76,12 +76,12 @@ absBound(Precision mode)
  */
 void
 runPrecisionDifferential(const Network &net, Precision mode, int workers,
-                         int batch_max, int requests, EngineKind engine)
+                         int batch_max, int requests, PlanEngine engine)
 {
     SCOPED_TRACE(std::string(net.name()) + " " + precisionName(mode) +
                  " workers=" + std::to_string(workers) + " batch=" +
                  std::to_string(batch_max) + " engine=" +
-                 engineKindName(engine));
+                 planEngineName(engine));
 
     Rng wrng(7);
     NetworkWeights weights(net, wrng);
@@ -139,7 +139,7 @@ TEST(ServePrecision, Int8AlexNetPrefixGrid)
     for (int workers : {1, 2, 8})
         for (int batch : {1, 3, 8})
             runPrecisionDifferential(net, Precision::Int8, workers,
-                                     batch, 10, EngineKind::LineBuffer);
+                                     batch, 10, PlanEngine::LineBuffer);
 }
 
 TEST(ServePrecision, Int8VggFirstFiveGrid)
@@ -148,7 +148,7 @@ TEST(ServePrecision, Int8VggFirstFiveGrid)
     for (int workers : {1, 2, 8})
         for (int batch : {1, 3, 8})
             runPrecisionDifferential(net, Precision::Int8, workers,
-                                     batch, 10, EngineKind::Fused);
+                                     batch, 10, PlanEngine::Fused);
 }
 
 TEST(ServePrecision, Fp16AlexNetPrefixGrid)
@@ -157,7 +157,7 @@ TEST(ServePrecision, Fp16AlexNetPrefixGrid)
     for (int workers : {1, 2, 8})
         for (int batch : {1, 3, 8})
             runPrecisionDifferential(net, Precision::Fp16, workers,
-                                     batch, 10, EngineKind::LineBuffer);
+                                     batch, 10, PlanEngine::LineBuffer);
 }
 
 TEST(ServePrecision, Fp16VggFirstFiveGrid)
@@ -166,16 +166,16 @@ TEST(ServePrecision, Fp16VggFirstFiveGrid)
     for (int workers : {1, 2, 8})
         for (int batch : {1, 3, 8})
             runPrecisionDifferential(net, Precision::Fp16, workers,
-                                     batch, 10, EngineKind::Fused);
+                                     batch, 10, PlanEngine::Fused);
 }
 
-TEST(ServePrecision, EveryEngineKindMatchesEveryMode)
+TEST(ServePrecision, EveryEngineMatchesEveryMode)
 {
     Network net = alexPrefixScaled(67);
     for (Precision mode : {Precision::Int8, Precision::Fp16})
-        for (EngineKind kind :
-             {EngineKind::Reference, EngineKind::Fused,
-              EngineKind::LineBuffer, EngineKind::Recompute})
+        for (PlanEngine kind :
+             {PlanEngine::Reference, PlanEngine::Fused,
+              PlanEngine::LineBuffer, PlanEngine::Recompute})
             runPrecisionDifferential(net, mode, 2, 3, 6, kind);
 }
 
@@ -183,14 +183,14 @@ TEST(ServePrecision, FullScaleAlexNetPrefixInt8)
 {
     Network net = alexnetFusedPrefix();
     runPrecisionDifferential(net, Precision::Int8, 2, 3, 6,
-                             EngineKind::LineBuffer);
+                             PlanEngine::LineBuffer);
 }
 
 TEST(ServePrecision, FullScaleVggFirstFiveInt8)
 {
     Network net = vggEPrefix(5);
     runPrecisionDifferential(net, Precision::Int8, 2, 8, 4,
-                             EngineKind::LineBuffer);
+                             PlanEngine::LineBuffer);
 }
 
 } // namespace

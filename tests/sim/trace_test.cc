@@ -69,7 +69,7 @@ TEST(FusedExecutorTrace, BytesMatchCountedTraffic)
     // Only aggregates are read below: skip retaining the access log.
     TraceRecorder rec(false);
     exec.setTraceSink(rec.sink());
-    FusedRunStats stats;
+    RunStats stats;
     exec.run(input, &stats);
 
     EXPECT_EQ(rec.readBytes(), stats.loadedBytes);
