@@ -8,8 +8,10 @@
  * The layer-by-layer path materializes every intermediate feature map
  * in memory; the fused (line-buffered) path keeps intermediates inside
  * a few rows of cache-resident buffers. Google-benchmark timings at
- * reduced spatial scales are followed by a single full-scale (227x227)
- * comparison.
+ * reduced spatial scales are followed by a full-scale (227x227)
+ * comparison and a thread sweep over the VGG-E first five convolutions,
+ * both timed as the warm median and interquartile range, in ms, of 20
+ * runs.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,6 +26,7 @@
 #include "common/argparse.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
+#include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -100,13 +103,39 @@ BENCHMARK(BM_FusedLineBuffer)
     ->Args({115, 8})
     ->Unit(benchmark::kMillisecond);
 
-double
-timeOnce(const std::function<Tensor()> &fn, Tensor *out)
+/** Timed runs per executor row, after one untimed warm-up run. */
+constexpr int kTimedRuns = 20;
+
+/** Warm wall-clock time of one executor, in milliseconds. */
+struct Timing
 {
-    auto t0 = std::chrono::steady_clock::now();
+    double medianMs = 0.0;
+    double iqrMs = 0.0;  //!< third minus first quartile
+};
+
+/** Run @p fn once to warm caches and packs, then kTimedRuns times;
+ *  leaves the last output in @p out. */
+Timing
+timeRuns(const std::function<Tensor()> &fn, Tensor *out)
+{
     *out = fn();
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
+    std::vector<double> ms;
+    for (int rep = 0; rep < kTimedRuns; rep++) {
+        auto t0 = std::chrono::steady_clock::now();
+        *out = fn();
+        auto t1 = std::chrono::steady_clock::now();
+        ms.push_back(
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+    std::sort(ms.begin(), ms.end());
+    // Linear-interpolated quantile of the sorted sample.
+    auto q = [&](double p) {
+        const double at = p * static_cast<double>(ms.size() - 1);
+        const size_t lo = static_cast<size_t>(at);
+        const size_t hi = std::min(lo + 1, ms.size() - 1);
+        return ms[lo] + (at - static_cast<double>(lo)) * (ms[hi] - ms[lo]);
+    };
+    return Timing{q(0.5), q(0.75) - q(0.25)};
 }
 
 /** The VGG-E first-five-conv fused pyramid (the paper's Table II
@@ -125,8 +154,9 @@ vggFive(int hw)
     return net;
 }
 
-/** Sweep thread counts over the fused VGG-E pyramid and the
- *  layer-by-layer reference; returns false on any output mismatch. */
+/** Sweep thread counts over the VGG-E first five convolutions on the
+ *  layer-by-layer reference, the line buffer and the pyramid engine;
+ *  returns false on any output mismatch. */
 bool
 vggThreadSweep(int scale, int configured_threads)
 {
@@ -147,37 +177,44 @@ vggThreadSweep(int scale, int configured_threads)
         counts.push_back(configured_threads);
 
     Tensor ref;
-    double ref_1t = 0.0, fused_1t = 0.0;
+    double ref_1t = 0.0, lb_1t = 0.0, pyr_1t = 0.0;
     bool match = true;
-    Table t({"executor", "threads", "seconds", "speedup vs 1 thread",
-             "max abs diff"});
+    Table t({"executor", "threads", "median ms", "IQR ms",
+             "speedup vs 1 thread", "max abs diff"});
+    auto row = [&](const char *name, int threads, const Timing &tm,
+                   double one_thread, const Tensor &out) {
+        CompareResult r = compareTensors(ref, out);
+        match = match && r.match;
+        t.addRow({name, std::to_string(threads), fmtF(tm.medianMs, 1),
+                  fmtF(tm.iqrMs, 1),
+                  fmtF(one_thread / tm.medianMs, 2) + "x",
+                  fmtF(r.maxAbsDiff, 1)});
+    };
     for (int threads : counts) {
         ThreadPool::setGlobalThreads(threads);
 
         Tensor a;
-        double s_ref = timeOnce(
+        Timing t_ref = timeRuns(
             [&] { return runRange(net, weights, input, 0, last); }, &a);
         if (threads == 1) {
             ref = a;
-            ref_1t = s_ref;
+            ref_1t = t_ref.medianMs;
         }
-        CompareResult ra = compareTensors(ref, a);
-        match = match && ra.match;
-        t.addRow({"layer-by-layer", std::to_string(threads),
-                  fmtF(s_ref, 2), fmtF(ref_1t / s_ref, 2) + "x",
-                  fmtF(ra.maxAbsDiff, 1)});
+        row("layer-by-layer", threads, t_ref, ref_1t, a);
 
-        LineBufferExecutor exec(net, weights, 0, last, 8);
+        LineBufferExecutor lb(net, weights, 0, last, 8);
         Tensor b;
-        double s_fused =
-            timeOnce([&] { return exec.run(input); }, &b);
+        Timing t_lb = timeRuns([&] { return lb.run(input); }, &b);
         if (threads == 1)
-            fused_1t = s_fused;
-        CompareResult rb = compareTensors(ref, b);
-        match = match && rb.match;
-        t.addRow({"fused line-buffer", std::to_string(threads),
-                  fmtF(s_fused, 2), fmtF(fused_1t / s_fused, 2) + "x",
-                  fmtF(rb.maxAbsDiff, 1)});
+            lb_1t = t_lb.medianMs;
+        row("fused line-buffer", threads, t_lb, lb_1t, b);
+
+        FusedExecutor pyr(net, weights, TilePlan(net, 0, last, 4, 4));
+        Tensor c;
+        Timing t_pyr = timeRuns([&] { return pyr.run(input); }, &c);
+        if (threads == 1)
+            pyr_1t = t_pyr.medianMs;
+        row("fused pyramid, tip 4", threads, t_pyr, pyr_1t, c);
     }
     t.print();
     std::printf("outputs %s across all thread counts "
@@ -224,38 +261,32 @@ main(int argc, char **argv)
     // the row-block size that amortizes per-row weight re-streaming.
     Setup s(227);
     Tensor a, b;
-    double best_ref = 1e30;
-    for (int rep = 0; rep < 3; rep++) {
-        best_ref = std::min(
-            best_ref, timeOnce(
-                          [&] {
-                              return runRange(s.net, s.weights, s.input,
-                                              0, s.net.numLayers() - 1);
-                          },
-                          &a));
-    }
+    const Timing t_ref = timeRuns(
+        [&] {
+            return runRange(s.net, s.weights, s.input, 0,
+                            s.net.numLayers() - 1);
+        },
+        &a);
     int64_t planes = 0;
     for (int i = 0; i + 1 < s.net.numLayers(); i++)
         planes += s.net.outShape(i).bytes();
 
-    std::printf("\nfull scale (227x227), best of 3:\n");
-    Table t({"executor", "seconds", "speedup", "working set"});
-    t.addRow({"layer-by-layer", fmtF(best_ref, 2), "1.00x",
+    std::printf("\nfull scale (227x227), warm median of %d runs:\n",
+                kTimedRuns);
+    Table t({"executor", "median ms", "IQR ms", "speedup", "working set"});
+    t.addRow({"layer-by-layer", fmtF(t_ref.medianMs, 2),
+              fmtF(t_ref.iqrMs, 2), "1.00x",
               std::to_string(planes / 1024) + " KB of planes"});
     bool match = true;
     for (int block : {1, 4, 8, 16}) {
         LineBufferExecutor exec(s.net, s.weights, 0,
                                 s.net.numLayers() - 1, block);
-        double best_fused = 1e30;
-        for (int rep = 0; rep < 3; rep++) {
-            best_fused = std::min(
-                best_fused,
-                timeOnce([&] { return exec.run(s.input); }, &b));
-        }
+        const Timing t_fused =
+            timeRuns([&] { return exec.run(s.input); }, &b);
         match = match && tensorsEqual(a, b);
         t.addRow({"fused, row block " + std::to_string(block),
-                  fmtF(best_fused, 2),
-                  fmtF(best_ref / best_fused, 2) + "x",
+                  fmtF(t_fused.medianMs, 2), fmtF(t_fused.iqrMs, 2),
+                  fmtF(t_ref.medianMs / t_fused.medianMs, 2) + "x",
                   std::to_string(exec.bufferBytes() / 1024) +
                       " KB of line buffers"});
     }

@@ -4,10 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
+#include "kernels/pool.hh"
 #include "kernels/relu.hh"
 #include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
@@ -31,30 +33,16 @@ FusedExecutor::FusedExecutor(const Network &network,
                              const NetworkWeights &w, TilePlan plan)
     : net(network), weights(w), tplan(std::move(plan))
 {
-    int n = tplan.numFusedLayers();
+    const int n = tplan.numFusedLayers();
+    const int rows = tplan.numPyramidRows();
+    const int cols = tplan.numPyramidCols();
     states.resize(static_cast<size_t>(n));
+    rowReadyCol.resize(static_cast<size_t>(cols));
+    std::iota(rowReadyCol.begin(), rowReadyCol.end(), 0);
     for (int li = 0; li < n; li++) {
         const LayerGeom &g = tplan.geom(li);
         const LayerSpec &spec = net.layer(g.layerIdx);
         LayerState &st = states[static_cast<size_t>(li)];
-
-        if (g.windowed) {
-            st.tile = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
-                             std::max(1, g.maxTileW));
-            if (g.overlapX > 0)
-                st.bl = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
-                               g.overlapX);
-            if (g.overlapY > 0)
-                st.bt = Tensor(g.inPlane.c, g.overlapY, g.inPlane.w);
-        }
-
-        bool owns_fresh = g.windowed || spec.kind == LayerKind::Pad ||
-                          li == 0;
-        if (owns_fresh) {
-            st.fresh = Tensor(g.outPlane.c, std::max(1, g.maxFreshOutH),
-                              std::max(1, g.maxFreshOutW));
-            st.freshOwner = li;
-        }
 
         // A conv directly followed by a fused ReLU clamps its own fresh
         // rows inside its parallel work items (computeWindowed); the
@@ -62,9 +50,92 @@ FusedExecutor::FusedExecutor(const Network &network,
         st.reluEpilogue =
             spec.kind == LayerKind::Conv && li + 1 < n &&
             net.layer(tplan.geom(li + 1).layerIdx).kind == LayerKind::ReLU;
-        if (spec.kind == LayerKind::LRN)
-            st.lrnCol.resize(static_cast<size_t>(g.outPlane.c));
+
+        if (!g.windowed || g.overlapY <= 0)
+            continue;
+        st.bt = Tensor(g.inPlane.c, g.overlapY, g.inPlane.w);
+
+        // The BT strip a row reads was written by the previous row
+        // active at this layer.
+        st.btWriterRow.assign(static_cast<size_t>(rows), -1);
+        for (int r = 0, last = -1; r < rows; r++) {
+            st.btWriterRow[static_cast<size_t>(r)] = last;
+            if (g.isActiveY(r))
+                last = r;
+        }
+        // Columns of the writer row's BT writes after each of its
+        // pyramids: saveReuse()'s safe-write watermark.
+        std::vector<int> written(static_cast<size_t>(cols), 0);
+        for (int c = 0, mark = 0; c < cols; c++) {
+            if (g.isActiveX(c)) {
+                const Span tx = g.inX[static_cast<size_t>(c)];
+                const int next_bx = g.nextBeginX[static_cast<size_t>(c)];
+                mark = std::max(mark, next_bx >= 0
+                                          ? std::min(next_bx, tx.end)
+                                          : tx.end);
+            }
+            written[static_cast<size_t>(c)] = mark;
+        }
+        // Pyramid c reads (and later overwrites) BT columns inX[c]; the
+        // writer row covers them after its first pyramid whose
+        // watermark reaches inX[c].end.
+        st.btReadyCol.assign(static_cast<size_t>(cols), -1);
+        for (int c = 0; c < cols; c++) {
+            if (!g.isActiveX(c))
+                continue;
+            const auto at =
+                std::lower_bound(written.begin(), written.end(),
+                                 g.inX[static_cast<size_t>(c)].end);
+            const int ready =
+                std::min(static_cast<int>(at - written.begin()), cols - 1);
+            st.btReadyCol[static_cast<size_t>(c)] = ready;
+            rowReadyCol[static_cast<size_t>(c)] =
+                std::max(rowReadyCol[static_cast<size_t>(c)], ready);
+        }
     }
+    // Monotone in c, so a row that has finished pyramid k has let the
+    // row above it finish rowReadyCol[k] >= k: waiting on the previous
+    // row alone then covers writers further up (rows where a layer is
+    // stalled).
+    for (int c = 1; c < cols; c++) {
+        rowReadyCol[static_cast<size_t>(c)] =
+            std::max(rowReadyCol[static_cast<size_t>(c)],
+                     rowReadyCol[static_cast<size_t>(c) - 1]);
+    }
+    rowDone = std::make_unique<std::atomic<int>[]>(
+        static_cast<size_t>(rows));
+    lanes.push_back(makeLane());
+}
+
+FusedExecutor::Lane
+FusedExecutor::makeLane() const
+{
+    const int n = tplan.numFusedLayers();
+    Lane ln;
+    ln.layers.resize(static_cast<size_t>(n));
+    for (int li = 0; li < n; li++) {
+        const LayerGeom &g = tplan.geom(li);
+        const LayerSpec &spec = net.layer(g.layerIdx);
+        LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
+        if (g.windowed) {
+            ll.tile = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
+                             std::max(1, g.maxTileW));
+            if (g.overlapX > 0)
+                ll.bl = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
+                               g.overlapX);
+        }
+        bool owns_fresh = g.windowed || spec.kind == LayerKind::Pad ||
+                          li == 0;
+        if (owns_fresh) {
+            ll.fresh = Tensor(g.outPlane.c, std::max(1, g.maxFreshOutH),
+                              std::max(1, g.maxFreshOutW));
+            ll.freshOwner = li;
+        }
+        if (spec.kind == LayerKind::LRN)
+            ll.lrnCol.resize(static_cast<size_t>(g.outPlane.c));
+    }
+    ln.tally.resize(static_cast<size_t>(n));
+    return ln;
 }
 
 void
@@ -92,54 +163,60 @@ FusedExecutor::copyRect(const Tensor &src, Span src_y, Span src_x,
     }
 }
 
-FusedExecutor::LayerState &
-FusedExecutor::producerState(int li)
+FusedExecutor::LaneLayer &
+FusedExecutor::producer(Lane &ln, int li)
 {
     FLCNN_ASSERT(li > 0, "the first fused layer has no producer");
-    LayerState &prev = states[static_cast<size_t>(li - 1)];
+    LaneLayer &prev = ln.layers[static_cast<size_t>(li - 1)];
     FLCNN_ASSERT(prev.freshOwner >= 0, "producer owns no fresh buffer");
-    return states[static_cast<size_t>(prev.freshOwner)];
+    return ln.layers[static_cast<size_t>(prev.freshOwner)];
 }
 
 void
-FusedExecutor::assembleTile(int li, int r, int c)
+FusedExecutor::assembleTile(Lane &ln, int li, int r, int c)
 {
     const LayerGeom &g = tplan.geom(li);
-    LayerState &st = states[static_cast<size_t>(li)];
+    const LayerState &st = states[static_cast<size_t>(li)];
+    LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
 
     Span ty = g.inY[static_cast<size_t>(r)];
     Span tx = g.inX[static_cast<size_t>(c)];
     Span fy = g.freshInY(r);
     Span fx = g.freshInX(c);
-    st.tileY = ty;
-    st.tileX = tx;
+    ll.tileY = ty;
+    ll.tileX = tx;
 
     // Top strip [ty.begin, fy.begin) x full tile width, from BT.
     Span top{ty.begin, fy.begin};
     if (!top.empty()) {
         FLCNN_ASSERT(st.bt.elems() > 0, "top overlap without a BT buffer");
-        FLCNN_ASSERT(tx.begin >= st.btWatermark,
+        const int writer = st.btWriterRow[static_cast<size_t>(r)];
+        FLCNN_ASSERT(writer >= 0 &&
+                         rowDone[writer].load(std::memory_order_acquire) >
+                             st.btReadyCol[static_cast<size_t>(c)],
+                     "BT read raced ahead of its writer row");
+        FLCNN_ASSERT(tx.begin >= ll.btWatermark,
                      "BT read raced ahead of the safe-write watermark");
-        FLCNN_ASSERT(top.begin >= st.btBaseOld,
+        FLCNN_ASSERT(top.begin >= ll.btBaseOld,
                      "BT read below the retained strip");
-        copyRect(st.bt, Span{st.btBaseOld, st.btBaseOld}, Span{0, 0},
-                 st.tile, ty, tx, top, tx);
+        copyRect(st.bt, Span{ll.btBaseOld, ll.btBaseOld}, Span{0, 0},
+                 ll.tile, ty, tx, top, tx);
     }
 
     // Left strip [fy.begin, ty.end) x [tx.begin, fx.begin), from BL.
     Span left{tx.begin, fx.begin};
     Span body{fy.begin, ty.end};
     if (!left.empty() && !body.empty()) {
-        FLCNN_ASSERT(st.bl.elems() > 0, "left overlap without a BL buffer");
-        copyRect(st.bl, st.blY, st.blX, st.tile, ty, tx, body, left);
+        FLCNN_ASSERT(ll.bl.elems() > 0, "left overlap without a BL buffer");
+        copyRect(ll.bl, ll.blY, ll.blX, ll.tile, ty, tx, body, left);
     }
 
     // Fresh corner [fy.begin, ty.end) x [fx.begin, tx.end).
     if (!fy.empty() && !fx.empty()) {
         if (li == 0) {
-            copyRect(*groupInput, Span{0, 0}, Span{0, 0}, st.tile, ty, tx,
+            copyRect(*groupInput, Span{0, 0}, Span{0, 0}, ll.tile, ty, tx,
                      fy, fx);
-            curStats.loadedBytes += static_cast<int64_t>(fy.width()) *
+            ln.stats.loadedBytes += static_cast<int64_t>(fy.width()) *
                                     fx.width() * g.inPlane.c * 4;
             if (traceSink) {
                 for (int ch = 0; ch < g.inPlane.c; ch++)
@@ -154,23 +231,24 @@ FusedExecutor::assembleTile(int li, int r, int c)
             // The producer delivers the full-span diff; the tile only
             // needs the part inside the compute span (they differ only
             // in degenerate K < S geometries).
-            LayerState &prod = producerState(li);
+            LaneLayer &prod = producer(ln, li);
             FLCNN_ASSERT(prod.freshY.begin <= fy.begin &&
                              prod.freshY.end >= fy.end &&
                              prod.freshX.begin <= fx.begin &&
                              prod.freshX.end >= fx.end,
                          "producer fresh rect does not cover consumer");
-            copyRect(prod.fresh, prod.freshY, prod.freshX, st.tile, ty, tx,
+            copyRect(prod.fresh, prod.freshY, prod.freshX, ll.tile, ty, tx,
                      fy, fx);
         }
     }
 }
 
 void
-FusedExecutor::saveReuse(int li, int r, int c)
+FusedExecutor::saveReuse(Lane &ln, int li, int r, int c)
 {
     const LayerGeom &g = tplan.geom(li);
     LayerState &st = states[static_cast<size_t>(li)];
+    LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
     Span ty = g.inY[static_cast<size_t>(r)];
     Span tx = g.inX[static_cast<size_t>(c)];
 
@@ -179,11 +257,11 @@ FusedExecutor::saveReuse(int li, int r, int c)
     if (next_bx >= 0 && g.overlapX > 0) {
         Span keep{std::max(next_bx, tx.begin), tx.end};
         if (!keep.empty()) {
-            st.blY = ty;
-            st.blX = keep;
-            copyRect(st.tile, ty, tx, st.bl, ty, keep, ty, keep);
+            ll.blY = ty;
+            ll.blX = keep;
+            copyRect(ll.tile, ty, tx, ll.bl, ty, keep, ty, keep);
         } else {
-            st.blX = Span{0, 0};
+            ll.blX = Span{0, 0};
         }
     }
 
@@ -191,42 +269,44 @@ FusedExecutor::saveReuse(int li, int r, int c)
     // to the next active pyramid's left edge (safe-write; see file
     // comment).
     if (g.nextBeginY[static_cast<size_t>(r)] >= 0 && g.overlapY > 0) {
-        Span keep_rows{std::max(st.btBaseNew, ty.begin), ty.end};
+        Span keep_rows{std::max(ll.btBaseNew, ty.begin), ty.end};
         int write_end =
             (next_bx >= 0) ? std::min(next_bx, tx.end) : tx.end;
-        Span write_cols{std::max(tx.begin, st.btWatermark), write_end};
+        Span write_cols{std::max(tx.begin, ll.btWatermark), write_end};
         if (!keep_rows.empty() && !write_cols.empty()) {
-            copyRect(st.tile, ty, tx, st.bt,
-                     Span{st.btBaseNew, st.btBaseNew}, Span{0, 0},
+            copyRect(ll.tile, ty, tx, st.bt,
+                     Span{ll.btBaseNew, ll.btBaseNew}, Span{0, 0},
                      keep_rows, write_cols);
         }
-        st.btWatermark = std::max(st.btWatermark, write_cols.end);
+        ll.btWatermark = std::max(ll.btWatermark, write_cols.end);
     }
 }
 
 void
-FusedExecutor::computeWindowed(int li, int r, int c)
+FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
 {
     const LayerGeom &g = tplan.geom(li);
     const LayerSpec &spec = net.layer(g.layerIdx);
-    LayerState &st = states[static_cast<size_t>(li)];
+    const LayerState &st = states[static_cast<size_t>(li)];
+    LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
 
     Span oy = g.freshOutY(r);
     Span ox = g.freshOutX(c);
-    st.freshY = oy;
-    st.freshX = ox;
+    ll.freshY = oy;
+    ll.freshX = ox;
     if (oy.empty() || ox.empty())
         return;
 
     const int s = spec.stride;
+    const int oh = oy.width();
+    Tensor &fresh = ll.fresh;
     if (spec.kind == LayerKind::Conv) {
         const FilterBank &fb = weights.bank(net.convSlot(g.layerIdx));
         const int n_per_group = fb.numChannels();
-        const int64_t plane = static_cast<int64_t>(st.fresh.shape().h) *
-                              st.fresh.shape().w;
-        const int x0 = ox.begin * s - st.tileX.begin;
-        const Precision mode =
-            precision ? precision->mode() : Precision::Fp32;
+        const int64_t plane = static_cast<int64_t>(fresh.shape().h) *
+                              fresh.shape().w;
+        const int y0 = ll.tileY.begin;
+        const int x0 = ox.begin * s - ll.tileX.begin;
         const bool relu = st.reluEpilogue;
         // One (filter-block, row) strip per work item: disjoint fresh
         // writes across filter blocks and rows, and the blocked kernel
@@ -236,43 +316,41 @@ FusedExecutor::computeWindowed(int li, int r, int c)
         // following ReLU runs as the work item's epilogue over the rows
         // it just wrote. The op tally is analytic to keep the parallel
         // region race-free. Non-fp32 modes first stage the tile rows
-        // this pyramid reads (serial, row-wise, idempotent), then run
-        // the mode's drivers against the shared staging with the same
+        // this pyramid reads (row-wise, idempotent), then run the
+        // mode's drivers against the lane's staging with the same
         // parallel shape — precision state is identical to the
         // precision reference's, so the bit-exactness argument carries
-        // over.
-        if (mode != Precision::Fp32) {
+        // over. Inside a wavefront lane these parallelFor calls run
+        // inline.
+        if (st.pwI8 || st.pwF16) {
             const int slot = net.convSlot(g.layerIdx);
-            const Shape &ts = st.tile.shape();
-            st.stage.configure(mode, ts.c, ts.h, ts.w);
-            const int r0 = oy.begin * s - st.tileY.begin;
-            const int r1 = std::min(
-                (oy.end - 1) * s - st.tileY.begin + spec.kernel, ts.h);
-            if (mode == Precision::Int8) {
+            const Shape &ts = ll.tile.shape();
+            const Precision mode =
+                st.pwI8 ? Precision::Int8 : Precision::Fp16;
+            ll.stage.configure(mode, ts.c, ts.h, ts.w);
+            const int r0 = oy.begin * s - y0;
+            const int r1 =
+                std::min((oy.end - 1) * s - y0 + spec.kernel, ts.h);
+            const ConvStage &stage = ll.stage;
+            if (st.pwI8) {
                 const ActQuant &act = precision->actQuant(slot);
-                stageConvInputI8(st.stage, st.tile, act, r0, r1);
+                stageConvInputI8(ll.stage, ll.tile, act, r0, r1);
                 const ConvBlockKernelI8 &bk = st.plan.bkI8;
-                const PackedWeightsI8 &pw = packCache.getI8(
-                    g.layerIdx, fb, spec.groups, precision->weightScales(slot),
-                    precision->scaleId(), st.plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
+                const PackedWeightsI8 &pw = *st.pwI8;
                 parallelFor(
-                    0, static_cast<int64_t>(nb) * oy.width(),
+                    0, static_cast<int64_t>(pw.numBlocks()) * oh,
                     [&](int64_t lo, int64_t hi) {
                         for (int64_t w = lo; w < hi; w++) {
-                            const int bi =
-                                static_cast<int>(w / oy.width());
+                            const int bi = static_cast<int>(w / oh);
                             const int gy =
-                                oy.begin +
-                                static_cast<int>(w % oy.width());
+                                oy.begin + static_cast<int>(w % oh);
                             int row_idx[kMaxConvKernel];
                             for (int i = 0; i < bk.k; i++)
-                                row_idx[i] =
-                                    gy * s - st.tileY.begin + i;
-                            float *dst = &st.fresh(pw.block(bi).m0,
-                                                   gy - oy.begin, 0);
+                                row_idx[i] = gy * s - y0 + i;
+                            float *dst = &fresh(pw.block(bi).m0,
+                                                gy - oy.begin, 0);
                             convBlockRowI8(bk, pw, bi, dst, plane,
-                                           ox.width(), st.stage, row_idx,
+                                           ox.width(), stage, row_idx,
                                            x0, act);
                             if (relu)
                                 reluRows(dst, plane, pw.block(bi).lanes,
@@ -281,29 +359,24 @@ FusedExecutor::computeWindowed(int li, int r, int c)
                     },
                     st.plan.cfg.grain);
             } else {
-                stageConvInputF16(st.stage, st.tile, r0, r1);
+                stageConvInputF16(ll.stage, ll.tile, r0, r1);
                 const ConvBlockKernel &bk = st.plan.bk;
-                const PackedWeightsF16 &pw = packCache.getF16(
-                    g.layerIdx, fb, spec.groups, st.plan.cfg.mrCap);
-                const int nb = pw.numBlocks();
+                const PackedWeightsF16 &pw = *st.pwF16;
                 parallelFor(
-                    0, static_cast<int64_t>(nb) * oy.width(),
+                    0, static_cast<int64_t>(pw.numBlocks()) * oh,
                     [&](int64_t lo, int64_t hi) {
                         for (int64_t w = lo; w < hi; w++) {
-                            const int bi =
-                                static_cast<int>(w / oy.width());
+                            const int bi = static_cast<int>(w / oh);
                             const int gy =
-                                oy.begin +
-                                static_cast<int>(w % oy.width());
+                                oy.begin + static_cast<int>(w % oh);
                             int row_idx[kMaxConvKernel];
                             for (int i = 0; i < bk.k; i++)
-                                row_idx[i] =
-                                    gy * s - st.tileY.begin + i;
-                            float *dst = &st.fresh(pw.block(bi).m0,
-                                                   gy - oy.begin, 0);
+                                row_idx[i] = gy * s - y0 + i;
+                            float *dst = &fresh(pw.block(bi).m0,
+                                                gy - oy.begin, 0);
                             convBlockRowF16(bk, pw, bi, dst, plane,
-                                            ox.width(), st.stage,
-                                            row_idx, x0);
+                                            ox.width(), stage, row_idx,
+                                            x0);
                             if (relu)
                                 reluRows(dst, plane, pw.block(bi).lanes,
                                          ox.width());
@@ -313,21 +386,19 @@ FusedExecutor::computeWindowed(int li, int r, int c)
             }
         } else {
             const ConvBlockKernel &bk = st.plan.bk;
-            const PackedWeights &pw = packCache.get(
-                g.layerIdx, fb, spec.groups, 0, st.plan.cfg.mrCap);
-            const int nb = pw.numBlocks();
+            const PackedWeights &pw = *st.pw;
+            const Tensor &tile = ll.tile;
             parallelFor(
-                0, static_cast<int64_t>(nb) * oy.width(),
+                0, static_cast<int64_t>(pw.numBlocks()) * oh,
                 [&](int64_t lo, int64_t hi) {
                     for (int64_t w = lo; w < hi; w++) {
-                        const int bi = static_cast<int>(w / oy.width());
-                        const int gy =
-                            oy.begin + static_cast<int>(w % oy.width());
+                        const int bi = static_cast<int>(w / oh);
+                        const int gy = oy.begin + static_cast<int>(w % oh);
                         float *dst =
-                            &st.fresh(pw.block(bi).m0, gy - oy.begin, 0);
+                            &fresh(pw.block(bi).m0, gy - oy.begin, 0);
                         convBlockRowTensor(bk, pw, bi, dst, plane,
-                                           ox.width(), st.tile,
-                                           gy * s - st.tileY.begin, x0);
+                                           ox.width(), tile, gy * s - y0,
+                                           x0);
                         if (relu)
                             reluRows(dst, plane, pw.block(bi).lanes,
                                      ox.width());
@@ -339,54 +410,56 @@ FusedExecutor::computeWindowed(int li, int r, int c)
                        fb.kernel();
         int64_t points = static_cast<int64_t>(g.outPlane.c) *
                          oy.width() * ox.width();
-        curStats.ops.mults += taps * points;
-        curStats.ops.adds += taps * points;
+        ln.stats.ops.mults += taps * points;
+        ln.stats.ops.adds += taps * points;
     } else {
-        // Disjoint (ch, row) output strips; window order untouched.
-        // Pool ops are tallied analytically below (the per-point tally
-        // inside poolPoint would race across worker threads).
+        // Disjoint (ch, row) output strips, each one poolRow() over the
+        // window's K tile rows (poolPoint()'s fold order). Pool ops are
+        // tallied analytically below, outside the parallel region.
+        FLCNN_ASSERT(spec.kernel <= kMaxPoolKernel,
+                     "pool kernel exceeds the row table");
+        const Tensor &tile = ll.tile;
+        const int y0 = ll.tileY.begin;
+        const int x0 = ox.begin * s - ll.tileX.begin;
+        const bool is_max = spec.poolMode == PoolMode::Max;
         parallelFor(
-            0, static_cast<int64_t>(g.outPlane.c) * oy.width(),
+            0, static_cast<int64_t>(g.outPlane.c) * oh,
             [&](int64_t lo, int64_t hi) {
+                const float *rows[kMaxPoolKernel];
                 for (int64_t w = lo; w < hi; w++) {
-                    const int ch = static_cast<int>(w / oy.width());
-                    const int gy =
-                        oy.begin + static_cast<int>(w % oy.width());
-                    for (int gx = ox.begin; gx < ox.end; gx++) {
-                        st.fresh(ch, gy - oy.begin, gx - ox.begin) =
-                            poolPoint(st.tile, ch,
-                                      gy * s - st.tileY.begin,
-                                      gx * s - st.tileX.begin,
-                                      spec.kernel, spec.poolMode,
-                                      nullptr);
-                    }
+                    const int ch = static_cast<int>(w / oh);
+                    const int gy = oy.begin + static_cast<int>(w % oh);
+                    for (int i = 0; i < spec.kernel; i++)
+                        rows[i] = tile.rowPtr(ch, gy * s - y0 + i, x0);
+                    poolRow(&fresh(ch, gy - oy.begin, 0), ox.width(), rows,
+                            spec.kernel, s, is_max);
                 }
             },
             /*grain=*/2);
         int64_t win = static_cast<int64_t>(spec.kernel) * spec.kernel *
                       g.outPlane.c * oy.width() * ox.width();
-        if (spec.poolMode == PoolMode::Max)
-            curStats.ops.compares += win;
+        if (is_max)
+            ln.stats.ops.compares += win;
         else
-            curStats.ops.adds += win;
+            ln.stats.ops.adds += win;
     }
 
     if (trackCoverage) {
         for (int ch = 0; ch < g.outPlane.c; ch++)
             for (int gy = oy.begin; gy < oy.end; gy++)
                 for (int gx = ox.begin; gx < ox.end; gx++)
-                    st.coverage[static_cast<size_t>(
+                    ll.coverage[static_cast<size_t>(
                         (static_cast<int64_t>(ch) * g.outPlane.h + gy) *
                         g.outPlane.w + gx)]++;
     }
 }
 
 void
-FusedExecutor::runPad(int li, int r, int c)
+FusedExecutor::runPad(Lane &ln, int li, int r, int c)
 {
     const LayerGeom &g = tplan.geom(li);
     const LayerSpec &spec = net.layer(g.layerIdx);
-    LayerState &st = states[static_cast<size_t>(li)];
+    LaneLayer &st = ln.layers[static_cast<size_t>(li)];
     const int p = spec.pad;
 
     Span oy = g.freshOutY(r);
@@ -403,7 +476,7 @@ FusedExecutor::runPad(int li, int r, int c)
         src_y = Span{0, g.inPlane.h};
         src_x = Span{0, g.inPlane.w};
     } else {
-        LayerState &prod = producerState(li);
+        LaneLayer &prod = producer(ln, li);
         src = &prod.fresh;
         src_y = prod.freshY;
         src_x = prod.freshX;
@@ -454,7 +527,7 @@ FusedExecutor::runPad(int li, int r, int c)
         }
     }
     if (li == 0) {
-        curStats.loadedBytes += static_cast<int64_t>(g.outPlane.c) *
+        ln.stats.loadedBytes += static_cast<int64_t>(g.outPlane.c) *
                                 sys.width() * sxs.width() * 4;
     }
 
@@ -469,22 +542,22 @@ FusedExecutor::runPad(int li, int r, int c)
 }
 
 void
-FusedExecutor::runPointwise(int li, int r, int c)
+FusedExecutor::runPointwise(Lane &ln, int li, int r, int c)
 {
     const LayerGeom &g = tplan.geom(li);
     const LayerSpec &spec = net.layer(g.layerIdx);
-    LayerState &st = states[static_cast<size_t>(li)];
+    LaneLayer &st = ln.layers[static_cast<size_t>(li)];
 
     Span oy = g.freshOutY(r);
     Span ox = g.freshOutX(c);
 
-    LayerState *owner;
+    LaneLayer *owner;
     if (li == 0) {
         // A pointwise layer heading the group streams straight from DRAM.
         owner = &st;
         copyRect(*groupInput, Span{0, 0}, Span{0, 0}, st.fresh, oy, ox, oy,
                  ox);
-        curStats.loadedBytes += static_cast<int64_t>(oy.width()) *
+        ln.stats.loadedBytes += static_cast<int64_t>(oy.width()) *
                                 ox.width() * g.inPlane.c * 4;
         if (traceSink && !oy.empty() && !ox.empty()) {
             for (int ch = 0; ch < g.inPlane.c; ch++)
@@ -496,7 +569,7 @@ FusedExecutor::runPointwise(int li, int r, int c)
                           static_cast<int64_t>(ox.width()) * 4);
         }
     } else {
-        LayerState &prod = producerState(li);
+        LaneLayer &prod = producer(ln, li);
         FLCNN_ASSERT(oy.empty() || ox.empty() ||
                          (prod.freshY == oy && prod.freshX == ox),
                      "pointwise fresh rect mismatch with producer");
@@ -511,12 +584,12 @@ FusedExecutor::runPointwise(int li, int r, int c)
     Tensor &buf = owner->fresh;
     if (spec.kind == LayerKind::ReLU) {
         // After a conv the clamp already ran as the conv's epilogue.
-        if (li == 0 || !states[static_cast<size_t>(li - 1)].reluEpilogue) {
+        if (li == 0 || !states[static_cast<size_t>(li) - 1].reluEpilogue) {
             for (int ch = 0; ch < g.outPlane.c; ch++)
                 reluRows(&buf(ch, 0, 0), buf.shape().w, oy.width(),
                          ox.width());
         }
-        curStats.ops.compares += static_cast<int64_t>(g.outPlane.c) *
+        ln.stats.ops.compares += static_cast<int64_t>(g.outPlane.c) *
                                  oy.width() * ox.width();
     } else {
         // LRN: cross-channel at each point; use a channel scratch column
@@ -540,8 +613,8 @@ FusedExecutor::runPointwise(int li, int r, int c)
                         static_cast<float>(spec.lrnBeta));
                     buf(ch, gy - oy.begin, gx - ox.begin) =
                         col[static_cast<size_t>(ch)] / denom;
-                    curStats.ops.mults += (hi - lo + 1) + 2;
-                    curStats.ops.adds += (hi - lo + 1) + 1;
+                    ln.stats.ops.mults += (hi - lo + 1) + 2;
+                    ln.stats.ops.adds += (hi - lo + 1) + 1;
                 }
             }
         }
@@ -557,6 +630,118 @@ FusedExecutor::run(const Tensor &input, RunStats *stats)
 }
 
 void
+FusedExecutor::waitRow(int r, int pyramids)
+{
+    std::atomic<int> &done = rowDone[r];
+    int seen = done.load(std::memory_order_acquire);
+    while (seen < pyramids) {
+        done.wait(seen, std::memory_order_acquire);
+        seen = done.load(std::memory_order_acquire);
+    }
+}
+
+void
+FusedExecutor::runRow(Lane &ln, int r)
+{
+    const int n = tplan.numFusedLayers();
+    // Row bookkeeping (active rows only), from the geometry alone: the
+    // strip the previous active row wrote (based at this row's tile
+    // top) becomes readable; a new strip, for the next active row,
+    // starts filling.
+    for (int li = 0; li < n; li++) {
+        const LayerGeom &g = tplan.geom(li);
+        LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
+        if (!g.windowed || g.overlapY <= 0 || !g.isActiveY(r))
+            continue;
+        const LayerState &st = states[static_cast<size_t>(li)];
+        ll.btBaseOld = st.btWriterRow[static_cast<size_t>(r)] >= 0
+                           ? g.inY[static_cast<size_t>(r)].begin
+                           : 0;
+        ll.btBaseNew = std::max(g.nextBeginY[static_cast<size_t>(r)], 0);
+        ll.btWatermark = 0;
+    }
+
+    for (int c = 0; c < tplan.numPyramidCols(); c++) {
+        if (r > 0)
+            waitRow(r - 1, rowReadyCol[static_cast<size_t>(c)] + 1);
+        for (int li = 0; li < n; li++) {
+            const LayerGeom &g = tplan.geom(li);
+            const LayerSpec &spec = net.layer(g.layerIdx);
+            LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
+            if (!g.isActiveY(r) || !g.isActiveX(c)) {
+                // Stalled pyramid: this layer computes nothing here
+                // and its buffers carry over untouched. Publish an
+                // empty fresh rect for downstream bookkeeping.
+                Span ey = g.freshOutY(r), ex = g.freshOutX(c);
+                ll.freshY = Span{ey.end, ey.end};
+                ll.freshX = Span{ex.end, ex.end};
+                if (!g.windowed && spec.pointwise() && li > 0) {
+                    ll.freshOwner =
+                        ln.layers[static_cast<size_t>(li) - 1].freshOwner;
+                }
+                continue;
+            }
+            const RunStats before = ln.stats;
+            double t0 = 0.0;
+            if (metrics)
+                t0 = wallSeconds();
+            if (g.windowed) {
+                assembleTile(ln, li, r, c);
+                saveReuse(ln, li, r, c);
+                computeWindowed(ln, li, r, c);
+            } else if (spec.kind == LayerKind::Pad) {
+                runPad(ln, li, r, c);
+            } else {
+                runPointwise(ln, li, r, c);
+            }
+            if (metrics) {
+                LayerTally &t = ln.tally[static_cast<size_t>(li)];
+                t.wall += wallSeconds() - t0;
+                t.loaded += ln.stats.loadedBytes - before.loadedBytes;
+                t.ops += ln.stats.ops - before.ops;
+            }
+        }
+
+        // Retire the pyramid: store the tip to DRAM.
+        LaneLayer &tail = ln.layers[static_cast<size_t>(n - 1)];
+        LaneLayer &owner = ln.layers[static_cast<size_t>(
+            tail.freshOwner >= 0 ? tail.freshOwner : n - 1)];
+        Tensor &output = *groupOutput;
+        Span oy = tail.freshY, ox = tail.freshX;
+        if (!oy.empty() && !ox.empty()) {
+            copyRect(owner.fresh, owner.freshY, owner.freshX, output,
+                     Span{0, 0}, Span{0, 0}, oy, ox);
+            ln.stats.storedBytes += static_cast<int64_t>(oy.width()) *
+                                    ox.width() * output.shape().c * 4;
+            if (traceSink) {
+                for (int ch = 0; ch < output.shape().c; ch++)
+                    for (int gy = oy.begin; gy < oy.end; gy++)
+                        trace(true,
+                              traceOutputBase +
+                                  static_cast<uint64_t>(output.idx(
+                                      ch, gy, ox.begin)) * 4,
+                              static_cast<int64_t>(ox.width()) * 4);
+            }
+        }
+        ln.stats.pyramids++;
+        rowDone[r].store(c + 1, std::memory_order_release);
+        rowDone[r].notify_all();
+    }
+}
+
+void
+FusedExecutor::runLanes(int lo, int hi, int nlanes)
+{
+    // Ascending rows: a chunk never waits on a row it has yet to run,
+    // so any split of the lanes into chunks makes progress.
+    for (int r = 0; r < tplan.numPyramidRows(); r++) {
+        const int l = r % nlanes;
+        if (l >= lo && l < hi)
+            runRow(lanes[static_cast<size_t>(l)], r);
+    }
+}
+
+void
 FusedExecutor::runInto(const Tensor &input, Tensor *out,
                        RunStats *stats)
 {
@@ -565,22 +750,11 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     FLCNN_ASSERT(out != nullptr &&
                      out->shape() == tplan.groupOutput(),
                  "output shape does not match the fusion plan");
-    Tensor &output = *out;
     groupInput = &input;
-    groupOutput = &output;
-    curStats = RunStats{};
+    groupOutput = out;
 
     const int n = tplan.numFusedLayers();
-    std::vector<double> layerWall;
-    std::vector<int64_t> layerLoaded, layerMults, layerAdds,
-        layerCompares;
-    if (metrics) {
-        layerWall.assign(static_cast<size_t>(n), 0.0);
-        layerLoaded.assign(static_cast<size_t>(n), 0);
-        layerMults.assign(static_cast<size_t>(n), 0);
-        layerAdds.assign(static_cast<size_t>(n), 0);
-        layerCompares.assign(static_cast<size_t>(n), 0);
-    }
+    const int rows = tplan.numPyramidRows();
     const Precision runMode =
         precision ? precision->mode() : Precision::Fp32;
     // Refresh conv plans only when the tune cache has changed since
@@ -591,155 +765,126 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     const bool replan = tuneRev != plannedRev;
     plannedRev = tuneRev;
     for (int li = 0; li < n; li++) {
+        const LayerGeom &g = tplan.geom(li);
+        const LayerSpec &spec = net.layer(g.layerIdx);
         LayerState &st = states[static_cast<size_t>(li)];
-        st.btBaseOld = 0;
-        st.btBaseNew = 0;
-        st.btWatermark = 0;
-        st.blX = Span{0, 0};
-        if (replan && tplan.geom(li).windowed &&
-            net.layer(tplan.geom(li).layerIdx).kind == LayerKind::Conv) {
+        if (!g.windowed || spec.kind != LayerKind::Conv)
+            continue;
+        if (replan) {
             st.plan = planConv(convLayerQuery(
-                net.layer(tplan.geom(li).layerIdx),
-                tplan.geom(li).inPlane, runMode,
+                spec, g.inPlane, runMode,
                 fastMath && runMode == Precision::Fp32));
         }
-        bool counts_coverage =
-            tplan.geom(li).windowed ||
-            net.layer(tplan.geom(li).layerIdx).kind == LayerKind::Pad;
-        if (trackCoverage && counts_coverage) {
-            st.coverage.assign(
-                static_cast<size_t>(tplan.geom(li).outPlane.elems()), 0);
+        // Resolve the packed weights once, before the lanes start.
+        const int slot = net.convSlot(g.layerIdx);
+        const FilterBank &fb = weights.bank(slot);
+        st.pw = nullptr;
+        st.pwI8 = nullptr;
+        st.pwF16 = nullptr;
+        if (runMode == Precision::Int8) {
+            st.pwI8 = &packCache.getI8(
+                g.layerIdx, fb, spec.groups, precision->weightScales(slot),
+                precision->scaleId(), st.plan.cfg.mrCap);
+        } else if (runMode == Precision::Fp16) {
+            st.pwF16 = &packCache.getF16(g.layerIdx, fb, spec.groups,
+                                         st.plan.cfg.mrCap);
         } else {
-            st.coverage.clear();
-        }
-        // Pointwise owners are re-established every pyramid; reset the
-        // li == 0 special case.
-        if (!tplan.geom(li).windowed &&
-            net.layer(tplan.geom(li).layerIdx).pointwise() && li > 0) {
-            st.freshOwner = -1;
+            st.pw = &packCache.get(g.layerIdx, fb, spec.groups, 0,
+                                   st.plan.cfg.mrCap);
         }
     }
 
-    for (int r = 0; r < tplan.numPyramidRows(); r++) {
-        // Row bookkeeping (active rows only): the strip written during
-        // the previous active row becomes readable; a new strip (for the
-        // next active row) starts filling.
+    // One lane when the calling thread is already inside a parallel
+    // region (it could not fan out anyway) or a trace sink needs the
+    // raster order; otherwise one lane per pool thread, at most one per
+    // pyramid row.
+    int nlanes = 1;
+    if (!traceSink && !ThreadPool::inParallelRegion())
+        nlanes = std::min(ThreadPool::global().numThreads(), rows);
+    while (static_cast<int>(lanes.size()) < nlanes)
+        lanes.push_back(makeLane());
+    for (int l = 0; l < nlanes; l++) {
+        Lane &ln = lanes[static_cast<size_t>(l)];
+        ln.stats = RunStats{};
+        if (metrics)
+            std::fill(ln.tally.begin(), ln.tally.end(), LayerTally{});
         for (int li = 0; li < n; li++) {
             const LayerGeom &g = tplan.geom(li);
-            LayerState &st = states[static_cast<size_t>(li)];
-            if (!g.windowed || g.overlapY <= 0 || !g.isActiveY(r))
-                continue;
-            st.btBaseOld = st.btBaseNew;
-            st.btBaseNew = g.nextBeginY[static_cast<size_t>(r)] >= 0
-                               ? g.nextBeginY[static_cast<size_t>(r)]
-                               : 0;
-            st.btWatermark = 0;
-        }
-
-        for (int c = 0; c < tplan.numPyramidCols(); c++) {
-            for (int li = 0; li < n; li++) {
-                const LayerGeom &g = tplan.geom(li);
-                const LayerSpec &spec = net.layer(g.layerIdx);
-                LayerState &st = states[static_cast<size_t>(li)];
-                if (!g.isActiveY(r) || !g.isActiveX(c)) {
-                    // Stalled pyramid: this layer computes nothing here
-                    // and its buffers carry over untouched. Publish an
-                    // empty fresh rect for downstream bookkeeping.
-                    Span ey = g.freshOutY(r), ex = g.freshOutX(c);
-                    st.freshY = Span{ey.end, ey.end};
-                    st.freshX = Span{ex.end, ex.end};
-                    if (!g.windowed && spec.pointwise() && li > 0) {
-                        st.freshOwner =
-                            states[static_cast<size_t>(li) - 1].freshOwner;
-                    }
-                    continue;
-                }
-                int64_t loaded0 = 0, mul0 = 0, add0 = 0, cmp0 = 0;
-                double t0 = 0.0;
-                if (metrics) {
-                    loaded0 = curStats.loadedBytes;
-                    mul0 = curStats.ops.mults;
-                    add0 = curStats.ops.adds;
-                    cmp0 = curStats.ops.compares;
-                    t0 = wallSeconds();
-                }
-                if (g.windowed) {
-                    assembleTile(li, r, c);
-                    saveReuse(li, r, c);
-                    computeWindowed(li, r, c);
-                } else if (spec.kind == LayerKind::Pad) {
-                    runPad(li, r, c);
-                } else {
-                    runPointwise(li, r, c);
-                }
-                if (metrics) {
-                    const size_t i = static_cast<size_t>(li);
-                    layerWall[i] += wallSeconds() - t0;
-                    layerLoaded[i] += curStats.loadedBytes - loaded0;
-                    layerMults[i] += curStats.ops.mults - mul0;
-                    layerAdds[i] += curStats.ops.adds - add0;
-                    layerCompares[i] += curStats.ops.compares - cmp0;
-                }
+            const LayerSpec &spec = net.layer(g.layerIdx);
+            LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
+            ll.blX = Span{0, 0};
+            if (trackCoverage &&
+                (g.windowed || spec.kind == LayerKind::Pad)) {
+                ll.coverage.assign(
+                    static_cast<size_t>(g.outPlane.elems()), 0);
+            } else {
+                ll.coverage.clear();
             }
-
-            // Retire the pyramid: store the tip to DRAM.
-            LayerState &tail = states[static_cast<size_t>(n - 1)];
-            LayerState &owner = states[static_cast<size_t>(
-                tail.freshOwner >= 0 ? tail.freshOwner : n - 1)];
-            Span oy = tail.freshY, ox = tail.freshX;
-            if (!oy.empty() && !ox.empty()) {
-                copyRect(owner.fresh, owner.freshY, owner.freshX, output,
-                         Span{0, 0}, Span{0, 0}, oy, ox);
-                curStats.storedBytes += static_cast<int64_t>(oy.width()) *
-                                        ox.width() *
-                                        output.shape().c * 4;
-                if (traceSink) {
-                    for (int ch = 0; ch < output.shape().c; ch++)
-                        for (int gy = oy.begin; gy < oy.end; gy++)
-                            trace(true,
-                                  traceOutputBase +
-                                      static_cast<uint64_t>(output.idx(
-                                          ch, gy, ox.begin)) * 4,
-                                  static_cast<int64_t>(ox.width()) * 4);
-                }
-            }
-            curStats.pyramids++;
+            // Pointwise owners are re-established every pyramid; reset
+            // the li == 0 special case.
+            if (!g.windowed && spec.pointwise() && li > 0)
+                ll.freshOwner = -1;
         }
     }
+    for (int r = 0; r < rows; r++)
+        rowDone[r].store(0, std::memory_order_relaxed);
 
-    curStats.reuseBytes = tplan.reuseBufferBytes();
-    curStats.workingBytes = tplan.workingBufferBytes();
+    if (nlanes == 1) {
+        runLanes(0, 1, 1);
+    } else {
+        parallelFor(0, nlanes, [&](int64_t lo, int64_t hi) {
+            runLanes(static_cast<int>(lo), static_cast<int>(hi), nlanes);
+        });
+    }
+
+    RunStats total;
+    for (int l = 0; l < nlanes; l++) {
+        const RunStats &ls = lanes[static_cast<size_t>(l)].stats;
+        total.loadedBytes += ls.loadedBytes;
+        total.storedBytes += ls.storedBytes;
+        total.pyramids += ls.pyramids;
+        total.ops += ls.ops;
+    }
+    total.reuseBytes = tplan.reuseBufferBytes();
+    total.workingBytes = tplan.workingBufferBytes();
 
     if (metrics) {
+        const Lane &first = lanes.front();
         for (int li = 0; li < n; li++) {
             const size_t i = static_cast<size_t>(li);
             const LayerGeom &g = tplan.geom(li);
-            const LayerState &st = states[i];
+            const LaneLayer &ll = first.layers[i];
+            LayerTally sum;
+            for (int l = 0; l < nlanes; l++) {
+                const LayerTally &t = lanes[static_cast<size_t>(l)].tally[i];
+                sum.wall += t.wall;
+                sum.loaded += t.loaded;
+                sum.ops += t.ops;
+            }
             const std::string scope =
                 metricsPrefix + MetricsRegistry::layerScope(
                                     li, net.layer(g.layerIdx).name);
-            metrics->addCounter(scope, "dram_read_bytes",
-                                layerLoaded[i]);
+            metrics->addCounter(scope, "dram_read_bytes", sum.loaded);
             // Every stored byte retires through the tail layer.
             metrics->addCounter(scope, "dram_write_bytes",
-                                li == n - 1 ? curStats.storedBytes : 0);
-            metrics->addCounter(scope, "mults", layerMults[i]);
-            metrics->addCounter(scope, "adds", layerAdds[i]);
-            metrics->addCounter(scope, "compares", layerCompares[i]);
-            metrics->addGauge(scope, "wall_seconds", layerWall[i]);
+                                li == n - 1 ? total.storedBytes : 0);
+            metrics->addCounter(scope, "mults", sum.ops.mults);
+            metrics->addCounter(scope, "adds", sum.ops.adds);
+            metrics->addCounter(scope, "compares", sum.ops.compares);
+            metrics->addGauge(scope, "wall_seconds", sum.wall);
             metrics->setGauge(scope, "tile_bytes",
-                              static_cast<double>(st.tile.elems()) * 4);
+                              static_cast<double>(ll.tile.elems()) * 4);
             metrics->setGauge(
                 scope, "reuse_bytes",
-                static_cast<double>(st.bl.elems() + st.bt.elems()) * 4);
+                static_cast<double>(ll.bl.elems() +
+                                    states[i].bt.elems()) * 4);
             metrics->setGauge(
                 scope, "fresh_bytes",
-                st.freshOwner == li
-                    ? static_cast<double>(st.fresh.elems()) * 4
+                ll.freshOwner == li
+                    ? static_cast<double>(ll.fresh.elems()) * 4
                     : 0.0);
         }
-        metrics->addCounter(metricsPrefix, "pyramids",
-                            curStats.pyramids);
+        metrics->addCounter(metricsPrefix, "pyramids", total.pyramids);
         metrics->addCounter(metricsPrefix, "pack_hits",
                             packCache.hits() - lastPackHits);
         metrics->addCounter(metricsPrefix, "pack_misses",
@@ -751,11 +896,21 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     if (trackCoverage) {
         coverageMsg.clear();
         for (int li = 0; li < n; li++) {
-            const LayerState &st = states[static_cast<size_t>(li)];
-            if (st.coverage.empty())
+            // Fold every lane's counts into the first lane's.
+            std::vector<uint8_t> &cov =
+                lanes.front().layers[static_cast<size_t>(li)].coverage;
+            if (cov.empty())
                 continue;
+            for (int l = 1; l < nlanes; l++) {
+                const std::vector<uint8_t> &lc =
+                    lanes[static_cast<size_t>(l)]
+                        .layers[static_cast<size_t>(li)]
+                        .coverage;
+                for (size_t e = 0; e < cov.size(); e++)
+                    cov[e] = static_cast<uint8_t>(cov[e] + lc[e]);
+            }
             int64_t over = 0, computed = 0;
-            for (uint8_t v : st.coverage) {
+            for (uint8_t v : cov) {
                 if (v > 1)
                     over++;
                 if (v >= 1)
@@ -765,7 +920,8 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
             // layer owns the tail's fresh buffer (a pointwise tail
             // aliases its producer and tallies nothing itself).
             bool is_tail_owner =
-                states[static_cast<size_t>(n - 1)].freshOwner == li;
+                lanes.front().layers[static_cast<size_t>(n - 1)]
+                    .freshOwner == li;
             int64_t want = tplan.geom(li).outPlane.elems();
             if (over > 0) {
                 char buf[128];
@@ -789,7 +945,7 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     groupInput = nullptr;
     groupOutput = nullptr;
     if (stats)
-        *stats = curStats;
+        *stats = total;
 }
 
 std::string

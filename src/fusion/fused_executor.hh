@@ -26,11 +26,34 @@
  * implementation writes BT only up to the next pyramid's left edge (the
  * region no later pyramid in this row reads), resolving the hazard the
  * pseudo-code elides.
+ *
+ * Threading: a wavefront over pyramid rows. A run uses L = min(pool
+ * width, pyramid rows) *lanes*, started by one parallelFor(0, L) per
+ * image; the chunk holding lanes [lo, hi) walks the rows in ascending
+ * order and evaluates every row r with r mod L in [lo, hi), left to
+ * right, with the conv and pool kernels running inline. Each lane owns
+ * its tiles, BL buffers, fresh buffers, conv staging and tallies; the
+ * one BT strip per layer is shared, and it is what orders the lanes:
+ * pyramid (r, c) starts only once row r - 1 has finished pyramid
+ * rowReadyCol[c] — the first pyramid whose BT writes cover every column
+ * (r, c) reads, and never less than c itself, so that row r - 1 has
+ * also read what (r, c) overwrites (c + 1 for dividing geometries).
+ * Rows publish their progress through one atomic counter each. Every
+ * boundary stays a *retained* one: the executor computes exactly what
+ * the serial raster walk computes, so outputs, RunStats and coverage
+ * are identical at every thread count. With one lane (a one-thread
+ * pool, a caller already inside a parallel region such as a serving
+ * worker's InlineScope, a single pyramid row, or a trace sink
+ * installed) the run is the plain raster walk on the calling thread,
+ * and the kernels' own parallelFor calls use the pool as before; a
+ * traced run therefore emits its DRAM accesses in raster order.
  */
 
 #ifndef FLCNN_FUSION_FUSED_EXECUTOR_HH
 #define FLCNN_FUSION_FUSED_EXECUTOR_HH
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -130,7 +153,9 @@ class FusedExecutor
      * A ReLU directly after a conv runs as that conv's epilogue, inside
      * the conv's parallel work items: its time counts in the conv's
      * wall_seconds, while its own scope keeps its compares counter
-     * (one per element, as the reference tallies).
+     * (one per element, as the reference tallies). wall_seconds is a
+     * sum over lanes: with L lanes running at once it can exceed the
+     * run's wall-clock time by up to a factor of L.
      */
     void
     setMetrics(MetricsRegistry *m, std::string scope_prefix = "")
@@ -140,17 +165,49 @@ class FusedExecutor
     }
 
   private:
-    /** Per-fused-layer mutable state. */
+    /** Per-fused-layer state shared by every lane. Read-only while the
+     *  lanes run, except bt, whose hand-off between rows the row
+     *  dependency orders. */
     struct LayerState
+    {
+        Tensor bt;           //!< C x overlapY x planeW ("buffer top")
+
+        // Conv plan for this layer (solver + tuned config), refreshed
+        // at the top of a run when the tune cache has changed.
+        ConvPlan plan;
+
+        // Packed weights of a conv layer in the run's precision,
+        // resolved before the lanes start (WeightPackCache is not
+        // thread-safe).
+        const PackedWeights *pw = nullptr;
+        const PackedWeightsI8 *pwI8 = nullptr;
+        const PackedWeightsF16 *pwF16 = nullptr;
+
+        // Conv only: the next fused layer is a ReLU, applied by this
+        // conv's work items to the fresh rows they write.
+        bool reluEpilogue = false;
+
+        // BT hand-off (windowed layers with overlapY > 0). Per pyramid
+        // row: the earlier row whose BT writes this row reads, -1 for
+        // none. Per pyramid column c: the writer row has written every
+        // column c reads once it has finished pyramid btReadyCol[c]
+        // (-1 where the layer is stalled).
+        std::vector<int> btWriterRow;
+        std::vector<int> btReadyCol;
+    };
+
+    /** Per-lane, per-fused-layer working state. */
+    struct LaneLayer
     {
         // Assembly tile (windowed layers only).
         Tensor tile;
         Span tileY, tileX;   //!< global rect currently held in tile
 
-        // Reuse buffers (windowed layers with positive overlap).
+        // Left reuse buffer (windowed layers with positive overlap).
         Tensor bl;           //!< C x maxTileH x overlapX
         Span blY, blX;       //!< global rect held in bl
-        Tensor bt;           //!< C x overlapY x planeW
+
+        // The shared BT strip as this lane's current row sees it.
         int btBaseOld = 0;   //!< global first row of readable strip
         int btBaseNew = 0;   //!< global first row of strip being written
         int btWatermark = 0; //!< columns [0, watermark) hold new rows
@@ -158,19 +215,11 @@ class FusedExecutor
         // Staged conv-input tile for non-fp32 precision modes.
         ConvStage stage;
 
-        // Conv plan for this layer (solver + tuned config), refreshed
-        // at the top of every run from the planner.
-        ConvPlan plan;
-
         // Fresh output of this layer for the current pyramid. Pointwise
         // layers alias the producer's buffer (freshOwner picks whose).
         Tensor fresh;
         Span freshY, freshX; //!< global output rect held in fresh
         int freshOwner = -1; //!< fused-layer index owning the buffer
-
-        // Conv only: the next fused layer is a ReLU, applied by this
-        // conv's work items to the fresh rows they write.
-        bool reluEpilogue = false;
 
         // LRN only: one point's channel column (in-place update
         // scratch), sized once so pyramids allocate nothing.
@@ -180,14 +229,34 @@ class FusedExecutor
         std::vector<uint8_t> coverage;
     };
 
-    void assembleTile(int li, int r, int c);
-    void saveReuse(int li, int r, int c);
-    void computeWindowed(int li, int r, int c);
-    void runPad(int li, int r, int c);
-    void runPointwise(int li, int r, int c);
+    /** One fused layer's share of a lane's work, for setMetrics(). */
+    struct LayerTally
+    {
+        double wall = 0.0;
+        int64_t loaded = 0;
+        OpCount ops;
+    };
 
-    /** Fresh buffer and rect of the producer feeding fused layer li. */
-    LayerState &producerState(int li);
+    /** Everything one lane writes while the lanes run. */
+    struct Lane
+    {
+        std::vector<LaneLayer> layers;
+        RunStats stats;
+        std::vector<LayerTally> tally;  //!< per fused layer (metrics)
+    };
+
+    Lane makeLane() const;
+    void runLanes(int lo, int hi, int nlanes);
+    void runRow(Lane &ln, int r);
+    void waitRow(int r, int pyramids);
+    void assembleTile(Lane &ln, int li, int r, int c);
+    void saveReuse(Lane &ln, int li, int r, int c);
+    void computeWindowed(Lane &ln, int li, int r, int c);
+    void runPad(Lane &ln, int li, int r, int c);
+    void runPointwise(Lane &ln, int li, int r, int c);
+
+    /** The lane's fresh buffer and rect feeding fused layer li. */
+    static LaneLayer &producer(Lane &ln, int li);
 
     /** Copy a global rect from src (with rect anchor) into dst. */
     static void copyRect(const Tensor &src, Span src_y, Span src_x,
@@ -198,9 +267,14 @@ class FusedExecutor
     const NetworkWeights &weights;
     TilePlan tplan;
     std::vector<LayerState> states;
+    std::vector<Lane> lanes;     //!< grown on demand, never shrunk
+    /** Per pyramid column c: the pyramid row r - 1 must have finished
+     *  before (r, c) starts (see file comment). */
+    std::vector<int> rowReadyCol;
+    /** Per pyramid row: pyramids finished in the current run. */
+    std::unique_ptr<std::atomic<int>[]> rowDone;
     const Tensor *groupInput = nullptr;
     Tensor *groupOutput = nullptr;
-    RunStats curStats;
     WeightPackCache packCache;  //!< per-fused-layer packed conv banks
     const NetPrecision *precision = nullptr;
     bool fastMath = false;

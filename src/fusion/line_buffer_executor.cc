@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
+#include "kernels/pool.hh"
 #include "kernels/relu.hh"
 #include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
@@ -247,54 +248,26 @@ LineBufferExecutor::drain(int li, Tensor &output)
                     taps * row_elems * batch;
             }
         } else {
-            // Disjoint (b, ch) output rows. One pass over the output
-            // row per window tap (i, j), with the ring row pointer
-            // hoisted: every output element still folds its window in
-            // the canonical (i, j) order — the tap loops merely moved
-            // outside the vectorizable ox loop — so results stay
-            // bit-identical to poolPoint().
+            // Disjoint (b, ch) output rows, each one poolRow() over the
+            // K ring rows of its window (poolPoint()'s fold order).
+            FLCNN_ASSERT(k <= kMaxPoolKernel,
+                         "pool kernel exceeds the row table");
             parallelFor(
                 0, static_cast<int64_t>(batch) * out.c,
                 [&](int64_t lo, int64_t hi) {
+                    const float *rows[kMaxPoolKernel];
                     for (int64_t w = lo; w < hi; w++) {
                         const int b = static_cast<int>(w / out.c);
                         const int ch = static_cast<int>(w % out.c);
                         const int oy = oy0 + b;
-                        float *dst =
-                            st.blockBuf.data() +
-                            static_cast<size_t>(b) * row_elems +
-                            static_cast<size_t>(ch) * out.w;
-                        const bool is_max =
-                            spec.poolMode == PoolMode::Max;
-                        if (is_max) {
-                            const float *rp =
-                                st.ring.rowPtr(ch, (oy * s) % cap, 0);
-                            for (int ox = 0; ox < out.w; ox++)
-                                dst[ox] = rp[ox * s];
-                        } else {
-                            for (int ox = 0; ox < out.w; ox++)
-                                dst[ox] = 0.0f;
-                        }
-                        for (int i = 0; i < k; i++) {
-                            const float *rp = st.ring.rowPtr(
+                        for (int i = 0; i < k; i++)
+                            rows[i] = st.ring.rowPtr(
                                 ch, (oy * s + i) % cap, 0);
-                            for (int j = 0; j < k; j++) {
-                                if (is_max) {
-                                    for (int ox = 0; ox < out.w; ox++)
-                                        dst[ox] = std::max(
-                                            dst[ox], rp[ox * s + j]);
-                                } else {
-                                    for (int ox = 0; ox < out.w; ox++)
-                                        dst[ox] += rp[ox * s + j];
-                                }
-                            }
-                        }
-                        if (spec.poolMode == PoolMode::Avg) {
-                            const float inv_n =
-                                static_cast<float>(k * k);
-                            for (int ox = 0; ox < out.w; ox++)
-                                dst[ox] /= inv_n;
-                        }
+                        poolRow(st.blockBuf.data() +
+                                    static_cast<size_t>(b) * row_elems +
+                                    static_cast<size_t>(ch) * out.w,
+                                out.w, rows, k, s,
+                                spec.poolMode == PoolMode::Max);
                     }
                 },
                 /*grain=*/2);

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
+#include "kernels/pool.hh"
 #include "kernels/relu.hh"
 #include "nn/autotune_net.hh"
 #include "obs/metrics.hh"
@@ -189,19 +190,23 @@ RecomputeExecutor::computeLayer(int li, int r, int c, const Tensor &input)
       }
       case LayerKind::Pool: {
         const int oh = oy.width();
+        FLCNN_ASSERT(spec.kernel <= kMaxPoolKernel,
+                     "pool kernel exceeds the row table");
         parallelFor(
             0, static_cast<int64_t>(g.outPlane.c) * oh,
             [&](int64_t wlo, int64_t whi) {
+                const float *rows[kMaxPoolKernel];
                 for (int64_t w = wlo; w < whi; w++) {
                     const int ch = static_cast<int>(w / oh);
                     const int gy =
                         oy.begin + static_cast<int>(w % oh);
-                    for (int gx = ox.begin; gx < ox.end; gx++) {
-                        out(ch, gy - oy.begin, gx - ox.begin) = poolPoint(
-                            src, ch, gy * spec.stride - sy.begin,
-                            gx * spec.stride - sx.begin, spec.kernel,
-                            spec.poolMode, nullptr);
-                    }
+                    for (int i = 0; i < spec.kernel; i++)
+                        rows[i] = src.rowPtr(
+                            ch, gy * spec.stride - sy.begin + i,
+                            ox.begin * spec.stride - sx.begin);
+                    poolRow(&out(ch, gy - oy.begin, 0), ox.width(), rows,
+                            spec.kernel, spec.stride,
+                            spec.poolMode == PoolMode::Max);
                 }
             },
             /*grain=*/2);

@@ -8,6 +8,8 @@
 #include "common/thread_pool.hh"
 #include "kernels/conv_kernels.hh"
 #include "kernels/conv_layer.hh"
+#include "kernels/pool.hh"
+#include "kernels/relu.hh"
 #include "kernels/weight_pack.hh"
 #include "nn/autotune_net.hh"
 
@@ -93,14 +95,17 @@ runConv(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
     // One (filter-block, y) output row group per work item: disjoint
     // writes, and each (filter, pixel) accumulator inside the blocked
     // kernel is fed in convPoint's (bias, n, i, j) order, so the
-    // result is bit-identical at every thread count. Op counts are
-    // tallied analytically to keep the parallel region race-free.
+    // result is bit-identical at every thread count. Items run
+    // row-major (every filter block of row y, then row y + 1), so the
+    // K input rows a row reads stay in cache across the filter blocks
+    // instead of the whole plane streaming once per block. Op counts
+    // are tallied analytically to keep the parallel region race-free.
     parallelFor(
         0, static_cast<int64_t>(nb) * out_shape.h,
         [&](int64_t lo, int64_t hi) {
             for (int64_t w = lo; w < hi; w++) {
-                const int bi = static_cast<int>(w / out_shape.h);
-                const int y = static_cast<int>(w % out_shape.h);
+                const int y = static_cast<int>(w / nb);
+                const int bi = static_cast<int>(w % nb);
                 convBlockRowTensor(plan.bk, pw, bi,
                                    &out(pw.block(bi).m0, y, 0), plane,
                                    out_shape.w, in, y * spec.stride, 0);
@@ -120,8 +125,9 @@ runConv(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
  * runConv() under a non-fp32 precision mode: stage the whole input
  * once (scalar, O(elems) — negligible next to the O(elems * K^2 * M)
  * kernel work), then run the mode's (filter-block, row) drivers with
- * the same parallel shape as the fp32 path. Packing per call mirrors
- * runConv(); long-lived executors cache through WeightPackCache.
+ * the same parallel shape and row-major work order as the fp32 path.
+ * Packing per call mirrors runConv(); long-lived executors cache
+ * through WeightPackCache.
  */
 Tensor
 runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
@@ -148,8 +154,8 @@ runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
             0, static_cast<int64_t>(nb) * out_shape.h,
             [&](int64_t lo, int64_t hi) {
                 for (int64_t w = lo; w < hi; w++) {
-                    const int bi = static_cast<int>(w / out_shape.h);
-                    const int y = static_cast<int>(w % out_shape.h);
+                    const int y = static_cast<int>(w / nb);
+                    const int bi = static_cast<int>(w % nb);
                     int row_idx[kMaxConvKernel];
                     for (int i = 0; i < bk.k; i++)
                         row_idx[i] = y * spec.stride + i;
@@ -170,8 +176,8 @@ runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
             0, static_cast<int64_t>(nb) * out_shape.h,
             [&](int64_t lo, int64_t hi) {
                 for (int64_t w = lo; w < hi; w++) {
-                    const int bi = static_cast<int>(w / out_shape.h);
-                    const int y = static_cast<int>(w % out_shape.h);
+                    const int y = static_cast<int>(w / nb);
+                    const int bi = static_cast<int>(w % nb);
                     int row_idx[kMaxConvKernel];
                     for (int i = 0; i < bk.k; i++)
                         row_idx[i] = y * spec.stride + i;
@@ -196,18 +202,19 @@ runPool(const LayerSpec &spec, const Tensor &in, OpCount *ops)
 {
     Shape out_shape = spec.outShape(in.shape());
     Tensor out(out_shape);
+    FLCNN_ASSERT(spec.kernel <= kMaxPoolKernel,
+                 "pool kernel exceeds the row table");
     parallelFor(
         0, static_cast<int64_t>(out_shape.c) * out_shape.h,
         [&](int64_t lo, int64_t hi) {
+            const float *rows[kMaxPoolKernel];
             for (int64_t w = lo; w < hi; w++) {
                 const int c = static_cast<int>(w / out_shape.h);
                 const int y = static_cast<int>(w % out_shape.h);
-                for (int x = 0; x < out_shape.w; x++) {
-                    out(c, y, x) = poolPoint(in, c, y * spec.stride,
-                                             x * spec.stride,
-                                             spec.kernel, spec.poolMode,
-                                             nullptr);
-                }
+                for (int i = 0; i < spec.kernel; i++)
+                    rows[i] = in.rowPtr(c, y * spec.stride + i);
+                poolRow(&out(c, y, 0), out_shape.w, rows, spec.kernel,
+                        spec.stride, spec.poolMode == PoolMode::Max);
             }
         },
         /*grain=*/2);
@@ -221,22 +228,30 @@ runPool(const LayerSpec &spec, const Tensor &in, OpCount *ops)
     return out;
 }
 
-Tensor
-runRelu(const Tensor &in, OpCount *ops)
+/** out = ReLU(in), one channel plane per reluRows() row; @p out may
+ *  be @p in (in place). */
+void
+reluInto(const Tensor &in, Tensor &out, OpCount *ops)
 {
-    Tensor out(in.shape());
     const Shape &s = in.shape();
+    const int plane = s.h * s.w;
     parallelFor(
         0, s.c,
         [&](int64_t clo, int64_t chi) {
-            for (int c = static_cast<int>(clo); c < chi; c++)
-                for (int y = 0; y < s.h; y++)
-                    for (int x = 0; x < s.w; x++)
-                        out(c, y, x) = std::max(0.0f, in(c, y, x));
+            reluRows(&out(static_cast<int>(clo), 0, 0), plane,
+                     in.rowPtr(static_cast<int>(clo), 0), plane,
+                     static_cast<int>(chi - clo), plane);
         },
         /*grain=*/4);
     if (ops)
         ops->compares += s.elems();
+}
+
+Tensor
+runRelu(const Tensor &in, OpCount *ops)
+{
+    Tensor out(in.shape());
+    reluInto(in, out, ops);
     return out;
 }
 
@@ -424,6 +439,11 @@ runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
         FLCNN_ASSERT(i == first_layer || net.soleInput(i) == i - 1,
                      "path range invariant violated");
         const LayerSpec &spec = net.layer(i);
+        if (spec.kind == LayerKind::ReLU) {
+            // `cur` is this function's own copy: clamp it in place.
+            reluInto(cur, cur, ops);
+            continue;
+        }
         const FilterBank *bank = nullptr;
         const DenseWeights *dw = nullptr;
         if (spec.kind == LayerKind::Conv)
@@ -465,6 +485,10 @@ runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
             const int slot = net.convSlot(i);
             cur = runConvPrec(spec, cur, weights.bank(slot), *prec, slot,
                               ops);
+            continue;
+        }
+        if (spec.kind == LayerKind::ReLU) {
+            reluInto(cur, cur, ops);
             continue;
         }
         const DenseWeights *dw = nullptr;

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <vector>
+
 #include "common/thread_pool.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/plan.hh"
+#include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -260,38 +265,166 @@ class ScopedThreads
     ~ScopedThreads() { ThreadPool::setGlobalThreads(0); }
 };
 
+/** One fusion group of the thread-count matrix below. */
+struct ThreadCase
+{
+    std::string what;
+    Network net;
+    int first, last, tip_h, tip_w;
+};
+
+std::vector<ThreadCase>
+threadCases()
+{
+    std::vector<ThreadCase> cases;
+    {
+        Network net("vgg-threads", Shape{3, 36, 36});
+        net.addConvBlock("c11", 5, 3, 1, 1);
+        net.addConvBlock("c12", 4, 3, 1, 1);
+        net.addMaxPool("p1", 2, 2);
+        net.addConvBlock("c21", 6, 3, 1, 1);
+        cases.push_back({"vgg tip 4", net, 0, net.numLayers() - 1, 4, 4});
+        // A tip dividing neither H nor W: the last row and column are
+        // narrow, and padding clip stalls layers (isActiveX/Y) there.
+        cases.push_back(
+            {"vgg tip 5x7", net, 0, net.numLayers() - 1, 5, 7});
+    }
+    cases.push_back({"tip larger than output", tinyNet(), 0, 1, 16, 16});
+    {
+        Network net("padfirst", Shape{3, 14, 13});
+        net.add(LayerSpec::conv("c1", 4, 3, 1));
+        net.add(LayerSpec::padding("pad", 2));
+        net.add(LayerSpec::conv("c2", 5, 3, 1));
+        net.add(LayerSpec::relu("r2"));
+        net.add(LayerSpec::pool("p2", 3, 2, PoolMode::Avg));
+        cases.push_back({"group starts with pad", net, 1, 4, 2, 2});
+    }
+    {
+        Network net("lrn", Shape{6, 15, 15});
+        net.add(LayerSpec::conv("c1", 6, 3, 1));
+        net.add(LayerSpec::lrn("n1"));
+        net.add(LayerSpec::conv("c2", 4, 3, 1));
+        cases.push_back({"lrn inside the pyramid", net, 0, 2, 2, 3});
+    }
+    {
+        Network net("pointwise-tail", Shape{3, 20, 20});
+        net.addConvBlock("c1", 4, 3, 1, 1);
+        net.addMaxPool("p1", 2, 2);
+        net.add(LayerSpec::conv("c2", 5, 3, 1));
+        net.add(LayerSpec::relu("r2"));
+        cases.push_back({"pointwise tail", net, 0, net.numLayers() - 1, 2,
+                         2});
+    }
+    {
+        // AlexNet's fused prefix (11x11 stride-4 conv1, overlapping
+        // pool, padded grouped conv2) at a reduced input size.
+        Network net("alex-prefix", Shape{3, 67, 67});
+        net.add(LayerSpec::conv("conv1", 8, 11, 4));
+        net.add(LayerSpec::relu("relu1"));
+        net.addMaxPool("pool1", 3, 2);
+        net.add(LayerSpec::padding("conv2_pad", 2));
+        net.add(LayerSpec::conv("conv2", 12, 5, 1, 2));
+        net.add(LayerSpec::relu("relu2"));
+        cases.push_back({"alexnet prefix", net, 0, 5, 1, 2});
+    }
+    return cases;
+}
+
+bool
+sameRunStats(const RunStats &a, const RunStats &b)
+{
+    return a.loadedBytes == b.loadedBytes &&
+           a.storedBytes == b.storedBytes &&
+           a.reuseBytes == b.reuseBytes &&
+           a.workingBytes == b.workingBytes && a.pyramids == b.pyramids &&
+           a.ops == b.ops;
+}
+
 TEST(FusedExecutor, BitExactAcrossThreadCounts)
 {
-    // The pyramid executor threads each window's conv and pool stages
-    // across filter blocks and rows; disjoint writes plus the blocked
-    // kernel's private accumulators make the output invariant to the
-    // pool width — bitwise, against a serial reference.
-    Network net("vgg-threads", Shape{3, 36, 36});
-    net.addConvBlock("c11", 5, 3, 1, 1);
+    // The pyramid executor runs a wavefront over pyramid rows, one lane
+    // per pool thread. Every row-to-row hand-off goes through the
+    // retained BT strip, so the output, the RunStats and the coverage
+    // (every value computed exactly once) must not depend on the pool
+    // width — bitwise, against a serial reference, in every precision.
+    for (const ThreadCase &tc : threadCases()) {
+        const Network &net = tc.net;
+        Rng wrng(91);
+        NetworkWeights weights(net, wrng);
+        Tensor image(net.inputShape());
+        Rng irng(92);
+        image.fillRandom(irng);
+        for (Precision mode :
+             {Precision::Fp32, Precision::Fp16, Precision::Int8}) {
+            const NetPrecision prec =
+                NetPrecision::calibrate(net, weights, mode);
+            Tensor input, ref;
+            {
+                ScopedThreads serial(1);
+                input = tc.first == 0 ? image
+                                      : runRange(net, weights, image, 0,
+                                                 tc.first - 1);
+                ref = runRange(net, weights, input, tc.first, tc.last,
+                               &prec);
+            }
+            RunStats serial_stats;
+            for (int threads : {1, 2, 3, 8}) {
+                ScopedThreads scope(threads);
+                FusedExecutor exec(net, weights,
+                                   TilePlan(net, tc.first, tc.last,
+                                            tc.tip_h, tc.tip_w));
+                exec.setPrecision(&prec);
+                exec.setTrackCoverage(true);
+                RunStats stats;
+                Tensor fused = exec.run(input, &stats);
+                const std::string where =
+                    tc.what + " " + precisionName(mode) +
+                    " threads=" + std::to_string(threads);
+                CompareResult cmp = compareTensors(ref, fused);
+                ASSERT_TRUE(cmp.match) << where << ": " << cmp.str();
+                EXPECT_EQ(exec.coverageReport(), "") << where;
+                if (threads == 1)
+                    serial_stats = stats;
+                EXPECT_TRUE(sameRunStats(stats, serial_stats)) << where;
+                EXPECT_EQ(stats.pyramids, exec.plan().numPyramids())
+                    << where;
+                EXPECT_EQ(stats.loadedBytes,
+                          exec.plan().inputBytesLoaded())
+                    << where;
+            }
+        }
+    }
+}
+
+TEST(FusedExecutor, OneParallelRegionPerImage)
+{
+    // The wavefront enters the pool once per image: one top-level
+    // parallelFor with one chunk per lane, the kernels running inline
+    // inside the lanes.
+    Network net("vgg-regions", Shape{3, 24, 24});
+    net.addConvBlock("c11", 4, 3, 1, 1);
     net.addConvBlock("c12", 4, 3, 1, 1);
     net.addMaxPool("p1", 2, 2);
-    net.addConvBlock("c21", 6, 3, 1, 1);
-
-    Rng wrng(91);
+    Rng wrng(5);
     NetworkWeights weights(net, wrng);
     Tensor input(net.inputShape());
-    Rng irng(92);
+    Rng irng(6);
     input.fillRandom(irng);
-
-    Tensor ref;
-    {
-        ScopedThreads serial(1);
-        ref = runRange(net, weights, input, 0, net.numLayers() - 1);
-    }
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {2, 3}) {
         ScopedThreads scope(threads);
-        FusedExecutor exec(
-            net, weights,
-            TilePlan(net, 0, net.numLayers() - 1, 4, 4));
-        Tensor fused = exec.run(input);
-        CompareResult cmp = compareTensors(ref, fused);
-        ASSERT_TRUE(cmp.match)
-            << "threads=" << threads << ": " << cmp.str();
+        FusedExecutor exec(net, weights,
+                           TilePlan(net, 0, net.numLayers() - 1, 2, 2));
+        std::atomic<int> regions{0}, chunks{0};
+        ThreadPool::setChunkObserver(
+            [&](int tid, int64_t, int64_t, double, double) {
+                if (tid == 0)
+                    regions++;
+                chunks++;
+            });
+        exec.run(input);
+        ThreadPool::setChunkObserver(nullptr);
+        EXPECT_EQ(regions.load(), 1) << "threads=" << threads;
+        EXPECT_EQ(chunks.load(), threads) << "threads=" << threads;
     }
 }
 
