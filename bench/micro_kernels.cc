@@ -15,7 +15,6 @@
 #include "dse/sweep.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
-#include "fusion/recompute_executor.hh"
 #include "kernels/conv_kernels.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/relu.hh"
@@ -132,8 +131,7 @@ struct BlockFixture
 };
 
 /** The planner's choice for a blocked-row fixture shape, as a bench
- *  label — run_bench.py harvests this into the solver field of each
- *  bench entry. */
+ *  label (the "label" field of --benchmark_format=json output). */
 std::string
 solverLabel(const BlockFixture &f, bool fast_math)
 {
@@ -536,8 +534,9 @@ void
 BM_RecomputeExecutorMicro(benchmark::State &state)
 {
     ExecFixture f;
-    RecomputeExecutor exec(f.net, f.weights,
-                           TilePlan(f.net, 0, f.net.numLayers() - 1));
+    FusedExecutor exec(f.net, f.weights,
+                       TilePlan(f.net, 0, f.net.numLayers() - 1),
+                       FusedExecutor::Halo::Recompute);
     for (auto _ : state) {
         Tensor out = exec.run(f.input);
         benchmark::DoNotOptimize(out.data());

@@ -11,7 +11,8 @@
  *
  * We report both the paper's pairwise-overlap estimate and the exact
  * cost of evaluating independent 1x1-tip pyramids (what a literal
- * recompute implementation — our RecomputeExecutor — performs).
+ * recompute implementation — FusedExecutor under Halo::Recompute —
+ * performs).
  */
 
 #include <cstdio>

@@ -39,9 +39,8 @@
  *
  * Output: a human table, plus optional machine artifacts —
  *   --json PATH          flcnn-serve-v1 result (latency percentiles,
- *                        counts, per-model breakdown; folded into
- *                        BENCH_<date>.json by scripts/run_bench.py and
- *                        validated by scripts/check_trace.py)
+ *                        counts, per-model breakdown; validated by
+ *                        scripts/check_trace.py)
  *   --metrics-json PATH  flcnn-metrics-v1 report ("serve:*" scopes)
  *   --trace-json PATH    Chrome trace with per-request queue/compute
  *                        spans

@@ -46,7 +46,6 @@
 #include "common/units.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
-#include "fusion/recompute_executor.hh"
 #include "kernels/conv_kernels.hh"
 #include "nn/autotune_net.hh"
 #include "nn/precision.hh"
@@ -229,8 +228,8 @@ main(int argc, char **argv)
         fexec.setPrecision(&prec);
         LineBufferExecutor lexec(net, weights, 0, last);
         lexec.setPrecision(&prec);
-        RecomputeExecutor rexec(net, weights,
-                                TilePlan(net, 0, last, 2, 2));
+        FusedExecutor rexec(net, weights, TilePlan(net, 0, last, 2, 2),
+                            FusedExecutor::Halo::Recompute);
         rexec.setPrecision(&prec);
         const struct
         {
@@ -288,8 +287,8 @@ main(int argc, char **argv)
         fexec.setFastMath(true);
         LineBufferExecutor lexec(net, weights, 0, last);
         lexec.setFastMath(true);
-        RecomputeExecutor rexec(net, weights,
-                                TilePlan(net, 0, last, 2, 2));
+        FusedExecutor rexec(net, weights, TilePlan(net, 0, last, 2, 2),
+                            FusedExecutor::Halo::Recompute);
         rexec.setFastMath(true);
         const struct
         {

@@ -6,8 +6,7 @@
  * This is the CI smoke for the plan compile/execute contract: every
  * known-supported zoo network must compile onto every fused engine
  * with zero rejects and zero silent fallbacks (the `plan:` metrics
- * scope proves both). It doubles as the compile-time probe run_bench.py
- * records.
+ * scope proves both). It doubles as a compile-time probe.
  *
  * Usage:
  *   plan_compile [--json] [--check] [--tip N]

@@ -8,9 +8,12 @@
  * height — a retained multi-row Pyramid schedule maps group-by-group
  * onto LineBufferExecutor(first, last, row_block = tileH), and a
  * singleton group is plain layer-by-layer evaluation. Recomputed
- * boundaries, Independent tiles, and the UniformStride dataflow have
- * no host executor (they are cost-model constructs); those schedules
- * are priced but not executable here, and the query below says why.
+ * boundaries, Independent tiles, and the UniformStride dataflow are
+ * priced but not executable here, and the query below says why.
+ * FusedExecutor does run a group that recomputes every boundary
+ * (Halo::Recompute), but over square pyramid tips, not the IR's
+ * per-boundary retain bits over row-block tiles, so this bridge does
+ * not map such schedules onto it.
  */
 
 #ifndef FLCNN_DSE_EXEC_HH

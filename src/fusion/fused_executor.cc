@@ -27,18 +27,30 @@ wallSeconds()
         .count();
 }
 
+int
+maxWidth(const std::vector<Span> &spans)
+{
+    int w = 0;
+    for (const Span &s : spans)
+        w = std::max(w, s.width());
+    return w;
+}
+
 } // namespace
 
 FusedExecutor::FusedExecutor(const Network &network,
-                             const NetworkWeights &w, TilePlan plan)
-    : net(network), weights(w), tplan(std::move(plan))
+                             const NetworkWeights &w, TilePlan plan,
+                             Halo halo)
+    : net(network), weights(w), tplan(std::move(plan)), haloMode(halo)
 {
+    const bool retain = haloMode == Halo::Retain;
     const int n = tplan.numFusedLayers();
     const int rows = tplan.numPyramidRows();
     const int cols = tplan.numPyramidCols();
     states.resize(static_cast<size_t>(n));
-    rowReadyCol.resize(static_cast<size_t>(cols));
-    std::iota(rowReadyCol.begin(), rowReadyCol.end(), 0);
+    rowReadyCol.assign(static_cast<size_t>(cols), -1);
+    if (retain)
+        std::iota(rowReadyCol.begin(), rowReadyCol.end(), 0);
     for (int li = 0; li < n; li++) {
         const LayerGeom &g = tplan.geom(li);
         const LayerSpec &spec = net.layer(g.layerIdx);
@@ -51,7 +63,20 @@ FusedExecutor::FusedExecutor(const Network &network,
             spec.kind == LayerKind::Conv && li + 1 < n &&
             net.layer(tplan.geom(li + 1).layerIdx).kind == LayerKind::ReLU;
 
-        if (!g.windowed || g.overlapY <= 0)
+        for (int r = 0; r < rows; r++) {
+            const size_t i = static_cast<size_t>(r);
+            st.tileY.push_back(retain ? g.inY[i] : g.fullInY[i]);
+            st.loadY.push_back(retain ? g.freshInY(r) : g.fullInY[i]);
+            st.outY.push_back(retain ? g.freshOutY(r) : g.outY[i]);
+        }
+        for (int c = 0; c < cols; c++) {
+            const size_t i = static_cast<size_t>(c);
+            st.tileX.push_back(retain ? g.inX[i] : g.fullInX[i]);
+            st.loadX.push_back(retain ? g.freshInX(c) : g.fullInX[i]);
+            st.outX.push_back(retain ? g.freshOutX(c) : g.outX[i]);
+        }
+
+        if (!retain || !g.windowed || g.overlapY <= 0)
             continue;
         st.bt = Tensor(g.inPlane.c, g.overlapY, g.inPlane.w);
 
@@ -105,6 +130,12 @@ FusedExecutor::FusedExecutor(const Network &network,
     rowDone = std::make_unique<std::atomic<int>[]>(
         static_cast<size_t>(rows));
     lanes.push_back(makeLane());
+    if (retain) {
+        workingBytes = tplan.workingBufferBytes();
+    } else {
+        for (const LaneLayer &ll : lanes.front().layers)
+            workingBytes += (ll.tile.elems() + ll.fresh.elems()) * 4;
+    }
 }
 
 FusedExecutor::Lane
@@ -116,19 +147,20 @@ FusedExecutor::makeLane() const
     for (int li = 0; li < n; li++) {
         const LayerGeom &g = tplan.geom(li);
         const LayerSpec &spec = net.layer(g.layerIdx);
+        const LayerState &st = states[static_cast<size_t>(li)];
         LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
-        if (g.windowed) {
-            ll.tile = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
-                             std::max(1, g.maxTileW));
-            if (g.overlapX > 0)
-                ll.bl = Tensor(g.inPlane.c, std::max(1, g.maxTileH),
-                               g.overlapX);
+        const int tile_h = std::max(1, maxWidth(st.tileY));
+        if (g.windowed && !readsProducer(li)) {
+            ll.tile = Tensor(g.inPlane.c, tile_h,
+                             std::max(1, maxWidth(st.tileX)));
         }
+        if (g.windowed && haloMode == Halo::Retain && g.overlapX > 0)
+            ll.bl = Tensor(g.inPlane.c, tile_h, g.overlapX);
         bool owns_fresh = g.windowed || spec.kind == LayerKind::Pad ||
                           li == 0;
         if (owns_fresh) {
-            ll.fresh = Tensor(g.outPlane.c, std::max(1, g.maxFreshOutH),
-                              std::max(1, g.maxFreshOutW));
+            ll.fresh = Tensor(g.outPlane.c, std::max(1, maxWidth(st.outY)),
+                              std::max(1, maxWidth(st.outX)));
             ll.freshOwner = li;
         }
         if (spec.kind == LayerKind::LRN)
@@ -179,12 +211,18 @@ FusedExecutor::assembleTile(Lane &ln, int li, int r, int c)
     const LayerState &st = states[static_cast<size_t>(li)];
     LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
 
-    Span ty = g.inY[static_cast<size_t>(r)];
-    Span tx = g.inX[static_cast<size_t>(c)];
-    Span fy = g.freshInY(r);
-    Span fx = g.freshInX(c);
+    Span ty = st.tileY[static_cast<size_t>(r)];
+    Span tx = st.tileX[static_cast<size_t>(c)];
+    Span fy = st.loadY[static_cast<size_t>(r)];
+    Span fx = st.loadX[static_cast<size_t>(c)];
     ll.tileY = ty;
     ll.tileX = tx;
+    if (readsProducer(li)) {
+        const LaneLayer &prod = producer(ln, li);
+        FLCNN_ASSERT(prod.freshY == ty && prod.freshX == tx,
+                     "producer output is not the recompute tile");
+        return;
+    }
 
     // Top strip [ty.begin, fy.begin) x full tile width, from BT.
     Span top{ty.begin, fy.begin};
@@ -246,6 +284,8 @@ FusedExecutor::assembleTile(Lane &ln, int li, int r, int c)
 void
 FusedExecutor::saveReuse(Lane &ln, int li, int r, int c)
 {
+    if (haloMode == Halo::Recompute)
+        return;
     const LayerGeom &g = tplan.geom(li);
     LayerState &st = states[static_cast<size_t>(li)];
     LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
@@ -290,8 +330,8 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
     const LayerState &st = states[static_cast<size_t>(li)];
     LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
 
-    Span oy = g.freshOutY(r);
-    Span ox = g.freshOutX(c);
+    Span oy = st.outY[static_cast<size_t>(r)];
+    Span ox = st.outX[static_cast<size_t>(c)];
     ll.freshY = oy;
     ll.freshX = ox;
     if (oy.empty() || ox.empty())
@@ -300,6 +340,8 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
     const int s = spec.stride;
     const int oh = oy.width();
     Tensor &fresh = ll.fresh;
+    const Tensor &tile =
+        readsProducer(li) ? producer(ln, li).fresh : ll.tile;
     if (spec.kind == LayerKind::Conv) {
         const FilterBank &fb = weights.bank(net.convSlot(g.layerIdx));
         const int n_per_group = fb.numChannels();
@@ -324,7 +366,7 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
         // inline.
         if (st.pwI8 || st.pwF16) {
             const int slot = net.convSlot(g.layerIdx);
-            const Shape &ts = ll.tile.shape();
+            const Shape &ts = tile.shape();
             const Precision mode =
                 st.pwI8 ? Precision::Int8 : Precision::Fp16;
             ll.stage.configure(mode, ts.c, ts.h, ts.w);
@@ -334,7 +376,7 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
             const ConvStage &stage = ll.stage;
             if (st.pwI8) {
                 const ActQuant &act = precision->actQuant(slot);
-                stageConvInputI8(ll.stage, ll.tile, act, r0, r1);
+                stageConvInputI8(ll.stage, tile, act, r0, r1);
                 const ConvBlockKernelI8 &bk = st.plan.bkI8;
                 const PackedWeightsI8 &pw = *st.pwI8;
                 parallelFor(
@@ -359,7 +401,7 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
                     },
                     st.plan.cfg.grain);
             } else {
-                stageConvInputF16(ll.stage, ll.tile, r0, r1);
+                stageConvInputF16(ll.stage, tile, r0, r1);
                 const ConvBlockKernel &bk = st.plan.bk;
                 const PackedWeightsF16 &pw = *st.pwF16;
                 parallelFor(
@@ -387,7 +429,6 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
         } else {
             const ConvBlockKernel &bk = st.plan.bk;
             const PackedWeights &pw = *st.pw;
-            const Tensor &tile = ll.tile;
             parallelFor(
                 0, static_cast<int64_t>(pw.numBlocks()) * oh,
                 [&](int64_t lo, int64_t hi) {
@@ -418,7 +459,6 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
         // tallied analytically below, outside the parallel region.
         FLCNN_ASSERT(spec.kernel <= kMaxPoolKernel,
                      "pool kernel exceeds the row table");
-        const Tensor &tile = ll.tile;
         const int y0 = ll.tileY.begin;
         const int x0 = ox.begin * s - ll.tileX.begin;
         const bool is_max = spec.poolMode == PoolMode::Max;
@@ -462,8 +502,8 @@ FusedExecutor::runPad(Lane &ln, int li, int r, int c)
     LaneLayer &st = ln.layers[static_cast<size_t>(li)];
     const int p = spec.pad;
 
-    Span oy = g.freshOutY(r);
-    Span ox = g.freshOutX(c);
+    Span oy = states[static_cast<size_t>(li)].outY[static_cast<size_t>(r)];
+    Span ox = states[static_cast<size_t>(li)].outX[static_cast<size_t>(c)];
     st.freshY = oy;
     st.freshX = ox;
     if (oy.empty() || ox.empty())
@@ -548,8 +588,8 @@ FusedExecutor::runPointwise(Lane &ln, int li, int r, int c)
     const LayerSpec &spec = net.layer(g.layerIdx);
     LaneLayer &st = ln.layers[static_cast<size_t>(li)];
 
-    Span oy = g.freshOutY(r);
-    Span ox = g.freshOutX(c);
+    Span oy = states[static_cast<size_t>(li)].outY[static_cast<size_t>(r)];
+    Span ox = states[static_cast<size_t>(li)].outX[static_cast<size_t>(c)];
 
     LaneLayer *owner;
     if (li == 0) {
@@ -650,10 +690,10 @@ FusedExecutor::runRow(Lane &ln, int r)
     // starts filling.
     for (int li = 0; li < n; li++) {
         const LayerGeom &g = tplan.geom(li);
-        LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
-        if (!g.windowed || g.overlapY <= 0 || !g.isActiveY(r))
-            continue;
         const LayerState &st = states[static_cast<size_t>(li)];
+        LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
+        if (st.btWriterRow.empty() || !g.isActiveY(r))
+            continue;
         ll.btBaseOld = st.btWriterRow[static_cast<size_t>(r)] >= 0
                            ? g.inY[static_cast<size_t>(r)].begin
                            : 0;
@@ -667,12 +707,14 @@ FusedExecutor::runRow(Lane &ln, int r)
         for (int li = 0; li < n; li++) {
             const LayerGeom &g = tplan.geom(li);
             const LayerSpec &spec = net.layer(g.layerIdx);
+            const LayerState &st = states[static_cast<size_t>(li)];
             LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
-            if (!g.isActiveY(r) || !g.isActiveX(c)) {
+            const Span ey = st.outY[static_cast<size_t>(r)];
+            const Span ex = st.outX[static_cast<size_t>(c)];
+            if (ey.empty() || ex.empty()) {
                 // Stalled pyramid: this layer computes nothing here
                 // and its buffers carry over untouched. Publish an
                 // empty fresh rect for downstream bookkeeping.
-                Span ey = g.freshOutY(r), ex = g.freshOutX(c);
                 ll.freshY = Span{ey.end, ey.end};
                 ll.freshX = Span{ex.end, ex.end};
                 if (!g.windowed && spec.pointwise() && li > 0) {
@@ -845,8 +887,9 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
         total.pyramids += ls.pyramids;
         total.ops += ls.ops;
     }
-    total.reuseBytes = tplan.reuseBufferBytes();
-    total.workingBytes = tplan.workingBufferBytes();
+    if (haloMode == Halo::Retain)
+        total.reuseBytes = tplan.reuseBufferBytes();
+    total.workingBytes = workingBytes;
 
     if (metrics) {
         const Lane &first = lanes.front();
@@ -923,7 +966,7 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                 lanes.front().layers[static_cast<size_t>(n - 1)]
                     .freshOwner == li;
             int64_t want = tplan.geom(li).outPlane.elems();
-            if (over > 0) {
+            if (over > 0 && haloMode == Halo::Retain) {
                 char buf[128];
                 std::snprintf(buf, sizeof(buf),
                               "layer %d recomputed %lld elements; ", li,

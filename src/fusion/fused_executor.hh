@@ -1,10 +1,12 @@
 /**
  * @file
  * FusedExecutor: functional model of the fused-layer accelerator
- * (Listings 3 and 4 of the paper) under the *reuse* strategy.
+ * (Listings 3 and 4 of the paper) under either of the paper's two ways
+ * of handling the overlap between neighbouring pyramids (Section
+ * III-C), chosen once per group by the Halo argument.
  *
- * The executor evaluates a fusion group pyramid-by-pyramid. For every
- * windowed layer it keeps three on-chip buffers:
+ * Halo::Retain, the *reuse* strategy (the default). For every windowed
+ * layer the executor keeps three on-chip buffers:
  *
  *  - tile: the layer's assembled input tile for the current pyramid;
  *  - BL ("buffer left"): the tile columns that overlap the next pyramid
@@ -27,6 +29,16 @@
  * region no later pyramid in this row reads), resolving the hazard the
  * pseudo-code elides.
  *
+ * Halo::Recompute, the *recompute* strategy: no boundary is retained and
+ * no BL/BT exists. Every pyramid computes each layer's whole output span
+ * from a tile holding its whole receptive span, so the group's first
+ * layer re-reads the input overlap from DRAM and the overlapping
+ * intermediate values are computed again by every pyramid that needs
+ * them (RunStats counts both; DESIGN.md invariant 7). A windowed layer
+ * past the first reads its producer's output buffer directly, since
+ * that buffer holds exactly the tile. The coverage tracker then checks
+ * only that the group output is fully covered.
+ *
  * Threading: a wavefront over pyramid rows. A run uses L = min(pool
  * width, pyramid rows) *lanes*, started by one parallelFor(0, L) per
  * image; the chunk holding lanes [lo, hi) walks the rows in ascending
@@ -38,15 +50,18 @@
  * rowReadyCol[c] — the first pyramid whose BT writes cover every column
  * (r, c) reads, and never less than c itself, so that row r - 1 has
  * also read what (r, c) overwrites (c + 1 for dividing geometries).
- * Rows publish their progress through one atomic counter each. Every
- * boundary stays a *retained* one: the executor computes exactly what
- * the serial raster walk computes, so outputs, RunStats and coverage
- * are identical at every thread count. With one lane (a one-thread
- * pool, a caller already inside a parallel region such as a serving
- * worker's InlineScope, a single pyramid row, or a trace sink
- * installed) the run is the plain raster walk on the calling thread,
- * and the kernels' own parallelFor calls use the pool as before; a
- * traced run therefore emits its DRAM accesses in raster order.
+ * Rows publish their progress through one atomic counter each. Under
+ * Retain every boundary stays a *retained* one: the executor computes
+ * exactly what the serial raster walk computes, so outputs, RunStats
+ * and coverage are identical at every thread count. Under Recompute
+ * nothing orders the rows: rowReadyCol is -1 everywhere, so recompute
+ * lanes never wait, and each pyramid computes the same values whichever
+ * lane runs it. With one lane (a one-thread pool, a caller already
+ * inside a parallel region such as a serving worker's InlineScope, a
+ * single pyramid row, or a trace sink installed) the run is the plain
+ * raster walk on the calling thread, and the kernels' own parallelFor
+ * calls use the pool as before; a traced run therefore emits its DRAM
+ * accesses in raster order.
  */
 
 #ifndef FLCNN_FUSION_FUSED_EXECUTOR_HH
@@ -69,16 +84,24 @@
 
 namespace flcnn {
 
-/** Functional fused-layer (reuse model) executor for one fusion group. */
+/** Functional fused-layer executor for one fusion group. */
 class FusedExecutor
 {
   public:
+    /** How every boundary of the group handles the pyramid overlap. */
+    enum class Halo
+    {
+        Retain,     //!< keep it in BL/BT reuse buffers (reuse model)
+        Recompute,  //!< keep nothing, recompute it (recompute model)
+    };
+
     /**
-     * Prepare an executor for @p plan over @p net with @p weights. The
-     * referenced objects must outlive the executor.
+     * Prepare an executor for @p plan over @p net with @p weights under
+     * the @p halo strategy. The referenced objects must outlive the
+     * executor.
      */
     FusedExecutor(const Network &net, const NetworkWeights &weights,
-                  TilePlan plan);
+                  TilePlan plan, Halo halo = Halo::Retain);
 
     /** Evaluate the fusion group on @p input (the first fused layer's
      *  full input plane). Returns the group output plane. */
@@ -98,7 +121,8 @@ class FusedExecutor
 
     /**
      * Enable per-element coverage tracking (test instrumentation).
-     * After run(), coverageReport() returns an empty string when every
+     * After run(), coverageReport() returns an empty string when the
+     * group output is fully covered and, under Halo::Retain, every
      * produced element was computed exactly once and no element twice.
      */
     void setTrackCoverage(bool enable) { trackCoverage = enable; }
@@ -170,6 +194,14 @@ class FusedExecutor
      *  dependency orders. */
     struct LayerState
     {
+        // The walk under the group's halo strategy, per pyramid row (Y)
+        // and column (X): the rect the tile holds, the part of it that
+        // arrives from the producer (or DRAM), and the output rect the
+        // layer computes, empty where the layer is stalled. Retain: the
+        // compute span, its fresh part and the fresh output; Recompute:
+        // the full receptive span, all of it, and the whole output span.
+        std::vector<Span> tileY, tileX, loadY, loadX, outY, outX;
+
         Tensor bt;           //!< C x overlapY x planeW ("buffer top")
 
         // Conv plan for this layer (solver + tuned config), refreshed
@@ -258,6 +290,14 @@ class FusedExecutor
     /** The lane's fresh buffer and rect feeding fused layer li. */
     static LaneLayer &producer(Lane &ln, int li);
 
+    /** Under Recompute a windowed layer past the first reads its
+     *  producer's output buffer, which holds exactly its tile. */
+    bool
+    readsProducer(int li) const
+    {
+        return haloMode == Halo::Recompute && li > 0;
+    }
+
     /** Copy a global rect from src (with rect anchor) into dst. */
     static void copyRect(const Tensor &src, Span src_y, Span src_x,
                          Tensor &dst, Span dst_y, Span dst_x,
@@ -266,10 +306,12 @@ class FusedExecutor
     const Network &net;
     const NetworkWeights &weights;
     TilePlan tplan;
+    Halo haloMode;
+    int64_t workingBytes = 0;    //!< one lane's tile + fresh buffers
     std::vector<LayerState> states;
     std::vector<Lane> lanes;     //!< grown on demand, never shrunk
     /** Per pyramid column c: the pyramid row r - 1 must have finished
-     *  before (r, c) starts (see file comment). */
+     *  before (r, c) starts (see file comment); unused by Recompute. */
     std::vector<int> rowReadyCol;
     /** Per pyramid row: pyramids finished in the current run. */
     std::unique_ptr<std::atomic<int>[]> rowDone;

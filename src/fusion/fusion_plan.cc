@@ -6,7 +6,6 @@
 #include "fusion/fused_executor.hh"
 #include "fusion/line_buffer_executor.hh"
 #include "fusion/plan.hh"
-#include "fusion/recompute_executor.hh"
 #include "nn/autotune_net.hh"
 #include "nn/reference.hh"
 #include "obs/metrics.hh"
@@ -83,7 +82,6 @@ FusionPlan::operator=(const FusionPlan &other)
     diag.clear();
     fused.reset();
     lineBuffer.reset();
-    recompute.reset();
     return *this;
 }
 
@@ -236,8 +234,12 @@ FusionPlan::compile(const PlanCompileOptions &opt)
       case PlanEngine::Reference:
         break;
       case PlanEngine::Fused:
+      case PlanEngine::Recompute:
         fused = std::make_unique<FusedExecutor>(
-            *net, *weights, TilePlan(*net, first, last, opt.tip, opt.tip));
+            *net, *weights, TilePlan(*net, first, last, opt.tip, opt.tip),
+            opt.engine == PlanEngine::Recompute
+                ? FusedExecutor::Halo::Recompute
+                : FusedExecutor::Halo::Retain);
         fused->setPrecision(opt.precision);
         fused->setFastMath(opt.fastMath);
         break;
@@ -246,12 +248,6 @@ FusionPlan::compile(const PlanCompileOptions &opt)
                                                           first, last);
         lineBuffer->setPrecision(opt.precision);
         lineBuffer->setFastMath(opt.fastMath);
-        break;
-      case PlanEngine::Recompute:
-        recompute = std::make_unique<RecomputeExecutor>(
-            *net, *weights, TilePlan(*net, first, last, opt.tip, opt.tip));
-        recompute->setPrecision(opt.precision);
-        recompute->setFastMath(opt.fastMath);
         break;
     }
 
@@ -318,11 +314,10 @@ FusionPlan::execute(const Tensor &input)
         return runRange(*net, *weights, input, opList.front(),
                         opList.back(), opt_.precision);
       case PlanEngine::Fused:
+      case PlanEngine::Recompute:
         return fused->run(input);
       case PlanEngine::LineBuffer:
         return lineBuffer->run(input);
-      case PlanEngine::Recompute:
-        return recompute->run(input);
     }
     panic("unreachable plan engine");
 }
@@ -339,13 +334,11 @@ FusionPlan::executeInto(const Tensor &input, Tensor *out)
         opt_.metrics->addCounter("plan", "executes", 1);
     switch (opt_.engine) {
       case PlanEngine::Fused:
+      case PlanEngine::Recompute:
         fused->runInto(input, out);
         return;
       case PlanEngine::LineBuffer:
         lineBuffer->runInto(input, out);
-        return;
-      case PlanEngine::Recompute:
-        recompute->runInto(input, out);
         return;
       case PlanEngine::Reference:
         break;

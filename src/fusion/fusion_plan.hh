@@ -18,8 +18,8 @@
  *   engine      | accepted op sequences
  *   ------------+----------------------------------------------------
  *   Fused       | path-shaped runs of Pad / Conv / Pool / ReLU / LRN
- *   LineBuffer  | (the pyramid, row-streaming, and recompute
- *   Recompute   |  executors share one precondition set)
+ *   LineBuffer  | (the pyramid and row-streaming executors share one
+ *   Recompute   |  precondition set; Recompute is the pyramid one)
  *   Reference   | any path-shaped single-input run (FC included)
  *
  * Everything else is a typed rejection: multi-input joins (Add,
@@ -53,7 +53,6 @@ namespace flcnn {
 
 class FusedExecutor;
 class LineBufferExecutor;
-class RecomputeExecutor;
 class MetricsRegistry;
 
 /** Which executor a plan compiles onto (also the serving engine:
@@ -61,9 +60,9 @@ class MetricsRegistry;
 enum class PlanEngine
 {
     Reference,   //!< layer-by-layer nn::runRange (explicit choice)
-    Fused,       //!< FusedExecutor (reuse model, pyramid dataflow)
+    Fused,       //!< FusedExecutor, Halo::Retain (reuse model)
     LineBuffer,  //!< LineBufferExecutor (row-streaming dataflow)
-    Recompute,   //!< RecomputeExecutor (no reuse buffers)
+    Recompute,   //!< FusedExecutor, Halo::Recompute (no reuse buffers)
 };
 
 const char *planEngineName(PlanEngine e);
@@ -210,9 +209,8 @@ class FusionPlan
 
     // Exactly one is live after compiling onto a fused engine
     // (Reference pins no executor — runRange holds no state).
-    std::unique_ptr<FusedExecutor> fused;
+    std::unique_ptr<FusedExecutor> fused;  //!< Fused and Recompute
     std::unique_ptr<LineBufferExecutor> lineBuffer;
-    std::unique_ptr<RecomputeExecutor> recompute;
 };
 
 } // namespace flcnn

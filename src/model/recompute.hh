@@ -6,8 +6,9 @@
  *
  *  1. recomputeOpsForPlan(): the exact operation count of evaluating a
  *     fusion plan with no reuse buffers (every pyramid recomputes its
- *     whole slice at every level). This matches RecomputeExecutor's
- *     measured tally identically (DESIGN.md invariant 7): per layer,
+ *     whole slice at every level). This matches the measured tally of
+ *     FusedExecutor under Halo::Recompute identically (DESIGN.md
+ *     invariant 7): per layer,
  *     ops = (sum of output-span heights) * (sum of output-span widths)
  *           * channels * per-point cost.
  *

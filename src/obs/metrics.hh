@@ -43,8 +43,8 @@ namespace flcnn {
 
 /**
  * Totals of one fused-executor run, the same fields for every engine
- * (FusedExecutor, LineBufferExecutor, RecomputeExecutor and the
- * PartitionExecutor's sum over its groups). With a registry attached
+ * (FusedExecutor under either halo strategy, LineBufferExecutor and
+ * the PartitionExecutor's sum over its groups). With a registry attached
  * to the run, each counted field equals the sum of its counter over
  * every scope: loadedBytes = sumCounters("dram_read_bytes"),
  * storedBytes = sumCounters("dram_write_bytes"), pyramids =

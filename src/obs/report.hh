@@ -1,8 +1,8 @@
 /**
  * @file
  * Metrics report files: the JSON envelope shared by the examples and
- * the table benches (--metrics-json), ingested by scripts/run_bench.py
- * into the BENCH_<date>.json snapshots.
+ * the table benches (--metrics-json), validated by
+ * scripts/check_trace.py.
  *
  * Shape (schema "flcnn-metrics-v1"):
  *

@@ -4,9 +4,9 @@
  *
  * Every serving worker owns one engine per registered model. An engine
  * wraps a FusionPlan (fusion/fusion_plan.hh) compiled onto one of the
- * repo's bit-exact evaluation strategies — the reuse-model pyramid
- * executor, the row-streaming line buffer, the recompute executor, or
- * the layer-by-layer reference — so the serving layer is agnostic to
+ * repo's bit-exact evaluation strategies — the pyramid executor
+ * under the reuse or the recompute strategy, the row-streaming line
+ * buffer, or the layer-by-layer reference — so the serving layer is agnostic to
  * which dataflow the deployment picked.
  *
  * The boundary is compile-once / execute-many: addModel() validates a

@@ -347,6 +347,9 @@ TEST(FusedExecutor, BitExactAcrossThreadCounts)
     // retained BT strip, so the output, the RunStats and the coverage
     // (every value computed exactly once) must not depend on the pool
     // width — bitwise, against a serial reference, in every precision.
+    // Under Halo::Recompute the lanes share nothing and never wait; the
+    // same holds, with coverage checking the output only.
+    using Halo = FusedExecutor::Halo;
     for (const ThreadCase &tc : threadCases()) {
         const Network &net = tc.net;
         Rng wrng(91);
@@ -367,30 +370,37 @@ TEST(FusedExecutor, BitExactAcrossThreadCounts)
                 ref = runRange(net, weights, input, tc.first, tc.last,
                                &prec);
             }
-            RunStats serial_stats;
-            for (int threads : {1, 2, 3, 8}) {
-                ScopedThreads scope(threads);
-                FusedExecutor exec(net, weights,
-                                   TilePlan(net, tc.first, tc.last,
-                                            tc.tip_h, tc.tip_w));
-                exec.setPrecision(&prec);
-                exec.setTrackCoverage(true);
-                RunStats stats;
-                Tensor fused = exec.run(input, &stats);
-                const std::string where =
-                    tc.what + " " + precisionName(mode) +
-                    " threads=" + std::to_string(threads);
-                CompareResult cmp = compareTensors(ref, fused);
-                ASSERT_TRUE(cmp.match) << where << ": " << cmp.str();
-                EXPECT_EQ(exec.coverageReport(), "") << where;
-                if (threads == 1)
-                    serial_stats = stats;
-                EXPECT_TRUE(sameRunStats(stats, serial_stats)) << where;
-                EXPECT_EQ(stats.pyramids, exec.plan().numPyramids())
-                    << where;
-                EXPECT_EQ(stats.loadedBytes,
-                          exec.plan().inputBytesLoaded())
-                    << where;
+            for (Halo halo : {Halo::Retain, Halo::Recompute}) {
+                RunStats serial_stats;
+                for (int threads : {1, 2, 3, 8}) {
+                    ScopedThreads scope(threads);
+                    FusedExecutor exec(net, weights,
+                                       TilePlan(net, tc.first, tc.last,
+                                                tc.tip_h, tc.tip_w),
+                                       halo);
+                    exec.setPrecision(&prec);
+                    exec.setTrackCoverage(true);
+                    RunStats stats;
+                    Tensor fused = exec.run(input, &stats);
+                    const std::string where =
+                        tc.what + " " + precisionName(mode) +
+                        (halo == Halo::Retain ? " retain" : " recompute") +
+                        " threads=" + std::to_string(threads);
+                    CompareResult cmp = compareTensors(ref, fused);
+                    ASSERT_TRUE(cmp.match) << where << ": " << cmp.str();
+                    EXPECT_EQ(exec.coverageReport(), "") << where;
+                    if (threads == 1)
+                        serial_stats = stats;
+                    EXPECT_TRUE(sameRunStats(stats, serial_stats))
+                        << where;
+                    EXPECT_EQ(stats.pyramids, exec.plan().numPyramids())
+                        << where;
+                    if (halo == Halo::Retain) {
+                        EXPECT_EQ(stats.loadedBytes,
+                                  exec.plan().inputBytesLoaded())
+                            << where;
+                    }
+                }
             }
         }
     }
@@ -400,7 +410,7 @@ TEST(FusedExecutor, OneParallelRegionPerImage)
 {
     // The wavefront enters the pool once per image: one top-level
     // parallelFor with one chunk per lane, the kernels running inline
-    // inside the lanes.
+    // inside the lanes. Recompute lanes, which never wait, too.
     Network net("vgg-regions", Shape{3, 24, 24});
     net.addConvBlock("c11", 4, 3, 1, 1);
     net.addConvBlock("c12", 4, 3, 1, 1);
@@ -410,21 +420,30 @@ TEST(FusedExecutor, OneParallelRegionPerImage)
     Tensor input(net.inputShape());
     Rng irng(6);
     input.fillRandom(irng);
-    for (int threads : {2, 3}) {
-        ScopedThreads scope(threads);
-        FusedExecutor exec(net, weights,
-                           TilePlan(net, 0, net.numLayers() - 1, 2, 2));
-        std::atomic<int> regions{0}, chunks{0};
-        ThreadPool::setChunkObserver(
-            [&](int tid, int64_t, int64_t, double, double) {
-                if (tid == 0)
-                    regions++;
-                chunks++;
-            });
-        exec.run(input);
-        ThreadPool::setChunkObserver(nullptr);
-        EXPECT_EQ(regions.load(), 1) << "threads=" << threads;
-        EXPECT_EQ(chunks.load(), threads) << "threads=" << threads;
+    for (FusedExecutor::Halo halo :
+         {FusedExecutor::Halo::Retain, FusedExecutor::Halo::Recompute}) {
+        for (int threads : {2, 3}) {
+            ScopedThreads scope(threads);
+            FusedExecutor exec(net, weights,
+                               TilePlan(net, 0, net.numLayers() - 1, 2, 2),
+                               halo);
+            std::atomic<int> regions{0}, chunks{0};
+            ThreadPool::setChunkObserver(
+                [&](int tid, int64_t, int64_t, double, double) {
+                    if (tid == 0)
+                        regions++;
+                    chunks++;
+                });
+            exec.run(input);
+            ThreadPool::setChunkObserver(nullptr);
+            const std::string where =
+                std::string(halo == FusedExecutor::Halo::Retain
+                                ? "retain"
+                                : "recompute") +
+                " threads=" + std::to_string(threads);
+            EXPECT_EQ(regions.load(), 1) << where;
+            EXPECT_EQ(chunks.load(), threads) << where;
+        }
     }
 }
 

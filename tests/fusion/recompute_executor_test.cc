@@ -1,14 +1,19 @@
 /**
  * @file
- * RecomputeExecutor: functional equivalence with the reference, and the
- * recompute-vs-reuse arithmetic relationship the paper's Section III-C
- * analysis rests on (DESIGN.md invariant 7).
+ * The recompute strategy (FusedExecutor under Halo::Recompute):
+ * functional equivalence with the reference, the DRAM traffic, pyramid
+ * count and work it tallies, and the recompute-vs-reuse arithmetic
+ * relationship the paper's Section III-C analysis rests on (DESIGN.md
+ * invariant 7).
+ *
+ * The pinned counts are those of the standalone recompute walker that
+ * preceded the Halo argument, on the same geometries: folding the
+ * strategy into the pyramid engine changed none of them.
  */
 
 #include <gtest/gtest.h>
 
 #include "fusion/fused_executor.hh"
-#include "fusion/recompute_executor.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -22,9 +27,16 @@ struct RunResult
     RunStats stats;
 };
 
+/** Bytes loaded, bytes stored, pyramids, and the op tally. */
+struct Pinned
+{
+    int64_t loaded, stored, pyramids;
+    OpCount ops;
+};
+
 RunResult
 runRecompute(const Network &net, int first, int last, uint64_t seed,
-             int tip = 1)
+             int tip_h = 1, int tip_w = 1)
 {
     Rng wrng(seed);
     NetworkWeights weights(net, wrng);
@@ -32,10 +44,14 @@ runRecompute(const Network &net, int first, int last, uint64_t seed,
     Rng irng(seed ^ 0x77);
     input.fillRandom(irng);
 
-    RecomputeExecutor exec(net, weights, TilePlan(net, first, last, tip,
-                                                  tip));
+    FusedExecutor exec(net, weights,
+                       TilePlan(net, first, last, tip_h, tip_w),
+                       FusedExecutor::Halo::Recompute);
+    exec.setTrackCoverage(true);
     RunResult res{Tensor{}, {}};
     res.out = exec.run(input, &res.stats);
+    EXPECT_EQ(exec.coverageReport(), "") << net.name();
+    EXPECT_EQ(res.stats.reuseBytes, 0) << net.name();
 
     Tensor ref = runRange(net, weights, input, first, last);
     CompareResult cmp = compareTensors(ref, res.out);
@@ -43,9 +59,19 @@ runRecompute(const Network &net, int first, int last, uint64_t seed,
     return res;
 }
 
+void
+expectPinned(const RunStats &s, const Pinned &want)
+{
+    EXPECT_EQ(s.loadedBytes, want.loaded);
+    EXPECT_EQ(s.storedBytes, want.stored);
+    EXPECT_EQ(s.pyramids, want.pyramids);
+    EXPECT_EQ(s.ops, want.ops);
+}
+
 TEST(RecomputeExecutor, MatchesReferenceTwoConv)
 {
-    runRecompute(tinyNet(), 0, 1, 31);
+    RunResult res = runRecompute(tinyNet(), 0, 1, 31);
+    expectPinned(res.stats, {1800, 144, 9, {5346, 5346, 0}});
 }
 
 TEST(RecomputeExecutor, MatchesReferenceWithPadPoolRelu)
@@ -54,7 +80,8 @@ TEST(RecomputeExecutor, MatchesReferenceWithPadPoolRelu)
     net.addConvBlock("c1", 4, 3, 1, 1);
     net.addMaxPool("p1", 2, 2);
     net.addConvBlock("c2", 5, 3, 1, 1);
-    runRecompute(net, 0, net.numLayers() - 1, 32);
+    RunResult res = runRecompute(net, 0, net.numLayers() - 1, 32);
+    expectPinned(res.stats, {62208, 2000, 100, {356688, 356688, 25588}});
 }
 
 TEST(RecomputeExecutor, MatchesReferenceWithLrn)
@@ -63,7 +90,26 @@ TEST(RecomputeExecutor, MatchesReferenceWithLrn)
     net.add(LayerSpec::conv("c1", 6, 3, 1));
     net.add(LayerSpec::lrn("n1"));
     net.add(LayerSpec::conv("c2", 3, 3, 1));
-    runRecompute(net, 0, 2, 33);
+    RunResult res = runRecompute(net, 0, 2, 33);
+    expectPinned(res.stats, {21600, 432, 36, {122472, 120528, 0}});
+}
+
+TEST(RecomputeExecutor, GroupStartsWithPad)
+{
+    // A Pad heading the group loads only the in-plane part of its
+    // output span, once per pyramid.
+    Network net("padfirst", Shape{3, 14, 13});
+    net.add(LayerSpec::conv("c1", 4, 3, 1));
+    net.add(LayerSpec::padding("pad", 2));
+    net.add(LayerSpec::conv("c2", 5, 3, 1));
+    net.add(LayerSpec::relu("r2"));
+    net.add(LayerSpec::pool("p2", 3, 2, PoolMode::Avg));
+    expectPinned(runRecompute(net, 1, 4, 37, 1, 1).stats,
+                 {11232, 720, 36, {58320, 59940, 1620}});
+    expectPinned(runRecompute(net, 1, 4, 37, 2, 2).stats,
+                 {4896, 720, 9, {40500, 42120, 1125}});
+    expectPinned(runRecompute(net, 1, 4, 37, 3, 5).stats,
+                 {3360, 720, 4, {35280, 36900, 980}});
 }
 
 TEST(RecomputeExecutor, ArithmeticBlowupVsReuse)
@@ -79,6 +125,7 @@ TEST(RecomputeExecutor, ArithmeticBlowupVsReuse)
 
     OpCount ref_ops = rangeOpCount(net, 0, 1);
     RunResult rec = runRecompute(net, 0, 1, 34);
+    expectPinned(rec.stats, {28800, 1728, 144, {81648, 81648, 0}});
 
     Rng wrng(34);
     NetworkWeights weights(net, wrng);
@@ -108,8 +155,10 @@ TEST(RecomputeExecutor, WiderTipReducesRecomputation)
     net.add(LayerSpec::conv("c1", 3, 3, 1));
     net.add(LayerSpec::conv("c2", 3, 3, 1));
 
-    RunResult tip1 = runRecompute(net, 0, 1, 35, 1);
-    RunResult tip4 = runRecompute(net, 0, 1, 35, 4);
+    RunResult tip1 = runRecompute(net, 0, 1, 35, 1, 1);
+    RunResult tip4 = runRecompute(net, 0, 1, 35, 4, 4);
+    expectPinned(tip1.stats, {51200, 3072, 256, {145152, 145152, 0}});
+    expectPinned(tip4.stats, {8192, 3072, 16, {51840, 51840, 0}});
     EXPECT_LT(tip4.stats.ops.multAdds(), tip1.stats.ops.multAdds());
 }
 
@@ -121,6 +170,7 @@ TEST(RecomputeExecutor, ReloadsOverlappingInput)
     net.add(LayerSpec::conv("c1", 3, 3, 1));
     net.add(LayerSpec::conv("c2", 3, 3, 1));
     RunResult rec = runRecompute(net, 0, 1, 36);
+    expectPinned(rec.stats, {20000, 1200, 100, {56700, 56700, 0}});
     EXPECT_GT(rec.stats.loadedBytes, net.inputShape().bytes());
 
     TilePlan plan(net, 0, 1, 1, 1);
@@ -133,10 +183,25 @@ class RecomputeRandom : public ::testing::TestWithParam<int>
 
 TEST_P(RecomputeRandom, MatchesReferenceOnRandomNetworks)
 {
+    // Bytes loaded, bytes stored and pyramids per seed.
+    static const int64_t kPinned[][3] = {
+        {62208, 10816, 676}, {147456, 800, 100}, {7200, 256, 16},
+        {37632, 256, 16},    {3364, 144, 36},    {22188, 600, 25},
+        {146016, 576, 36},   {50000, 256, 16},   {42320, 1728, 144},
+        {5780, 144, 36},     {12696, 8, 1},      {55488, 3920, 196},
+        {157464, 676, 169},  {120000, 1600, 400}, {28800, 2000, 100},
+        {82944, 768, 64},    {43264, 300, 25},   {6400, 48, 4},
+        {33708, 392, 49},    {605520, 3872, 484}, {56448, 720, 36},
+        {5292, 16, 4},       {60552, 800, 100},  {55296, 320, 16},
+        {82944, 5120, 256},
+    };
     const uint64_t seed = static_cast<uint64_t>(GetParam());
     Rng rng(seed * 31337 + 5);
     Network net = randomFusableNet(rng);
-    runRecompute(net, 0, net.numLayers() - 1, seed);
+    RunResult res = runRecompute(net, 0, net.numLayers() - 1, seed);
+    EXPECT_EQ(res.stats.loadedBytes, kPinned[seed][0]);
+    EXPECT_EQ(res.stats.storedBytes, kPinned[seed][1]);
+    EXPECT_EQ(res.stats.pyramids, kPinned[seed][2]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RecomputeRandom, ::testing::Range(0, 25));

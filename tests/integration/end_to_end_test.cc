@@ -18,7 +18,6 @@
 #include "common/thread_pool.hh"
 #include "dse/sweep.hh"
 #include "fusion/line_buffer_executor.hh"
-#include "fusion/recompute_executor.hh"
 #include "hls/emitter.hh"
 #include "model/transfer.hh"
 #include "nn/reference.hh"
@@ -279,7 +278,8 @@ TEST(Observability, ExecutorMetricSumsMatchRunStats)
          }},
         {"recompute",
          [&](MetricsRegistry &reg, RunStats &s) {
-             RecomputeExecutor x(net, weights, TilePlan(net, 0, last));
+             FusedExecutor x(net, weights, TilePlan(net, 0, last),
+                             FusedExecutor::Halo::Recompute);
              x.setMetrics(&reg);
              x.run(input, &s);
          }},

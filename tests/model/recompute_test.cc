@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.hh"
-#include "fusion/recompute_executor.hh"
+#include "fusion/fused_executor.hh"
 #include "model/recompute.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -13,8 +13,8 @@ namespace {
 
 TEST(Recompute, AnalyticModelMatchesExecutorExactly)
 {
-    // DESIGN.md invariant 7: recomputeOpsForPlan must equal what
-    // RecomputeExecutor actually tallies.
+    // DESIGN.md invariant 7: recomputeOpsForPlan must equal what the
+    // pyramid engine actually tallies under Halo::Recompute.
     Rng rng(2024);
     for (int trial = 0; trial < 12; trial++) {
         Network net = randomFusableNet(rng);
@@ -27,7 +27,8 @@ TEST(Recompute, AnalyticModelMatchesExecutorExactly)
         Tensor in(net.inputShape());
         Rng irng(trial + 77);
         in.fillRandom(irng);
-        RecomputeExecutor exec(net, w, TilePlan(net, 0, last, 1, 1));
+        FusedExecutor exec(net, w, TilePlan(net, 0, last, 1, 1),
+                           FusedExecutor::Halo::Recompute);
         RunStats stats;
         exec.run(in, &stats);
         EXPECT_EQ(analytic, stats.ops) << net.str();
@@ -47,7 +48,8 @@ TEST(Recompute, AnalyticModelMatchesExecutorWithWideTips)
         Tensor in(net.inputShape());
         Rng irng(6);
         in.fillRandom(irng);
-        RecomputeExecutor exec(net, w, TilePlan(net, 0, last, tip, tip));
+        FusedExecutor exec(net, w, TilePlan(net, 0, last, tip, tip),
+                           FusedExecutor::Halo::Recompute);
         RunStats stats;
         exec.run(in, &stats);
         EXPECT_EQ(analytic, stats.ops) << "tip " << tip;

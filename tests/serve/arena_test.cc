@@ -318,6 +318,14 @@ TEST(ServeArena, SteadyStateFusedServingAllocatesNothing)
     expectSteadyStateAllocatesNothing(everyKindNet(), PlanEngine::Fused);
 }
 
+TEST(ServeArena, SteadyStateRecomputeServingAllocatesNothing)
+{
+    // The pyramid engine with no boundary retained: every pyramid
+    // recomputes its halo from buffers sized at construction.
+    expectSteadyStateAllocatesNothing(everyKindNet(),
+                                      PlanEngine::Recompute);
+}
+
 TEST(ServeArena, SteadyStateLineBufferEveryKindAllocatesNothing)
 {
     // The same layer kinds through the row cascade: a Pad writing into
