@@ -110,7 +110,8 @@ BM_ConvRowStripGeneric(benchmark::State &state)
 BENCHMARK(BM_ConvRowStripGeneric)->Args({3, 1})->Args({5, 1});
 
 /** Like StripFixture but with a 4-filter bank, for the multi-filter
- *  blocked kernels (one MR x strip register block per pass). */
+ *  blocked kernels (one MR x strip register block per pass), and
+ *  @p rows output rows of input. */
 struct BlockFixture
 {
     static constexpr int kFilters = 4;
@@ -119,9 +120,9 @@ struct BlockFixture
     int stride;
     int outW;
 
-    BlockFixture(int k, int s, int out_w = 128)
-        : in(Shape{16, k, s * (out_w - 1) + k}), fb(kFilters, 16, k),
-          stride(s), outW(out_w)
+    BlockFixture(int k, int s, int out_w = 128, int rows = 1)
+        : in(Shape{16, s * (rows - 1) + k, s * (out_w - 1) + k}),
+          fb(kFilters, 16, k), stride(s), outW(out_w)
     {
         Rng irng(11);
         in.fillRandom(irng);
@@ -133,12 +134,14 @@ struct BlockFixture
 /** The planner's choice for a blocked-row fixture shape, as a bench
  *  label (the "label" field of --benchmark_format=json output). */
 std::string
-solverLabel(const BlockFixture &f, bool fast_math)
+solverLabel(const BlockFixture &f, bool fast_math,
+            Precision dtype = Precision::Fp32)
 {
     ConvQuery q;
     q.shape = ConvShape{f.fb.kernel(), f.stride, f.in.shape().c,
                         BlockFixture::kFilters, f.outW, 1, 1};
     q.fastMath = fast_math;
+    q.dtype = dtype;
     const ConvPlan plan = planConv(q);
     return "solver=" + plan.solver +
            " mr=" + std::to_string(plan.cfg.mrCap) +
@@ -237,10 +240,12 @@ BENCHMARK(BM_ConvRowBlockedGeneric)->Args({3, 1})->Args({5, 1});
 void
 BM_ConvRowNarrow(benchmark::State &state)
 {
-    // A fused pyramid's fresh tile: VGG's 3x3 s1 conv over a strip only
-    // 4 or 12 pixels wide (tip 4 at conv3_1, recompute at tip 8), so
-    // every pass ends in the kernels' masked tail block. items/s near
-    // BM_ConvRowBlocked's {3, 1} means the tail runs at vector speed.
+    // A fused pyramid's fresh tile, one row per call: VGG's 3x3 s1 conv
+    // over a strip 4, 8, 12 or 16 pixels wide (tip 4 at conv3_1 and
+    // conv2_x, recompute at tip 8). One block-row call costs about the
+    // same whatever share of the vector block the row fills, so
+    // items/s falls with the width; BM_ConvRowsGrouped fills the block
+    // from several rows instead.
     BlockFixture f(3, 1, static_cast<int>(state.range(0)));
     const ConvBlockKernel bk = resolveConvBlockKernel(3, 1);
     const PackedWeights pw(f.fb);
@@ -255,13 +260,13 @@ BM_ConvRowNarrow(benchmark::State &state)
                             BlockFixture::kFilters);
     state.SetLabel(solverLabel(f, false));
 }
-BENCHMARK(BM_ConvRowNarrow)->Arg(4)->Arg(12);
+BENCHMARK(BM_ConvRowNarrow)->Arg(4)->Arg(8)->Arg(12)->Arg(16);
 
 void
 BM_ConvRowNarrowI8(benchmark::State &state)
 {
     // The same narrow strips through the int8 row driver (staged u8
-    // input, resolved int8 kernel, dequant epilogue).
+    // input, resolved int8 kernel, dequant epilogue), one row per call.
     BlockFixture f(3, 1, static_cast<int>(state.range(0)));
     const ActQuant act = chooseActQuant(-1.0f, 1.0f);
     ConvStage st;
@@ -281,8 +286,65 @@ BM_ConvRowNarrowI8(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * f.outW *
                             BlockFixture::kFilters);
+    state.SetLabel(solverLabel(f, false, Precision::Int8));
 }
-BENCHMARK(BM_ConvRowNarrowI8)->Arg(4)->Arg(12);
+BENCHMARK(BM_ConvRowNarrowI8)->Arg(4)->Arg(8)->Arg(12)->Arg(16);
+
+void
+BM_ConvRowsGrouped(benchmark::State &state)
+{
+    // Several narrow rows in one region call ({rows, width}: 4 x 4 and
+    // 2 x 8), the way the pyramid engine runs them: the kernel packs
+    // pixels of several rows into one vector block. items/s against
+    // BM_ConvRowNarrow at the same width is the grouping's gain.
+    const int rows = static_cast<int>(state.range(0));
+    BlockFixture f(3, 1, static_cast<int>(state.range(1)), rows);
+    const ConvBlockKernel bk = resolveConvBlockKernel(3, 1);
+    const PackedWeights pw(f.fb);
+    const int64_t plane = static_cast<int64_t>(rows) * f.outW;
+    std::vector<float> dst(
+        static_cast<size_t>(BlockFixture::kFilters * plane));
+    for (auto _ : state) {
+        convBlockRowTensor(bk, pw, 0, dst.data(), plane, f.outW, f.in, 0,
+                           0, rows, f.outW);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * plane *
+                            BlockFixture::kFilters);
+    state.SetLabel(solverLabel(f, false));
+}
+BENCHMARK(BM_ConvRowsGrouped)->Args({4, 4})->Args({2, 8});
+
+void
+BM_ConvRowsGroupedI8(benchmark::State &state)
+{
+    // The int8 row driver over a region of rows, as BM_ConvRowsGrouped.
+    const int rows = static_cast<int>(state.range(0));
+    BlockFixture f(3, 1, static_cast<int>(state.range(1)), rows);
+    const ActQuant act = chooseActQuant(-1.0f, 1.0f);
+    ConvStage st;
+    const Shape &s = f.in.shape();
+    st.configure(Precision::Int8, s.c, s.h, s.w);
+    stageConvInputI8(st, f.in, act, 0, s.h);
+    const PackedWeightsI8 pw(
+        f.fb, 1, std::vector<float>(BlockFixture::kFilters, 0.05f));
+    const ConvBlockKernelI8 bk = resolveConvBlockKernelI8(3, 1);
+    const int row_idx[] = {0, 1, 2};
+    const int64_t plane = static_cast<int64_t>(rows) * f.outW;
+    std::vector<float> dst(
+        static_cast<size_t>(BlockFixture::kFilters * plane));
+    for (auto _ : state) {
+        convBlockRowI8(bk, pw, 0, dst.data(), plane, f.outW, st, row_idx,
+                       0, act, rows, f.outW);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * plane *
+                            BlockFixture::kFilters);
+    state.SetLabel(solverLabel(f, false, Precision::Int8));
+}
+BENCHMARK(BM_ConvRowsGroupedI8)->Args({4, 4})->Args({2, 8});
 
 void
 BM_QuantizeRowI8(benchmark::State &state)

@@ -349,12 +349,18 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
                               fresh.shape().w;
         const int y0 = ll.tileY.begin;
         const int x0 = ox.begin * s - ll.tileX.begin;
+        const int ow = ox.width();
+        const int64_t row_pitch = fresh.shape().w;
         const bool relu = st.reluEpilogue;
-        // One (filter-block, row) strip per work item: disjoint fresh
-        // writes across filter blocks and rows, and the blocked kernel
-        // keeps each (filter, pixel) accumulator private in convPoint's
-        // (bias, n, i, j) order, so the fused pyramid stays
-        // bit-identical to the reference at every thread count. A
+        // One (filter-block, row-group) region per work item: disjoint
+        // fresh writes across filter blocks and row groups, and the
+        // blocked kernel keeps each (filter, pixel) accumulator private
+        // in convPoint's (bias, n, i, j) order, so the fused pyramid
+        // stays bit-identical to the reference at every thread count.
+        // A row group is as many consecutive output rows as it takes
+        // to fill the kernel tier's widest vector block with this
+        // tile's fresh width (ConvBlockKernel::groupRows): a 4-pixel
+        // row alone would fill a quarter of a 16-pixel VNNI block. A
         // following ReLU runs as the work item's epilogue over the rows
         // it just wrote. The op tally is analytic to keep the parallel
         // region race-free. Non-fp32 modes first stage the tile rows
@@ -364,6 +370,25 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
         // precision reference's, so the bit-exactness argument carries
         // over. Inside a wavefront lane these parallelFor calls run
         // inline.
+        const auto forEachRegion = [&](int num_blocks, int group,
+                                       int grain, const auto &body) {
+            const int groups = (oh + group - 1) / group;
+            parallelFor(
+                0, static_cast<int64_t>(num_blocks) * groups,
+                [&](int64_t lo, int64_t hi) {
+                    for (int64_t w = lo; w < hi; w++) {
+                        const int bi = static_cast<int>(w / groups);
+                        const int gy =
+                            oy.begin + static_cast<int>(w % groups) * group;
+                        body(bi, gy, std::min(group, oy.end - gy));
+                    }
+                },
+                grain);
+        };
+        const auto reluRegion = [&](float *dst, int lanes, int rows) {
+            for (int f = 0; f < lanes; f++)
+                reluRows(dst + f * plane, row_pitch, rows, ow);
+        };
         if (st.pwI8 || st.pwF16) {
             const int slot = net.convSlot(g.layerIdx);
             const Shape &ts = tile.shape();
@@ -379,73 +404,49 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
                 stageConvInputI8(ll.stage, tile, act, r0, r1);
                 const ConvBlockKernelI8 &bk = st.plan.bkI8;
                 const PackedWeightsI8 &pw = *st.pwI8;
-                parallelFor(
-                    0, static_cast<int64_t>(pw.numBlocks()) * oh,
-                    [&](int64_t lo, int64_t hi) {
-                        for (int64_t w = lo; w < hi; w++) {
-                            const int bi = static_cast<int>(w / oh);
-                            const int gy =
-                                oy.begin + static_cast<int>(w % oh);
-                            int row_idx[kMaxConvKernel];
-                            for (int i = 0; i < bk.k; i++)
-                                row_idx[i] = gy * s - y0 + i;
-                            float *dst = &fresh(pw.block(bi).m0,
-                                                gy - oy.begin, 0);
-                            convBlockRowI8(bk, pw, bi, dst, plane,
-                                           ox.width(), stage, row_idx,
-                                           x0, act);
-                            if (relu)
-                                reluRows(dst, plane, pw.block(bi).lanes,
-                                         ox.width());
-                        }
-                    },
-                    st.plan.cfg.grain);
+                forEachRegion(
+                    pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
+                    [&](int bi, int gy, int rows) {
+                        int row_idx[kMaxConvKernel];
+                        for (int i = 0; i < bk.k; i++)
+                            row_idx[i] = gy * s - y0 + i;
+                        float *dst =
+                            &fresh(pw.block(bi).m0, gy - oy.begin, 0);
+                        convBlockRowI8(bk, pw, bi, dst, plane, ow, stage,
+                                       row_idx, x0, act, rows, row_pitch);
+                        if (relu)
+                            reluRegion(dst, pw.block(bi).lanes, rows);
+                    });
             } else {
                 stageConvInputF16(ll.stage, tile, r0, r1);
                 const ConvBlockKernel &bk = st.plan.bk;
                 const PackedWeightsF16 &pw = *st.pwF16;
-                parallelFor(
-                    0, static_cast<int64_t>(pw.numBlocks()) * oh,
-                    [&](int64_t lo, int64_t hi) {
-                        for (int64_t w = lo; w < hi; w++) {
-                            const int bi = static_cast<int>(w / oh);
-                            const int gy =
-                                oy.begin + static_cast<int>(w % oh);
-                            int row_idx[kMaxConvKernel];
-                            for (int i = 0; i < bk.k; i++)
-                                row_idx[i] = gy * s - y0 + i;
-                            float *dst = &fresh(pw.block(bi).m0,
-                                                gy - oy.begin, 0);
-                            convBlockRowF16(bk, pw, bi, dst, plane,
-                                            ox.width(), stage, row_idx,
-                                            x0);
-                            if (relu)
-                                reluRows(dst, plane, pw.block(bi).lanes,
-                                         ox.width());
-                        }
-                    },
-                    st.plan.cfg.grain);
+                forEachRegion(
+                    pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
+                    [&](int bi, int gy, int rows) {
+                        int row_idx[kMaxConvKernel];
+                        for (int i = 0; i < bk.k; i++)
+                            row_idx[i] = gy * s - y0 + i;
+                        float *dst =
+                            &fresh(pw.block(bi).m0, gy - oy.begin, 0);
+                        convBlockRowF16(bk, pw, bi, dst, plane, ow, stage,
+                                        row_idx, x0, rows, row_pitch);
+                        if (relu)
+                            reluRegion(dst, pw.block(bi).lanes, rows);
+                    });
             }
         } else {
             const ConvBlockKernel &bk = st.plan.bk;
             const PackedWeights &pw = *st.pw;
-            parallelFor(
-                0, static_cast<int64_t>(pw.numBlocks()) * oh,
-                [&](int64_t lo, int64_t hi) {
-                    for (int64_t w = lo; w < hi; w++) {
-                        const int bi = static_cast<int>(w / oh);
-                        const int gy = oy.begin + static_cast<int>(w % oh);
-                        float *dst =
-                            &fresh(pw.block(bi).m0, gy - oy.begin, 0);
-                        convBlockRowTensor(bk, pw, bi, dst, plane,
-                                           ox.width(), tile, gy * s - y0,
-                                           x0);
-                        if (relu)
-                            reluRows(dst, plane, pw.block(bi).lanes,
-                                     ox.width());
-                    }
-                },
-                st.plan.cfg.grain);
+            forEachRegion(
+                pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
+                [&](int bi, int gy, int rows) {
+                    float *dst = &fresh(pw.block(bi).m0, gy - oy.begin, 0);
+                    convBlockRowTensor(bk, pw, bi, dst, plane, ow, tile,
+                                       gy * s - y0, x0, rows, row_pitch);
+                    if (relu)
+                        reluRegion(dst, pw.block(bi).lanes, rows);
+                });
         }
         int64_t taps = static_cast<int64_t>(n_per_group) * fb.kernel() *
                        fb.kernel();

@@ -244,6 +244,20 @@ convBlockStripSpec(float *dst, int64_t dst_stride, int count,
                               wp, n_count);
 }
 
+/** The portable region: the specialized strip, row by row. */
+template <int MR, int K, int SX>
+void
+convBlockRegionSpec(float *dst, int64_t dst_stride, int64_t dst_row_stride,
+                    int rows, int count, const float *in,
+                    int64_t ch_stride, const int64_t *row_off,
+                    int64_t in_row_step, const float *wp, int n_count)
+{
+    for (int r = 0; r < rows; r++)
+        convBlockStripSpec<MR, K, SX>(dst + r * dst_row_stride, dst_stride,
+                                      count, in + r * in_row_step,
+                                      ch_stride, row_off, wp, n_count);
+}
+
 /** Generic driver for one lane width (runtime K and stride). */
 template <int MR>
 void
@@ -309,8 +323,8 @@ struct BlockKernelEntry
 };
 
 #define FLCNN_BLOCK_ENTRY(K, SX)                                        \
-    {K, SX, &convBlockStripSpec<1, K, SX>,                              \
-     &convBlockStripSpec<2, K, SX>, &convBlockStripSpec<4, K, SX>}
+    {K, SX, &convBlockRegionSpec<1, K, SX>,                             \
+     &convBlockRegionSpec<2, K, SX>, &convBlockRegionSpec<4, K, SX>}
 
 constexpr BlockKernelEntry kBlockKernelTable[] = {
     FLCNN_BLOCK_ENTRY(1, 1),  FLCNN_BLOCK_ENTRY(1, 2),
@@ -447,6 +461,8 @@ resolveConvBlockKernel(int kernel, int stride)
             if (ConvBlockStripFn f = simd::blockFn(mr, kernel, stride))
                 bk.fn[mr] = f;
         }
+        if (stride == 1 && simd::blockFn(1, kernel, stride))
+            bk.vecW = 8;
     }
 #endif
     return bk;
@@ -466,6 +482,8 @@ resolveConvBlockKernelFast(int kernel, int stride)
                     simd::blockFnFma(mr, kernel, stride))
                 bk.fn[mr] = f;
         }
+        if (stride == 1 && simd::blockFnFma(1, kernel, stride))
+            bk.vecW = 8;
     }
 #endif
     return bk;

@@ -124,36 +124,69 @@ linearRowOffsets(int64_t *row_off, int k, int y0, int64_t row_stride,
 constexpr int kConvBlockLanes = 4;
 
 /**
- * Signature of a multi-filter strip kernel. One pass computes an
- * MR x count register block — MR adjacent filters ("lanes") by count
- * horizontally adjacent pixels — so every loaded input element is
- * reused MR times. For lane f and pixel t,
+ * Output rows one region call should cover so that rows of @p count
+ * pixels fill a tier's widest vector block of @p vec_w pixels (16 or
+ * 8; 0 for a tier that does not group rows). The part of a row that
+ * whole blocks leave decides: a 4-pixel slot takes vec_w / 4 rows (4x4
+ * or 2x4), an 8-pixel slot of a 16-pixel block two rows (2x8), and
+ * anything else one row. Purely a speed choice: every region is
+ * bit-identical to its rows computed one by one.
+ */
+inline int
+convRegionRows(int vec_w, int count)
+{
+    if (vec_w < 8 || count <= 0)
+        return 1;
+    int tail = count % vec_w;
+    if (tail == 0)
+        return 1;
+    if (vec_w == 16 && tail >= 8) {
+        tail -= 8;
+        if (tail == 0)
+            return 2;
+    }
+    if (tail <= 4)
+        return vec_w / 4;
+    return vec_w == 16 ? 2 : 1;
+}
+
+/**
+ * Signature of a multi-filter strip driver. One call computes a region
+ * of @p rows output rows x @p count pixels for MR adjacent filters
+ * ("lanes"): output row r's pixels sit at dst + r * dst_row_stride
+ * and read the input at row_off[i] + r * in_row_step, so every loaded
+ * input element is reused MR times and narrow rows can share a vector
+ * block. For lane f, row r and pixel t,
  *
- *   dst[f*dst_stride + t] +=
+ *   dst[f*dst_stride + r*dst_row_stride + t] +=
  *       sum_n sum_i sum_j wp[((n*K + i)*K + j)*MR + f]
- *                       * in[n*ch_stride + row_off[i] + t*SX + j]
+ *           * in[n*ch_stride + row_off[i] + r*in_row_step + t*SX + j]
  *
- * with each (f, t) accumulator private and fed in exactly the
- * canonical (n, i, j) order — the blocking reuses loads, it never
- * reassociates a single output's taps, so results are bit-identical
- * to MR x count scalar convPoint() evaluations. Weights come from a
- * filter-interleaved packed panel (see kernels/weight_pack.hh): the
- * MR lane weights of each tap are contiguous. Callers preload every
- * lane's dst row with the bias (fresh pixels) or the running partial
- * sum (the baseline accelerator's channel-blocked loop).
+ * with each (f, r, t) accumulator private and fed in exactly the
+ * canonical (n, i, j) order — the blocking reuses loads and packs
+ * pixels of several rows into one vector, it never reassociates a
+ * single output's taps, so results are bit-identical to MR x rows x
+ * count scalar convPoint() evaluations, and a region to its rows
+ * computed one by one. Weights come from a filter-interleaved packed
+ * panel (see kernels/weight_pack.hh): the MR lane weights of each tap
+ * are contiguous. Callers preload every lane's dst rows with the bias
+ * (fresh pixels) or the running partial sum (the baseline
+ * accelerator's channel-blocked loop).
  *
  * The lane count MR is baked into the function; resolve one variant
  * per ladder width (4/2/1) through ConvBlockKernel.
  */
 using ConvBlockStripFn = void (*)(float *dst, int64_t dst_stride,
+                                  int64_t dst_row_stride, int rows,
                                   int count, const float *in,
                                   int64_t ch_stride,
                                   const int64_t *row_off,
-                                  const float *wp, int n_count);
+                                  int64_t in_row_step, const float *wp,
+                                  int n_count);
 
 /**
  * Resolved multi-filter kernels for one (k, stride) pair: one strip
- * function per lane width of the 4/2/1 filter-block ladder, falling
+ * driver per lane width of the 4/2/1 filter-block ladder, falling
  * back to the generic (runtime-K) path where no variant exists.
  * Value type; resolve once per layer and reuse.
  */
@@ -162,19 +195,39 @@ struct ConvBlockKernel
     int k = 0;   //!< kernel size K
     int sx = 1;  //!< input step between adjacent output pixels
     int seg = 0; //!< strip segment width (tunable), 0 = whole row
+    /** Pixels in the widest vector block a region fills across rows
+     *  (8 for the AVX2 and FMA tiers at stride 1); 0 when the drivers
+     *  run a region row by row. */
+    int vecW = 0;
     ConvBlockStripFn fn[kConvBlockLanes + 1] = {};  //!< per lane count
 
     bool specialized(int mr) const { return fn[mr] != nullptr; }
 
-    /** Run the @p mr-lane strip kernel (specialized or generic). When
-     *  a segment width is set the row is processed seg pixels at a
-     *  time — pixels are independent, so the split points are
-     *  invisible in the output bits; they only change how long a
-     *  panel walk stays resident per pass (the autotuner's knob). */
+    /** Rows a region call should cover for rows of @p count pixels. */
+    int groupRows(int count) const { return convRegionRows(vecW, count); }
+
+    /** Run the @p mr-lane kernels over one row: runRows()'s R = 1
+     *  case. */
     void
     run(int mr, float *dst, int64_t dst_stride, int count,
         const float *in, int64_t ch_stride, const int64_t *row_off,
         const float *wp, int n_count) const
+    {
+        runRows(mr, dst, dst_stride, 1, 0, count, in, ch_stride, row_off,
+                0, wp, n_count);
+    }
+
+    /** Run the @p mr-lane strip driver (specialized or generic) over
+     *  @p rows rows (see ConvBlockStripFn). When a segment width is
+     *  set the region is processed seg columns at a time — pixels are
+     *  independent, so the split points are invisible in the output
+     *  bits; they only change how long a panel walk stays resident per
+     *  pass (the autotuner's knob). */
+    void
+    runRows(int mr, float *dst, int64_t dst_stride, int rows,
+            int64_t dst_row_stride, int count, const float *in,
+            int64_t ch_stride, const int64_t *row_off,
+            int64_t in_row_step, const float *wp, int n_count) const
     {
         FLCNN_ASSERT(mr >= 1 && mr <= kConvBlockLanes,
                      "filter-block lane count out of range");
@@ -183,18 +236,22 @@ struct ConvBlockKernel
             const int c = count - t < sw ? count - t : sw;
             float *d = dst + t;
             const float *src = in + static_cast<int64_t>(t) * sx;
-            if (fn[mr])
-                fn[mr](d, dst_stride, c, src, ch_stride, row_off, wp,
-                       n_count);
-            else
-                convBlockStripGeneric(mr, d, dst_stride, c, src,
-                                      ch_stride, row_off, wp, n_count,
-                                      k, sx);
+            if (fn[mr]) {
+                fn[mr](d, dst_stride, dst_row_stride, rows, c, src,
+                       ch_stride, row_off, in_row_step, wp, n_count);
+                continue;
+            }
+            for (int r = 0; r < rows; r++)
+                convBlockStripGeneric(mr, d + r * dst_row_stride,
+                                      dst_stride, c,
+                                      src + r * in_row_step, ch_stride,
+                                      row_off, wp, n_count, k, sx);
         }
     }
 
-    /** The generic (runtime-K/stride/lane) multi-filter path; exposed
-     *  so tests can differentially check every variant against it. */
+    /** The generic (runtime-K/stride/lane) multi-filter path over one
+     *  row; exposed so tests can differentially check every variant
+     *  against it. */
     static void convBlockStripGeneric(int mr, float *dst,
                                       int64_t dst_stride, int count,
                                       const float *in, int64_t ch_stride,

@@ -16,20 +16,28 @@
  * -ffp-contract=off is pinned globally. Outputs therefore match the
  * scalar reference bit for bit.
  *
- * Tails: at stride 1 the last count % 8 pixels of a strip (all of
- * them when count < 8) run one masked 8-pixel block with the same
- * per-lane op sequence. Accumulators and input taps are loaded with
- * vmaskmov and stored the same way, so nothing past dst[count - 1] or
- * past the last input element a scalar kernel would touch is read or
- * written (Tensor rows carry no apron). Strides 2 and 4 keep the
- * portable generic remainder: the strided gathers read whole vectors,
- * and the only such layer in the zoo, AlexNet conv1, is served in
- * int8, whose kernels have their own masked tail.
+ * Regions: a call covers R output rows of count pixels. At stride 1,
+ * rows of 8 or more run whole-row octets, and rows of 4 or fewer pair
+ * up into 2x4 blocks whose split octet holds 4 pixels from each of two
+ * rows (kernels/conv_octets.hh): a 4-pixel pyramid row costs half a
+ * block instead of a whole one. Lanes a row does not own (widths 1-3
+ * and 5-7, the tail of a wider row, a lone last row) are masked:
+ * accumulators and input taps load through vmaskmov and store the
+ * same way, and a split octet's unmasked halves are 128-bit loads of
+ * exactly its four pixels' taps, so nothing past dst[count - 1] of a
+ * row or past the last input element a scalar kernel would touch is
+ * read or written (Tensor rows carry no apron). Strides 2 and 4 run
+ * row by row and keep the portable generic remainder: the strided
+ * gathers read whole vectors, and the only such layer in the zoo,
+ * AlexNet conv1, is served in int8, whose kernels have their own
+ * masked tail.
  */
 
 #include "kernels/conv_kernels_simd.hh"
 
 #include <immintrin.h>
+
+#include "kernels/conv_octets.hh"
 
 namespace flcnn {
 namespace simd {
@@ -71,42 +79,40 @@ loadPix(const float *p)
     }
 }
 
-/** Lane mask selecting the first @p rem (1..7) of 8 pixels. */
-inline __m256i
-tailMask(int rem)
-{
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
 /**
- * One MR x 8 vector block at compile-time K and stride. With TAIL set
- * (stride 1 only) every dst and input access is masked to the lanes
- * of @p mask; the arithmetic is unchanged, and masked-off lanes
- * compute on zeros that are never stored.
+ * One MR x 8 vector block at compile-time K and stride: one whole-row
+ * or (stride 1 only) split octet. Masked octets (stride 1 only) load,
+ * compute on and store only their live lanes; the arithmetic is
+ * unchanged, and masked-off lanes compute on zeros that are never
+ * stored.
  */
-template <int MR, int K, int SX, bool TAIL = false>
+template <int MR, int K, int SX, bool SPLIT = false, bool MASKED = false>
 inline void
 blockMfAvx2(float *dst, int64_t dst_stride, const float *in,
             int64_t ch_stride, const int64_t *row_off, const float *wp,
-            int n_count, __m256i mask = __m256i())
+            int n_count, const OctetPos &o)
 {
-    static_assert(!TAIL || SX == 1, "masked tail is stride-1 only");
+    static_assert(SX == 1 || !(SPLIT || MASKED),
+                  "split and masked octets are stride-1 only");
+    const __m256i mask = MASKED ? octetMask(o) : _mm256_setzero_si256();
     __m256 acc[MR];
     for (int f = 0; f < MR; f++)
-        acc[f] = TAIL ? _mm256_maskload_ps(dst + f * dst_stride, mask)
-                      : _mm256_loadu_ps(dst + f * dst_stride);
-    const float *chan = in;
+        acc[f] = loadAccF32<SPLIT, MASKED>(dst + f * dst_stride, o, mask);
+    const float *lo = in + o.inLo;
+    const float *hi = in + o.inHi;
     const float *wchan = wp;
-    for (int n = 0; n < n_count;
-         n++, chan += ch_stride, wchan += K * K * MR) {
+    for (int n = 0; n < n_count; n++, lo += ch_stride, hi += ch_stride,
+             wchan += K * K * MR) {
         for (int i = 0; i < K; i++) {
-            const float *irow = chan + row_off[i];
+            const float *lrow = lo + row_off[i];
             const float *wrow = wchan + static_cast<int64_t>(i) * K * MR;
             for (int j = 0; j < K; j++) {
-                const __m256 iv = TAIL
-                                      ? _mm256_maskload_ps(irow + j, mask)
-                                      : loadPix<SX>(irow + j);
+                __m256 iv;
+                if constexpr (SX == 1)
+                    iv = loadTapsF32<SPLIT, MASKED>(lrow, hi + row_off[i], j,
+                                                    mask);
+                else
+                    iv = loadPix<SX>(lrow + j);
                 for (int f = 0; f < MR; f++) {
                     const __m256 wv = _mm256_set1_ps(wrow[j * MR + f]);
                     acc[f] = _mm256_add_ps(acc[f],
@@ -115,40 +121,44 @@ blockMfAvx2(float *dst, int64_t dst_stride, const float *in,
             }
         }
     }
-    for (int f = 0; f < MR; f++) {
-        if constexpr (TAIL)
-            _mm256_maskstore_ps(dst + f * dst_stride, mask, acc[f]);
-        else
-            _mm256_storeu_ps(dst + f * dst_stride, acc[f]);
-    }
+    for (int f = 0; f < MR; f++)
+        storeAccF32<SPLIT, MASKED>(dst + f * dst_stride, o, mask, acc[f]);
 }
 
-/** Strip driver: vector 8-pixel blocks, then a masked tail block
- *  (stride 1) or the portable generic remainder (strides 2 and 4). */
+/** Region driver: at stride 1, 1x8 and 2x4 blocks
+ *  (forEachRegionBlock); at strides 2 and 4, row by row, vector
+ *  8-pixel blocks then the portable generic remainder. */
 template <int MR, int K, int SX>
 void
-convBlockStripAvx2(float *dst, int64_t dst_stride, int count,
-                   const float *in, int64_t ch_stride,
-                   const int64_t *row_off, const float *wp, int n_count)
+convBlockRegionAvx2(float *dst, int64_t dst_stride, int64_t dst_row_stride,
+                    int rows, int count, const float *in,
+                    int64_t ch_stride, const int64_t *row_off,
+                    int64_t in_row_step, const float *wp, int n_count)
 {
-    while (count >= 8) {
-        blockMfAvx2<MR, K, SX>(dst, dst_stride, in, ch_stride, row_off,
-                               wp, n_count);
-        dst += 8;
-        in += 8 * SX;
-        count -= 8;
-    }
-    if (count == 0)
-        return;
     if constexpr (SX == 1) {
-        blockMfAvx2<MR, K, SX, true>(dst, dst_stride, in, ch_stride,
-                                     row_off, wp, n_count,
-                                     tailMask(count));
-    } else {
-        ConvBlockKernel::convBlockStripGeneric(MR, dst, dst_stride,
-                                               count, in, ch_stride,
-                                               row_off, wp, n_count, K,
-                                               SX);
+        forEachRegionBlock<8>(
+            rows, count, SX, in_row_step, dst_row_stride,
+            [&](auto shape, const OctetPos *o) {
+                using S = decltype(shape);
+                blockMfAvx2<MR, K, SX, S::kSplit, S::kMasked>(
+                    dst, dst_stride, in, ch_stride, row_off, wp, n_count,
+                    o[0]);
+            });
+        return;
+    }
+    const int full = count / 8 * 8;
+    for (int r = 0; r < rows; r++) {
+        float *drow = dst + r * dst_row_stride;
+        const float *irow = in + r * in_row_step;
+        for (int x = 0; x < full; x += 8) {
+            const OctetPos o{x * SX, x * SX + 4 * SX, x, x + 4, 8, 8};
+            blockMfAvx2<MR, K, SX>(drow, dst_stride, irow, ch_stride,
+                                   row_off, wp, n_count, o);
+        }
+        if (full < count)
+            ConvBlockKernel::convBlockStripGeneric(
+                MR, drow + full, dst_stride, count - full,
+                irow + full * SX, ch_stride, row_off, wp, n_count, K, SX);
     }
 }
 
@@ -161,9 +171,9 @@ struct Avx2Entry
 };
 
 #define FLCNN_AVX2_ENTRY(K, SX)                                         \
-    {1, K, SX, &convBlockStripAvx2<1, K, SX>},                          \
-    {2, K, SX, &convBlockStripAvx2<2, K, SX>},                          \
-    {4, K, SX, &convBlockStripAvx2<4, K, SX>}
+    {1, K, SX, &convBlockRegionAvx2<1, K, SX>},                         \
+    {2, K, SX, &convBlockRegionAvx2<2, K, SX>},                         \
+    {4, K, SX, &convBlockRegionAvx2<4, K, SX>}
 
 constexpr Avx2Entry kAvx2Table[] = {
     FLCNN_AVX2_ENTRY(1, 1),  FLCNN_AVX2_ENTRY(1, 2),

@@ -25,17 +25,23 @@
  * differential tests (tests/kernels/fastmath_ulp_test.cc) verify the
  * bound against the bit-exact kernels.
  *
- * Tails: at stride 1 the last count % 8 pixels run one masked 8-pixel
- * block with the same two-accumulator FMA sequence (so a tail pixel
- * deviates exactly like a full-block pixel), loading and storing
- * through vmaskmov so nothing past the strip is read or written.
- * Strides 2 and 4 keep the exact generic remainder, as in the AVX2
- * TU.
+ * Regions and tails: a call covers R output rows of count pixels,
+ * tiled at stride 1 like the bit-exact AVX2 TU's — whole-row octets,
+ * 2x4 blocks over pairs of rows of 4 pixels or fewer, masked lanes for
+ * narrower rows and row tails (kernels/conv_octets.hh) — with the same
+ * two-accumulator FMA sequence in every block, so a pixel deviates
+ * from the exact kernels by the same amount whichever block it lands
+ * in, and a region equals R one-row calls bit for bit. Loads and
+ * stores go through 128-bit halves or vmaskmov, so nothing past a
+ * row's strip is read or written. Strides 2 and 4 run row by row and
+ * keep the exact generic remainder, as in the AVX2 TU.
  */
 
 #include "kernels/conv_kernels_simd.hh"
 
 #include <immintrin.h>
+
+#include "kernels/conv_octets.hh"
 
 namespace flcnn {
 namespace simd {
@@ -72,47 +78,44 @@ loadPixF(const float *p)
     }
 }
 
-/** Lane mask selecting the first @p rem (1..7) of 8 pixels. */
-inline __m256i
-tailMaskF(int rem)
-{
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
 /**
- * One MR x 8 fast-math vector block at compile-time K and stride. Each
- * lane keeps two accumulators: acc0 starts from dst (bias or partial
- * sum), acc1 from zero; taps alternate between them by parity of the
- * flattened (n, i, j) index, and the final store adds the pair. With
- * TAIL set (stride 1 only) dst and input accesses are masked to the
- * lanes of @p mask.
+ * One MR x 8 fast-math vector block at compile-time K and stride: one
+ * whole-row or (stride 1 only) split octet. Each lane keeps two
+ * accumulators: acc0 starts from dst (bias or partial sum), acc1 from
+ * zero; taps alternate between them by parity of the flattened
+ * (n, i, j) index, and the final store adds the pair. Masked octets
+ * (stride 1 only) load and store only their live lanes.
  */
-template <int MR, int K, int SX, bool TAIL = false>
+template <int MR, int K, int SX, bool SPLIT = false, bool MASKED = false>
 inline void
 blockMfFma(float *dst, int64_t dst_stride, const float *in,
            int64_t ch_stride, const int64_t *row_off, const float *wp,
-           int n_count, __m256i mask = __m256i())
+           int n_count, const OctetPos &o)
 {
-    static_assert(!TAIL || SX == 1, "masked tail is stride-1 only");
+    static_assert(SX == 1 || !(SPLIT || MASKED),
+                  "split and masked octets are stride-1 only");
+    const __m256i mask = MASKED ? octetMask(o) : _mm256_setzero_si256();
     __m256 acc0[MR];
     __m256 acc1[MR];
     for (int f = 0; f < MR; f++) {
-        acc0[f] = TAIL ? _mm256_maskload_ps(dst + f * dst_stride, mask)
-                       : _mm256_loadu_ps(dst + f * dst_stride);
+        acc0[f] = loadAccF32<SPLIT, MASKED>(dst + f * dst_stride, o, mask);
         acc1[f] = _mm256_setzero_ps();
     }
-    const float *chan = in;
+    const float *lo = in + o.inLo;
+    const float *hi = in + o.inHi;
     const float *wchan = wp;
-    for (int n = 0; n < n_count;
-         n++, chan += ch_stride, wchan += K * K * MR) {
+    for (int n = 0; n < n_count; n++, lo += ch_stride, hi += ch_stride,
+             wchan += K * K * MR) {
         for (int i = 0; i < K; i++) {
-            const float *irow = chan + row_off[i];
+            const float *lrow = lo + row_off[i];
             const float *wrow = wchan + static_cast<int64_t>(i) * K * MR;
             for (int j = 0; j < K; j++) {
-                const __m256 iv = TAIL
-                                      ? _mm256_maskload_ps(irow + j, mask)
-                                      : loadPixF<SX>(irow + j);
+                __m256 iv;
+                if constexpr (SX == 1)
+                    iv = loadTapsF32<SPLIT, MASKED>(lrow, hi + row_off[i], j,
+                                                    mask);
+                else
+                    iv = loadPixF<SX>(lrow + j);
                 const bool odd = ((n * K + i) * K + j) & 1;
                 for (int f = 0; f < MR; f++) {
                     const __m256 wv = _mm256_set1_ps(wrow[j * MR + f]);
@@ -124,41 +127,45 @@ blockMfFma(float *dst, int64_t dst_stride, const float *in,
             }
         }
     }
-    for (int f = 0; f < MR; f++) {
-        const __m256 sum = _mm256_add_ps(acc0[f], acc1[f]);
-        if constexpr (TAIL)
-            _mm256_maskstore_ps(dst + f * dst_stride, mask, sum);
-        else
-            _mm256_storeu_ps(dst + f * dst_stride, sum);
-    }
+    for (int f = 0; f < MR; f++)
+        storeAccF32<SPLIT, MASKED>(dst + f * dst_stride, o, mask,
+                                   _mm256_add_ps(acc0[f], acc1[f]));
 }
 
-/** Strip driver: fast vector 8-pixel blocks, then a masked fast tail
- *  block (stride 1) or the exact generic remainder (strides 2, 4). */
+/** Region driver: at stride 1, fast 1x8 and 2x4 blocks
+ *  (forEachRegionBlock); at strides 2 and 4, row by row, fast 8-pixel
+ *  blocks then the exact generic remainder. */
 template <int MR, int K, int SX>
 void
-convBlockStripFma(float *dst, int64_t dst_stride, int count,
-                  const float *in, int64_t ch_stride,
-                  const int64_t *row_off, const float *wp, int n_count)
+convBlockRegionFma(float *dst, int64_t dst_stride, int64_t dst_row_stride,
+                   int rows, int count, const float *in,
+                   int64_t ch_stride, const int64_t *row_off,
+                   int64_t in_row_step, const float *wp, int n_count)
 {
-    while (count >= 8) {
-        blockMfFma<MR, K, SX>(dst, dst_stride, in, ch_stride, row_off,
-                              wp, n_count);
-        dst += 8;
-        in += 8 * SX;
-        count -= 8;
-    }
-    if (count == 0)
-        return;
     if constexpr (SX == 1) {
-        blockMfFma<MR, K, SX, true>(dst, dst_stride, in, ch_stride,
-                                    row_off, wp, n_count,
-                                    tailMaskF(count));
-    } else {
-        ConvBlockKernel::convBlockStripGeneric(MR, dst, dst_stride,
-                                               count, in, ch_stride,
-                                               row_off, wp, n_count, K,
-                                               SX);
+        forEachRegionBlock<8>(
+            rows, count, SX, in_row_step, dst_row_stride,
+            [&](auto shape, const OctetPos *o) {
+                using S = decltype(shape);
+                blockMfFma<MR, K, SX, S::kSplit, S::kMasked>(
+                    dst, dst_stride, in, ch_stride, row_off, wp, n_count,
+                    o[0]);
+            });
+        return;
+    }
+    const int full = count / 8 * 8;
+    for (int r = 0; r < rows; r++) {
+        float *drow = dst + r * dst_row_stride;
+        const float *irow = in + r * in_row_step;
+        for (int x = 0; x < full; x += 8) {
+            const OctetPos o{x * SX, x * SX + 4 * SX, x, x + 4, 8, 8};
+            blockMfFma<MR, K, SX>(drow, dst_stride, irow, ch_stride,
+                                  row_off, wp, n_count, o);
+        }
+        if (full < count)
+            ConvBlockKernel::convBlockStripGeneric(
+                MR, drow + full, dst_stride, count - full,
+                irow + full * SX, ch_stride, row_off, wp, n_count, K, SX);
     }
 }
 
@@ -171,9 +178,9 @@ struct FmaEntry
 };
 
 #define FLCNN_FMA_ENTRY(K, SX)                                          \
-    {1, K, SX, &convBlockStripFma<1, K, SX>},                           \
-    {2, K, SX, &convBlockStripFma<2, K, SX>},                           \
-    {4, K, SX, &convBlockStripFma<4, K, SX>}
+    {1, K, SX, &convBlockRegionFma<1, K, SX>},                          \
+    {2, K, SX, &convBlockRegionFma<2, K, SX>},                          \
+    {4, K, SX, &convBlockRegionFma<4, K, SX>}
 
 constexpr FmaEntry kFmaTable[] = {
     FLCNN_FMA_ENTRY(1, 1),  FLCNN_FMA_ENTRY(1, 2),

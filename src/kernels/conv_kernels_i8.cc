@@ -109,6 +109,8 @@ resolveConvBlockKernelI8(int kernel, int stride)
     if (simd::avx2Supported()) {
         for (int mr = 1; mr <= kConvBlockLanes; mr++)
             bk.fn[mr] = simd::blockFnI8(mr, kernel, stride);
+        if (simd::blockFnI8(1, kernel, stride))
+            bk.vecW = 8;
     }
 #endif
 #ifdef FLCNN_SIMD_AVXVNNI
@@ -121,6 +123,8 @@ resolveConvBlockKernelI8(int kernel, int stride)
                     simd::blockFnI8Vnni(mr, kernel, stride))
                 bk.fn[mr] = fn;
         }
+        if (simd::blockFnI8Vnni(1, kernel, stride))
+            bk.vecW = 16;
     }
 #endif
     return bk;

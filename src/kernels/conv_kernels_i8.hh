@@ -39,14 +39,17 @@
 namespace flcnn {
 
 /**
- * Signature of an int8 multi-filter strip kernel. For lane f and
- * pixel t, with K4 = K rounded up to a multiple of 4 and the panel in
- * ((n*K + i)*(K4/4) + jg) * (MR*4) + f*4 + u layout (zero-padded taps
- * beyond K contribute zero products):
+ * Signature of an int8 multi-filter strip driver. Like
+ * ConvBlockStripFn, one call covers a region of @p rows output rows x
+ * @p count pixels: row r's accumulators sit at dst + r *
+ * dst_row_stride and read the input at row_off[i] + r * in_row_step.
+ * For lane f, row r and pixel t, with K4 = K rounded up to a multiple
+ * of 4 and the panel in ((n*K + i)*(K4/4) + jg) * (MR*4) + f*4 + u
+ * layout (zero-padded taps beyond K contribute zero products):
  *
- *   dst[f*dst_stride + t] +=
+ *   dst[f*dst_stride + r*dst_row_stride + t] +=
  *       sum_n sum_i sum_jg sum_u wp[((n*K + i)*(K4/4) + jg)*MR*4 + f*4 + u]
- *                              * in[n*ch_stride + row_off[i] + t*SX + jg*4 + u]
+ *           * in[n*ch_stride + row_off[i] + r*in_row_step + t*SX + jg*4 + u]
  *
  * dst holds raw i32 accumulators; callers zero-fill it first (the
  * dequant epilogue applies bias and scales afterwards). The staged
@@ -55,14 +58,16 @@ namespace flcnn {
  * path may overread harmlessly.
  */
 using ConvBlockStripI8Fn = void (*)(int32_t *dst, int64_t dst_stride,
+                                    int64_t dst_row_stride, int rows,
                                     int count, const uint8_t *in,
                                     int64_t ch_stride,
                                     const int64_t *row_off,
+                                    int64_t in_row_step,
                                     const int8_t *wp, int n_count);
 
 /**
  * Resolved int8 multi-filter kernels for one (k, stride) pair: one
- * strip function per lane width of the 4/2/1 ladder, falling back to
+ * strip driver per lane width of the 4/2/1 ladder, falling back to
  * the portable generic path where no vector variant exists. Value
  * type; resolve once per layer and reuse.
  */
@@ -72,18 +77,38 @@ struct ConvBlockKernelI8
     int k4 = 0;  //!< K rounded up to a multiple of 4 (panel row taps)
     int sx = 1;  //!< input step between adjacent output pixels
     int seg = 0; //!< strip segment width (tunable), 0 = whole row
+    /** Pixels in the widest vector block a region fills across rows
+     *  (16 for AVX-VNNI, 8 for maddubs); 0 for the portable path,
+     *  which runs a region row by row. */
+    int vecW = 0;
     ConvBlockStripI8Fn fn[kConvBlockLanes + 1] = {};  //!< per lane count
 
     bool specialized(int mr) const { return fn[mr] != nullptr; }
 
-    /** Run the @p mr-lane strip kernel (vector or portable). When a
-     *  segment width is set the row is processed seg pixels at a time;
-     *  integer sums are exact regardless, the split only tunes how
-     *  long each panel walk stays cache-resident. */
+    /** Rows a region call should cover for rows of @p count pixels. */
+    int groupRows(int count) const { return convRegionRows(vecW, count); }
+
+    /** Run the @p mr-lane kernels over one row: runRows()'s R = 1
+     *  case. */
     void
     run(int mr, int32_t *dst, int64_t dst_stride, int count,
         const uint8_t *in, int64_t ch_stride, const int64_t *row_off,
         const int8_t *wp, int n_count) const
+    {
+        runRows(mr, dst, dst_stride, 1, 0, count, in, ch_stride, row_off,
+                0, wp, n_count);
+    }
+
+    /** Run the @p mr-lane strip driver (vector or portable) over
+     *  @p rows rows (see ConvBlockStripI8Fn). When a segment width is
+     *  set the region is processed seg columns at a time; integer sums
+     *  are exact regardless, the split only tunes how long each panel
+     *  walk stays cache-resident. */
+    void
+    runRows(int mr, int32_t *dst, int64_t dst_stride, int rows,
+            int64_t dst_row_stride, int count, const uint8_t *in,
+            int64_t ch_stride, const int64_t *row_off,
+            int64_t in_row_step, const int8_t *wp, int n_count) const
     {
         FLCNN_ASSERT(mr >= 1 && mr <= kConvBlockLanes,
                      "filter-block lane count out of range");
@@ -92,18 +117,21 @@ struct ConvBlockKernelI8
             const int c = count - t < sw ? count - t : sw;
             int32_t *d = dst + t;
             const uint8_t *src = in + static_cast<int64_t>(t) * sx;
-            if (fn[mr])
-                fn[mr](d, dst_stride, c, src, ch_stride, row_off, wp,
-                       n_count);
-            else
-                convBlockStripI8Generic(mr, d, dst_stride, c, src,
-                                        ch_stride, row_off, wp, n_count,
-                                        k, sx);
+            if (fn[mr]) {
+                fn[mr](d, dst_stride, dst_row_stride, rows, c, src,
+                       ch_stride, row_off, in_row_step, wp, n_count);
+                continue;
+            }
+            for (int r = 0; r < rows; r++)
+                convBlockStripI8Generic(mr, d + r * dst_row_stride,
+                                        dst_stride, c,
+                                        src + r * in_row_step, ch_stride,
+                                        row_off, wp, n_count, k, sx);
         }
     }
 
-    /** The portable (runtime-K/stride/lane) int8 path; plain i32
-     *  arithmetic, exactly equal to the vector variants. */
+    /** The portable (runtime-K/stride/lane) int8 path over one row;
+     *  plain i32 arithmetic, exactly equal to the vector variants. */
     static void convBlockStripI8Generic(int mr, int32_t *dst,
                                         int64_t dst_stride, int count,
                                         const uint8_t *in,

@@ -20,20 +20,28 @@
  * result is the exact integer sum — bit-equal to the portable generic
  * path.
  *
- * Tails: the last count % 8 pixels (all of them when count < 8) run
- * one masked 8-pixel block with the same op sequence. Accumulators
- * are loaded and stored with vpmaskmovd, so no i32 past dst[count - 1]
- * is touched — callers may hand in a strip of a full output plane
- * (the autotuner does) or a seg-sized segment of a row. Input loads
- * stay plain: the lanes past the tail read staged bytes nobody stores.
+ * Regions: a call covers R output rows of count pixels. Rows of 8 or
+ * more run whole-row octets; rows of 4 or fewer pair up into 2x4
+ * blocks, one split octet taking 4 pixels from each of two rows
+ * (kernels/conv_octets.hh), so a 4-pixel pyramid row costs half a
+ * block instead of a whole one. Lanes a row does not own (widths 1-3
+ * and 5-7, the tail of a wider row, a lone last row) are masked:
+ * accumulators load and store through vpmaskmovd, so no i32 outside
+ * the region's rows is touched — callers may hand in a strip of a full
+ * output plane (the autotuner does) or a seg-sized segment of a row.
+ * Input loads stay plain: the lanes past the tail read staged bytes
+ * nobody stores.
  *
  * Overread: the stride-1 16-byte tap load reaches up to column
  * t0 + (K4 - 4) + 15 of a staged row and the stride-4 32-byte load up
- * to byte t0 * 4 + (K4 - 4) + 31. The tail block is the widest reader:
- * with one live lane at t0 those loads end i8TailOverread(K, stride)
- * bytes past the last byte the pixel really uses (13 at 11x11 s1, 29
- * at 11x11 s4, 31 at most). ConvStage's kConvStagePad-byte zero apron
- * covers that, which the strip driver static_asserts per (K, stride).
+ * to byte t0 * 4 + (K4 - 4) + 31. A masked whole-row octet is the
+ * widest reader: with one live lane at t0 those loads end
+ * i8TailOverread(K, stride) bytes past the last byte the pixel really
+ * uses (13 at 11x11 s1, 29 at 11x11 s4, 31 at most). Split octets read
+ * 8-byte (stride 1) or 16-byte (stride 4) half-rows, which end
+ * i8HalfOverread(K, stride) <= i8TailOverread(K, stride) bytes past
+ * it. ConvStage's kConvStagePad-byte zero apron covers both, which the
+ * region driver static_asserts per (K, stride).
  */
 
 #include "kernels/conv_kernels_simd.hh"
@@ -43,44 +51,13 @@
 #include <cstring>
 
 #include "kernels/conv_layer.hh"
+#include "kernels/conv_octets.hh"
 #include "kernels/quant.hh"
 
 namespace flcnn {
 namespace simd {
 
 namespace {
-
-/** Shuffle mask turning 16 consecutive input bytes (broadcast to both
- *  128-bit lanes) into [pixel 0..3 | pixel 4..7] x 4 consecutive taps. */
-inline __m256i
-pixelTapMask()
-{
-    return _mm256_setr_epi8(
-        // lane 0: pixels 0..3 each take 4 consecutive taps
-        0, 1, 2, 3, 1, 2, 3, 4, 2, 3, 4, 5, 3, 4, 5, 6,
-        // lane 1: pixels 4..7
-        4, 5, 6, 7, 5, 6, 7, 8, 6, 7, 8, 9, 7, 8, 9, 10);
-}
-
-/** Load 8 pixels x 4 taps of group @p jg into dword-per-pixel order. */
-template <int SX>
-inline __m256i
-loadPixTaps(const uint8_t *irow, int jg)
-{
-    static_assert(SX == 1 || SX == 4, "unsupported int8 vector stride");
-    if constexpr (SX == 1) {
-        const __m128i raw = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(irow + jg * 4));
-        return _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(raw),
-                                   pixelTapMask());
-    } else {
-        // Stride 4: pixel t's group-jg taps are bytes (t + jg) * 4 ..
-        // + 3, so the 8 pixels' taps are exactly the 8 dwords of one
-        // contiguous 32-byte load.
-        return _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(irow + jg * 4));
-    }
-}
 
 /** Lane mask selecting the first @p rem (1..7) of 8 pixels. */
 inline __m256i
@@ -114,33 +91,32 @@ packLanesU8(__m256i q)
     return _mm_packus_epi16(i16, i16);
 }
 
-/** One MR x 8 int8 vector block (compile-time K and stride). With
- *  TAIL set, accumulators load and store only the lanes of @p mask. */
-template <int MR, int K, int SX, bool TAIL = false>
+/** One MR x 8 int8 vector block (compile-time K and stride): one
+ *  whole-row or split octet. Masked lanes load and store no
+ *  accumulator. */
+template <int MR, int K, int SX, bool SPLIT, bool MASKED>
 inline void
 blockI8Avx2(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             int64_t ch_stride, const int64_t *row_off, const int8_t *wp,
-            int n_count, __m256i mask = __m256i())
+            int n_count, const OctetPos &o)
 {
     constexpr int JG = (K + 3) / 4;
     constexpr int64_t W_ROW = static_cast<int64_t>(JG) * MR * 4;
     const __m256i ones = _mm256_set1_epi16(1);
+    const __m256i mask = MASKED ? octetMask(o) : _mm256_setzero_si256();
     __m256i acc[MR];
-    for (int f = 0; f < MR; f++) {
-        int32_t *d = dst + f * dst_stride;
-        acc[f] = TAIL ? _mm256_maskload_epi32(d, mask)
-                      : _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i *>(d));
-    }
-    const uint8_t *chan = in;
+    for (int f = 0; f < MR; f++)
+        acc[f] = loadAccI32<SPLIT, MASKED>(dst + f * dst_stride, o, mask);
+    const uint8_t *lo = in + o.inLo;
+    const uint8_t *hi = in + o.inHi;
     const int8_t *wchan = wp;
-    for (int n = 0; n < n_count;
-         n++, chan += ch_stride, wchan += K * W_ROW) {
+    for (int n = 0; n < n_count; n++, lo += ch_stride, hi += ch_stride,
+             wchan += K * W_ROW) {
         for (int i = 0; i < K; i++) {
-            const uint8_t *irow = chan + row_off[i];
             const int8_t *wrow = wchan + i * W_ROW;
             for (int jg = 0; jg < JG; jg++) {
-                const __m256i pix = loadPixTaps<SX>(irow, jg);
+                const __m256i pix = loadPixTaps<SX, SPLIT>(
+                    lo + row_off[i], hi + row_off[i], jg);
                 const int8_t *wtap = wrow + jg * MR * 4;
                 for (int f = 0; f < MR; f++) {
                     int32_t wbits;
@@ -153,36 +129,31 @@ blockI8Avx2(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             }
         }
     }
-    for (int f = 0; f < MR; f++) {
-        int32_t *d = dst + f * dst_stride;
-        if constexpr (TAIL)
-            _mm256_maskstore_epi32(d, mask, acc[f]);
-        else
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(d), acc[f]);
-    }
+    for (int f = 0; f < MR; f++)
+        storeAccI32<SPLIT, MASKED>(dst + f * dst_stride, o, mask, acc[f]);
 }
 
-/** Strip driver: vector 8-pixel blocks, then one masked tail block. */
+/** Region driver: 1x8 and 2x4 blocks (forEachRegionBlock). */
 template <int MR, int K, int SX>
 void
-convBlockStripI8Avx2(int32_t *dst, int64_t dst_stride, int count,
-                     const uint8_t *in, int64_t ch_stride,
-                     const int64_t *row_off, const int8_t *wp,
-                     int n_count)
+convBlockRegionI8Avx2(int32_t *dst, int64_t dst_stride,
+                      int64_t dst_row_stride, int rows, int count,
+                      const uint8_t *in, int64_t ch_stride,
+                      const int64_t *row_off, int64_t in_row_step,
+                      const int8_t *wp, int n_count)
 {
     static_assert(i8TailOverread(K, SX) <= kConvStagePad,
                   "int8 tail block overreads the ConvStage apron");
-    while (count >= 8) {
-        blockI8Avx2<MR, K, SX>(dst, dst_stride, in, ch_stride, row_off,
-                               wp, n_count);
-        dst += 8;
-        in += 8 * SX;
-        count -= 8;
-    }
-    if (count > 0)
-        blockI8Avx2<MR, K, SX, true>(dst, dst_stride, in, ch_stride,
-                                     row_off, wp, n_count,
-                                     tailMask(count));
+    static_assert(i8HalfOverread(K, SX) <= kConvStagePad,
+                  "int8 half-row loads overread the ConvStage apron");
+    forEachRegionBlock<8>(
+        rows, count, SX, in_row_step, dst_row_stride,
+        [&](auto shape, const OctetPos *o) {
+            using S = decltype(shape);
+            blockI8Avx2<MR, K, SX, S::kSplit, S::kMasked>(
+                dst, dst_stride, in, ch_stride, row_off, wp, n_count,
+                o[0]);
+        });
 }
 
 struct I8Entry
@@ -194,9 +165,9 @@ struct I8Entry
 };
 
 #define FLCNN_I8_ENTRY(K, SX)                                           \
-    {1, K, SX, &convBlockStripI8Avx2<1, K, SX>},                        \
-    {2, K, SX, &convBlockStripI8Avx2<2, K, SX>},                        \
-    {4, K, SX, &convBlockStripI8Avx2<4, K, SX>}
+    {1, K, SX, &convBlockRegionI8Avx2<1, K, SX>},                       \
+    {2, K, SX, &convBlockRegionI8Avx2<2, K, SX>},                       \
+    {4, K, SX, &convBlockRegionI8Avx2<4, K, SX>}
 
 constexpr I8Entry kI8Table[] = {
     FLCNN_I8_ENTRY(1, 1),  FLCNN_I8_ENTRY(3, 1), FLCNN_I8_ENTRY(5, 1),

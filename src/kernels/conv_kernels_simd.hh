@@ -22,15 +22,16 @@ namespace simd {
 bool avx2Supported();
 
 /**
- * The AVX2 multi-filter strip variant for @p mr lanes and a
+ * The AVX2 multi-filter strip driver for @p mr lanes and a
  * (kernel, stride) pair, or nullptr when no vector variant exists
  * (kernel sizes or strides outside the table). The returned
  * function honors the full determinism contract: 8-pixel vector
  * blocks apply, per lane, exactly the scalar mul-then-add tap order
  * (no FMA — the build never enables -mfma and intrinsics are not
- * contracted). A stride-1 remainder of count % 8 pixels runs one
- * masked 8-pixel block with the same per-lane sequence; strided
- * remainders delegate to the portable generic path.
+ * contracted). At stride 1 a region's rows of 4 pixels or fewer pair
+ * up into 2x4 blocks, and narrower rows and row tails run masked
+ * blocks with the same per-lane sequence; strided regions run row by
+ * row with the portable generic remainder.
  */
 ConvBlockStripFn blockFn(int mr, int kernel, int stride);
 
@@ -41,8 +42,9 @@ ConvBlockStripFn blockFn(int mr, int kernel, int stride);
  * outside the table). Integer accumulation
  * is exact and the +/-63 weight clamp rules out i16 saturation, so the
  * returned function computes bit-identical accumulators to the
- * portable generic. The count % 8 remainder runs one 8-pixel block
- * with masked accumulator loads and stores (see i8TailOverread).
+ * portable generic. A region's rows of 4 pixels or fewer pair up into
+ * 2x4 blocks; narrower rows and row tails run blocks with masked
+ * accumulator loads and stores (see i8TailOverread, i8HalfOverread).
  */
 ConvBlockStripI8Fn blockFnI8(int mr, int kernel, int stride);
 
@@ -60,6 +62,20 @@ constexpr int
 i8TailOverread(int k, int stride)
 {
     return 4 * ((k + 3) / 4 - 1) + (stride == 1 ? 16 : 32) - k;
+}
+
+/**
+ * Bytes a split octet's int8 half-row loads may read past the last
+ * staged byte its single live pixel uses: per 4-tap group an 8-byte
+ * load at stride 1 or a 16-byte load at stride 4, the last group
+ * starting 4 * (ceil(k / 4) - 1) bytes in. Never more than
+ * i8TailOverread(); the vector TUs static_assert both against
+ * kConvStagePad.
+ */
+constexpr int
+i8HalfOverread(int k, int stride)
+{
+    return 4 * ((k + 3) / 4 - 1) + (stride == 1 ? 8 : 16) - k;
 }
 
 /** True when the running CPU supports the FMA fast-math kernels. */
@@ -82,8 +98,9 @@ ConvBlockStripFn blockFnFma(int mr, int kernel, int stride);
 bool avxVnniSupported();
 
 /**
- * The AVX-VNNI int8 strip variant (one vpdpbusd per 8 pixels x 4 taps
- * x filter), or nullptr when none exists. vpdpbusd accumulates the
+ * The AVX-VNNI int8 strip driver (one vpdpbusd per 8 pixels x 4 taps
+ * x filter, 16-pixel blocks filled as 1x16, 2x8 or 4x4 from a region's
+ * rows), or nullptr when none exists. vpdpbusd accumulates the
  * exact 4-product integer sum with no intermediate saturation, so the
  * returned function is bit-equal to the generic and maddubs paths.
  * Only compiled when the toolchain has -mavxvnni (FLCNN_SIMD_AVXVNNI).

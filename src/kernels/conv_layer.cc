@@ -106,7 +106,7 @@ void
 convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
                int bi, float *dst, int64_t dst_stride, int count,
                const ConvStage &st, const int *row_idx, int x0,
-               const ActQuant &act)
+               const ActQuant &act, int rows, int64_t dst_row_stride)
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     FLCNN_ASSERT(st.mode == Precision::Int8, "stage is not int8");
@@ -115,11 +115,13 @@ convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
         row_off[i] =
             static_cast<int64_t>(row_idx[i]) * st.stageW + x0;
 
-    // Raw i32 accumulation into thread-local scratch (the kernels
-    // accumulate, so zero-fill first).
+    // Raw i32 accumulation into thread-local scratch, lane f's row r at
+    // (f * rows + r) * count (the kernels accumulate, so zero-fill
+    // first).
     thread_local std::vector<int32_t> scratch;
+    const int64_t plane = static_cast<int64_t>(rows) * count;
     const size_t need =
-        static_cast<size_t>(kConvBlockLanes) * static_cast<size_t>(count);
+        static_cast<size_t>(kConvBlockLanes) * static_cast<size_t>(plane);
     if (scratch.size() < need)
         scratch.resize(need);
     std::memset(scratch.data(), 0, need * sizeof(int32_t));
@@ -127,8 +129,10 @@ convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
     const PackedBlock &b = pw.block(bi);
     const uint8_t *in =
         st.u8.data() + static_cast<int64_t>(pw.nBase(bi)) * st.chStride();
-    bk.run(b.lanes, scratch.data(), count, count, in, st.chStride(),
-           row_off, pw.panel(bi), pw.numChannels());
+    bk.runRows(b.lanes, scratch.data(), plane, rows, count, count, in,
+               st.chStride(), row_off,
+               static_cast<int64_t>(bk.sx) * st.stageW, pw.panel(bi),
+               pw.numChannels());
 
     // Deterministic dequant epilogue: exact zero-point correction,
     // then one float multiply and one float add per pixel. With at
@@ -146,26 +150,29 @@ convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
         const float s = act.scale * pw.scale(m);
         const int64_t zp_term =
             static_cast<int64_t>(act.zp) * pw.wsum(m);
-        const int32_t *acc = scratch.data() + f * count;
-        float *d = dst + f * dst_stride;
+        for (int r = 0; r < rows; r++) {
+            const int32_t *acc = scratch.data() + f * plane + r * count;
+            float *d = dst + f * dst_stride + r * dst_row_stride;
 #ifdef FLCNN_SIMD_AVX2
-        if (vec) {
-            simd::dequantRowI8(d, acc, count, bias, s,
-                               static_cast<int32_t>(zp_term));
-            continue;
-        }
+            if (vec) {
+                simd::dequantRowI8(d, acc, count, bias, s,
+                                   static_cast<int32_t>(zp_term));
+                continue;
+            }
 #else
-        (void)vec;
+            (void)vec;
 #endif
-        for (int t = 0; t < count; t++)
-            d[t] = bias + s * static_cast<float>(acc[t] - zp_term);
+            for (int t = 0; t < count; t++)
+                d[t] = bias + s * static_cast<float>(acc[t] - zp_term);
+        }
     }
 }
 
 void
 convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
                 int bi, float *dst, int64_t dst_stride, int count,
-                const ConvStage &st, const int *row_idx, int x0)
+                const ConvStage &st, const int *row_idx, int x0, int rows,
+                int64_t dst_row_stride)
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     FLCNN_ASSERT(st.mode == Precision::Fp16, "stage is not fp16");
@@ -177,14 +184,18 @@ convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
     const PackedBlock &b = pw.block(bi);
     for (int f = 0; f < b.lanes; f++) {
         const float bias = pw.bias(b.m0 + f);
-        float *d = dst + f * dst_stride;
-        for (int t = 0; t < count; t++)
-            d[t] = bias;
+        for (int r = 0; r < rows; r++) {
+            float *d = dst + f * dst_stride + r * dst_row_stride;
+            for (int t = 0; t < count; t++)
+                d[t] = bias;
+        }
     }
     const float *in =
         st.f32.data() + static_cast<int64_t>(pw.nBase(bi)) * st.chStride();
-    bk.run(b.lanes, dst, dst_stride, count, in, st.chStride(), row_off,
-           pw.panel(bi), pw.numChannels());
+    bk.runRows(b.lanes, dst, dst_stride, rows, dst_row_stride, count, in,
+               st.chStride(), row_off,
+               static_cast<int64_t>(bk.sx) * st.stageW, pw.panel(bi),
+               pw.numChannels());
 }
 
 } // namespace flcnn

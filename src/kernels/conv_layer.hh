@@ -8,16 +8,18 @@
  * read are *staged* — converted elementwise into the mode's compute
  * format — and the strip kernels then run against the staged image.
  * ConvStage owns that staging buffer; the convBlockRow* drivers wrap
- * one (filter-block, output-row) kernel invocation plus the mode's
+ * one (filter-block, output-rows) kernel region plus the mode's
  * epilogue, mirroring convBlockRowTensor() for the fp32 path.
  *
  * Staged geometry: channels x source-height x stageW, where
  * stageW = source-width + 48. The 48 trailing columns are zero-filled
  * at allocation and never written, giving the int8 vector kernels a
  * safe overread apron and the zero-padded panel taps zero products.
- * The widest reader is the vector kernels' masked tail block: with one
- * live pixel it still loads eight pixels' taps, up to
- * simd::i8TailOverread(K, stride) bytes (at most 31) past the image.
+ * The widest reader is the vector kernels' masked whole-row octet:
+ * with one live pixel it still loads eight pixels' taps, up to
+ * simd::i8TailOverread(K, stride) bytes (at most 31) past the image;
+ * the half-row loads of row-grouped blocks read less
+ * (simd::i8HalfOverread).
  * Row addressing is an explicit K-entry row-index table (like the
  * kernels' row-offset tables) so the same drivers serve linear
  * tensors, tile buffers, and the line-buffer executor's modular rings.
@@ -91,22 +93,31 @@ void stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1);
  *
  * evaluated in exactly that order (the zp term in exact int64, one
  * float multiply, one float add).
+ *
+ * With @p rows > 1 the call covers that many consecutive output rows
+ * in one kernel region (see ConvBlockStripI8Fn): output row r reads
+ * staged rows row_idx[i] + r * stride and lands at
+ * dst + r * dst_row_stride. Bit-identical to @p rows one-row calls;
+ * the staged rows must be linear (not a modular ring).
  */
 void convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
                     int bi, float *dst, int64_t dst_stride, int count,
                     const ConvStage &st, const int *row_idx, int x0,
-                    const ActQuant &act);
+                    const ActQuant &act, int rows = 1,
+                    int64_t dst_row_stride = 0);
 
 /**
  * Compute @p count output pixels of every filter in block @p bi of the
  * fp16 pack into dst + f * dst_stride: the ordinary fp32 strip kernel
  * over the decoded panel and the staged (pre-rounded) image, rows
- * addressed like convBlockRowI8. Each lane's dst row is initialized
- * with the rounded bias, then accumulated in canonical order.
+ * addressed like convBlockRowI8 (@p rows and @p dst_row_stride too).
+ * Each lane's dst rows are initialized with the rounded bias, then
+ * accumulated in canonical order.
  */
 void convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
                      int bi, float *dst, int64_t dst_stride, int count,
-                     const ConvStage &st, const int *row_idx, int x0);
+                     const ConvStage &st, const int *row_idx, int x0,
+                     int rows = 1, int64_t dst_row_stride = 0);
 
 } // namespace flcnn
 

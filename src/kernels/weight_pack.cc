@@ -211,7 +211,8 @@ PackedWeights::PackedWeights(const FilterBank &fb, int groups, int m_tile,
 void
 convBlockRowTensor(const ConvBlockKernel &bk, const PackedWeights &pw,
                    int bi, float *dst, int64_t dst_stride, int count,
-                   const Tensor &in, int y0, int x0)
+                   const Tensor &in, int y0, int x0, int rows,
+                   int64_t dst_row_stride)
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     const Shape &s = in.shape();
@@ -220,13 +221,17 @@ convBlockRowTensor(const ConvBlockKernel &bk, const PackedWeights &pw,
     const PackedBlock &b = pw.block(bi);
     for (int f = 0; f < b.lanes; f++) {
         const float bias = pw.bias(b.m0 + f);
-        float *d = dst + f * dst_stride;
-        for (int t = 0; t < count; t++)
-            d[t] = bias;
+        for (int r = 0; r < rows; r++) {
+            float *d = dst + f * dst_stride + r * dst_row_stride;
+            for (int t = 0; t < count; t++)
+                d[t] = bias;
+        }
     }
-    bk.run(b.lanes, dst, dst_stride, count, in.rowPtr(pw.nBase(bi), 0, 0),
-           static_cast<int64_t>(s.h) * s.w, row_off, pw.panel(bi),
-           pw.numChannels());
+    bk.runRows(b.lanes, dst, dst_stride, rows, dst_row_stride, count,
+               in.rowPtr(pw.nBase(bi), 0, 0),
+               static_cast<int64_t>(s.h) * s.w, row_off,
+               static_cast<int64_t>(bk.sx) * s.w, pw.panel(bi),
+               pw.numChannels());
 }
 
 } // namespace flcnn

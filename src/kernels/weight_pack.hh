@@ -559,12 +559,16 @@ class WeightPackCache
  * dst + f * dst_stride, receptive fields at rows [y0, y0 + K) and
  * columns x0 + t * stride of @p in. Each lane's row is initialized
  * with its bias, then accumulated in canonical order — bit-identical
- * to convPoint() per (filter, pixel).
+ * to convPoint() per (filter, pixel). With @p rows > 1 the call covers
+ * that many consecutive output rows in one kernel region (output row r
+ * at dst + r * dst_row_stride, its receptive field stride * r rows
+ * further down), bit-identical to @p rows one-row calls.
  */
 void convBlockRowTensor(const ConvBlockKernel &bk,
                         const PackedWeights &pw, int bi, float *dst,
                         int64_t dst_stride, int count, const Tensor &in,
-                        int y0, int x0);
+                        int y0, int x0, int rows = 1,
+                        int64_t dst_row_stride = 0);
 
 } // namespace flcnn
 

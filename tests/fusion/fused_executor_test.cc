@@ -458,10 +458,47 @@ TEST_P(FusedExecutorRandom, MatchesReferenceOnRandomNetworks)
     Network net = randomFusableNet(rng);
     const int last = net.numLayers() - 1;
 
-    // Random tip size as well.
-    int tip_h = rng.range(1, 4);
-    int tip_w = rng.range(1, 4);
+    // Random tip size as well: tips up to 8 give fresh tile widths of
+    // 1-16 pixels with ragged tails, which the conv kernels group
+    // across rows in every row-group shape.
+    int tip_h = rng.range(1, 8);
+    int tip_w = rng.range(1, 8);
     expectFusedMatchesReference(net, 0, last, tip_h, tip_w, seed);
+
+    // The same draw in every precision (int8 calibrated), under both
+    // halos and on one and three threads: bit-exact against runRange
+    // in that precision.
+    using Halo = FusedExecutor::Halo;
+    Rng wrng(seed);
+    NetworkWeights weights(net, wrng);
+    Tensor input(net.inputShape());
+    Rng irng(seed ^ 0xabcdef);
+    input.fillRandom(irng);
+    for (Precision mode :
+         {Precision::Fp32, Precision::Fp16, Precision::Int8}) {
+        const NetPrecision prec =
+            NetPrecision::calibrate(net, weights, mode);
+        Tensor ref;
+        {
+            ScopedThreads serial(1);
+            ref = runRange(net, weights, input, 0, last, &prec);
+        }
+        for (Halo halo : {Halo::Retain, Halo::Recompute}) {
+            for (int threads : {1, 3}) {
+                ScopedThreads scope(threads);
+                FusedExecutor exec(net, weights,
+                                   TilePlan(net, 0, last, tip_h, tip_w),
+                                   halo);
+                exec.setPrecision(&prec);
+                CompareResult cmp = compareTensors(ref, exec.run(input));
+                ASSERT_TRUE(cmp.match)
+                    << net.str() << "tip " << tip_h << "x" << tip_w << " "
+                    << precisionName(mode)
+                    << (halo == Halo::Retain ? " retain" : " recompute")
+                    << " threads=" << threads << ": " << cmp.str();
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FusedExecutorRandom,

@@ -15,6 +15,15 @@
  * with its allocation and the int8 source with its ConvStage-sized
  * apron, so an unmasked overread past either shows under ASan.
  *
+ * The region drivers get a differential sweep per tier (fp32 portable,
+ * AVX2 and FMA; int8 portable, maddubs and AVX-VNNI): one call over R
+ * output rows must equal R one-row calls bit for bit, for widths
+ * 1..20, R 1..6, every tabled K, MR in {1, 2, 4} and a nonzero x0.
+ * Every dst row sits between canaries, and each region ends flush with
+ * the last row and column of its source (the int8 one with its apron),
+ * so a grouped block that overreads or overwrites shows here or under
+ * ASan. A tier this build or CPU lacks reports itself skipped.
+ *
  * The int8 staging quantizer simd::quantizeRowI8 gets the same sweep
  * (widths 1..40 against quantizeAct, one sentinel byte after the row,
  * the float source flush with its allocation).
@@ -23,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <utility>
@@ -279,6 +289,191 @@ TEST(StripTail, Int8VectorTiersMatchGenericAtEveryWidth)
     }
 }
 
+/** The region geometry one differential case runs. */
+struct RegionCase
+{
+    int k, s, mr, rows, count, x0;
+
+    int64_t width() const
+    {
+        return x0 + static_cast<int64_t>(count - 1) * s + k;
+    }
+    int64_t height() const { return static_cast<int64_t>(rows - 1) * s + k; }
+    /** dst: every lane's rows, each row between kSentinelPad canaries. */
+    int64_t dstRowStride() const { return count + kSentinelPad; }
+    int64_t dstLaneStride() const { return rows * dstRowStride(); }
+    size_t dstElems() const
+    {
+        return static_cast<size_t>(mr * dstLaneStride() + kSentinelPad);
+    }
+    bool
+    live(size_t e) const
+    {
+        const int64_t at = static_cast<int64_t>(e) - kSentinelPad;
+        return at >= 0 && at < mr * dstLaneStride() &&
+               at % dstRowStride() < count;
+    }
+    std::string
+    name(const std::string &tier) const
+    {
+        return tier + " k=" + std::to_string(k) + " s=" +
+               std::to_string(s) + " mr=" + std::to_string(mr) +
+               " rows=" + std::to_string(rows) +
+               " count=" + std::to_string(count);
+    }
+};
+
+/** Run @p check on every region case of the sweep. */
+template <class Check>
+void
+forEachRegionCase(std::initializer_list<int> strides, Check &&check)
+{
+    for (int s : strides)
+        for (int k : kKernels)
+            for (int mr : kLanes)
+                for (int rows = 1; rows <= 6; rows++)
+                    for (int count = 1; count <= 20; count++)
+                        check(RegionCase{k, s, mr, rows, count,
+                                         1 + count % 3});
+}
+
+/**
+ * The region call and R one-row calls of one tier over the same
+ * random case: both results must be identical, live pixels and
+ * canaries alike, and every canary untouched. @p in_pitch is the
+ * source row pitch; the source block ends flush with the last row's
+ * last column (fp32) or its apron (int8, pitch = width + apron).
+ */
+template <class T, class Kernel, class W, class In>
+void
+checkRegion(const Kernel &bk, const RegionCase &c, const std::string &tier,
+            const std::vector<In> &in, int64_t in_pitch,
+            const std::vector<W> &wp, T init_value, T sentinel, Rng &rng)
+{
+    int64_t row_off[kMaxConvKernel];
+    for (int i = 0; i < c.k; i++)
+        row_off[i] = i * in_pitch + c.x0;
+    const int64_t ch_stride = c.height() * in_pitch;
+    std::vector<T> init(c.dstElems(), sentinel);
+    for (size_t e = 0; e < init.size(); e++) {
+        if (c.live(e))
+            init[e] = init_value + static_cast<T>(rng.next() % 64);
+    }
+    std::vector<T> want = init;
+    for (int r = 0; r < c.rows; r++) {
+        bk.run(c.mr, want.data() + kSentinelPad + r * c.dstRowStride(),
+               c.dstLaneStride(), c.count,
+               in.data() + r * c.s * in_pitch, ch_stride, row_off,
+               wp.data(), kChannels);
+    }
+    std::vector<T> got = init;
+    bk.runRows(c.mr, got.data() + kSentinelPad, c.dstLaneStride(), c.rows,
+               c.dstRowStride(), c.count, in.data(), ch_stride, row_off,
+               c.s * in_pitch, wp.data(), kChannels);
+    for (size_t e = 0; e < got.size(); e++) {
+        ASSERT_EQ(got[e], want[e])
+            << c.name(tier) << " at " << e
+            << (c.live(e) ? "" : " (canary)");
+        if (!c.live(e)) {
+            ASSERT_EQ(got[e], sentinel) << c.name(tier) << " at " << e;
+        }
+    }
+}
+
+/** Every tier a region driver exists for, by name. */
+class RegionTier : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(RegionTier, RegionEqualsOneRowCallsBitForBit)
+{
+    const std::string tier = GetParam();
+    const bool int8 = tier.rfind("i8.", 0) == 0;
+    F32Lookup f32 = nullptr;
+    I8Lookup i8 = nullptr;
+    bool portable = false;
+    if (tier == "fp32.portable" || tier == "i8.portable") {
+        portable = true;
+    }
+#ifdef FLCNN_SIMD_AVX2
+    if (simd::avx2Supported() && tier == "fp32.avx2")
+        f32 = &simd::blockFn;
+    if (simd::avx2Supported() && tier == "i8.maddubs")
+        i8 = &simd::blockFnI8;
+#endif
+#ifdef FLCNN_SIMD_FMA
+    if (simd::fmaSupported() && tier == "fp32.fma")
+        f32 = &simd::blockFnFma;
+#endif
+#ifdef FLCNN_SIMD_AVXVNNI
+    if (simd::avxVnniSupported() && tier == "i8.vnni")
+        i8 = &simd::blockFnI8Vnni;
+#endif
+    if (!portable && !f32 && !i8)
+        GTEST_SKIP() << tier << " is not compiled in or not supported "
+                                "by this CPU";
+
+    Rng rng(79);
+    if (!int8) {
+        forEachRegionCase({1}, [&](const RegionCase &c) {
+            ConvBlockKernel bk = resolveConvBlockKernelScalar(c.k, c.s);
+            if (f32)
+                bk.fn[c.mr] = f32(c.mr, c.k, c.s);
+            ASSERT_NE(bk.fn[c.mr], nullptr) << c.name(tier);
+            std::vector<float> wp(
+                static_cast<size_t>(kChannels * c.k * c.k * c.mr));
+            for (float &v : wp)
+                v = rng.uniformF(-1.0f, 1.0f);
+            std::vector<float> in(static_cast<size_t>(
+                kChannels * c.height() * c.width()));
+            for (float &v : in)
+                v = rng.uniformF(-1.0f, 1.0f);
+            checkRegion(bk, c, tier, in, c.width(), wp, 0.25f, kSentinelF,
+                        rng);
+        });
+        return;
+    }
+    forEachRegionCase({1, 4}, [&](const RegionCase &c) {
+        ConvBlockKernelI8 bk = resolveConvBlockKernelI8Scalar(c.k, c.s);
+        if (i8) {
+            bk.fn[c.mr] = i8(c.mr, c.k, c.s);
+            ASSERT_NE(bk.fn[c.mr], nullptr) << c.name(tier);
+        }
+        const int jg_count = (c.k + 3) / 4;
+        std::vector<int8_t> wp(
+            static_cast<size_t>(kChannels * c.k * jg_count * c.mr * 4));
+        for (size_t e = 0; e < wp.size(); e++) {
+            const int tap =
+                static_cast<int>(e / 4 / c.mr % jg_count) * 4 +
+                static_cast<int>(e % 4);
+            wp[e] = tap < c.k ? static_cast<int8_t>(
+                                    static_cast<int>(rng.next() % 127) - 63)
+                              : int8_t{0};
+        }
+        // Staged rows carry the ConvStage apron, which ends the block;
+        // it holds noise, which only zero-weight taps may read.
+        const int64_t pitch = c.width() + kConvStagePad;
+        std::vector<uint8_t> in(
+            static_cast<size_t>(kChannels * c.height() * pitch));
+        for (uint8_t &v : in)
+            v = static_cast<uint8_t>(rng.next());
+        checkRegion(bk, c, tier, in, pitch, wp, int32_t{-40},
+                    kSentinelI, rng);
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StripTail, RegionTier,
+    ::testing::Values("fp32.portable", "fp32.avx2", "fp32.fma",
+                      "i8.portable", "i8.maddubs", "i8.vnni"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        std::string n = info.param;
+        for (char &ch : n)
+            if (ch == '.')
+                ch = '_';
+        return n;
+    });
+
 TEST(StripTail, QuantizeRowI8MatchesQuantizeActAtEveryWidth)
 {
 #ifdef FLCNN_SIMD_AVX2
@@ -343,11 +538,17 @@ TEST(StripTail, ApronCoversTheWidestTailOverread)
     // restated here with the hand-derived worst cases.
     EXPECT_EQ(simd::i8TailOverread(11, 1), 13);
     EXPECT_EQ(simd::i8TailOverread(11, 4), 29);
+    EXPECT_EQ(simd::i8HalfOverread(11, 1), 5);
+    EXPECT_EQ(simd::i8HalfOverread(11, 4), 13);
     for (int k : kKernels) {
         for (int s : {1, 4}) {
             EXPECT_LE(simd::i8TailOverread(k, s), kConvStagePad)
                 << "k=" << k << " s=" << s;
             EXPECT_GE(simd::i8TailOverread(k, s), 0);
+            EXPECT_LE(simd::i8HalfOverread(k, s),
+                      simd::i8TailOverread(k, s))
+                << "k=" << k << " s=" << s;
+            EXPECT_GE(simd::i8HalfOverread(k, s), 0);
         }
     }
 }
