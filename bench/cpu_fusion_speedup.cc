@@ -6,8 +6,9 @@
  * approach running on a desktop CPU."
  *
  * The layer-by-layer path materializes every intermediate feature map
- * in memory; the fused (line-buffered) path keeps intermediates inside
- * a few rows of cache-resident buffers. Google-benchmark timings at
+ * in memory; the fused line-buffer path (pyramids whose tips span the
+ * whole output width) keeps intermediates inside a few rows of
+ * cache-resident buffers. Google-benchmark timings at
  * reduced spatial scales are followed by a full-scale (227x227)
  * comparison and a thread sweep over the VGG-E first five convolutions,
  * both timed as the warm median and interquartile range, in ms, of 20
@@ -27,7 +28,6 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
 #include "tensor/compare.hh"
@@ -49,6 +49,15 @@ alexTwo(int hw)
     net.add(LayerSpec::conv("conv2", 256, 5, 1, 2));
     net.add(LayerSpec::relu("relu2"));
     return net;
+}
+
+/** The line buffer over all of @p net: tips of @p rows output rows
+ *  across the whole output width. */
+TilePlan
+lineBufferPlan(const Network &net, int rows)
+{
+    const int last = net.numLayers() - 1;
+    return TilePlan(net, 0, last, rows, net.outShape(last).w);
 }
 
 struct Setup
@@ -87,8 +96,9 @@ void
 BM_FusedLineBuffer(benchmark::State &state)
 {
     Setup s(static_cast<int>(state.range(0)));
-    LineBufferExecutor exec(s.net, s.weights, 0, s.net.numLayers() - 1,
-                            static_cast<int>(state.range(1)));
+    FusedExecutor exec(s.net, s.weights,
+                       lineBufferPlan(s.net,
+                                      static_cast<int>(state.range(1))));
     for (auto _ : state) {
         Tensor out = exec.run(s.input);
         benchmark::DoNotOptimize(out.data());
@@ -155,8 +165,8 @@ vggFive(int hw)
 }
 
 /** Sweep thread counts over the VGG-E first five convolutions on the
- *  layer-by-layer reference, the line buffer and the pyramid engine;
- *  returns false on any output mismatch. */
+ *  layer-by-layer reference, the line buffer (4 rows) and the pyramid
+ *  engine; returns false on any output mismatch. */
 bool
 vggThreadSweep(int scale, int configured_threads)
 {
@@ -202,7 +212,7 @@ vggThreadSweep(int scale, int configured_threads)
         }
         row("layer-by-layer", threads, t_ref, ref_1t, a);
 
-        LineBufferExecutor lb(net, weights, 0, last, 8);
+        FusedExecutor lb(net, weights, lineBufferPlan(net, 4));
         Tensor b;
         Timing t_lb = timeRuns([&] { return lb.run(input); }, &b);
         if (threads == 1)
@@ -258,7 +268,8 @@ main(int argc, char **argv)
     benchmark::Shutdown();
 
     // Full-scale single-shot comparison (227 x 227 input), sweeping
-    // the row-block size that amortizes per-row weight re-streaming.
+    // the rows per line-buffer tip, which amortize per-row weight
+    // re-streaming.
     Setup s(227);
     Tensor a, b;
     const Timing t_ref = timeRuns(
@@ -278,23 +289,22 @@ main(int argc, char **argv)
               fmtF(t_ref.iqrMs, 2), "1.00x",
               std::to_string(planes / 1024) + " KB of planes"});
     bool match = true;
-    for (int block : {1, 4, 8, 16}) {
-        LineBufferExecutor exec(s.net, s.weights, 0,
-                                s.net.numLayers() - 1, block);
+    for (int rows : {1, 4, 8, 16}) {
+        FusedExecutor exec(s.net, s.weights, lineBufferPlan(s.net, rows));
         const Timing t_fused =
             timeRuns([&] { return exec.run(s.input); }, &b);
         match = match && tensorsEqual(a, b);
-        t.addRow({"fused, row block " + std::to_string(block),
+        t.addRow({"fused line buffer, " + std::to_string(rows) + " rows",
                   fmtF(t_fused.medianMs, 2), fmtF(t_fused.iqrMs, 2),
                   fmtF(t_ref.medianMs / t_fused.medianMs, 2) + "x",
-                  std::to_string(exec.bufferBytes() / 1024) +
-                      " KB of line buffers"});
+                  std::to_string(exec.plan().reuseBufferBytes() / 1024) +
+                      " KB of BT strips"});
     }
     t.print();
     std::printf("\npaper claims >2x on a 2016 desktop; outputs %s.\n"
                 "See EXPERIMENTS.md (E8): scalar convolution is "
                 "compute-bound, so on a large-\nLLC host the win is "
-                "bounded; row blocking removes the fused schedule's\n"
+                "bounded; taller tips remove the fused schedule's\n"
                 "weight-restreaming penalty.\n",
                 match ? "bit-identical" : "MISMATCHED");
 

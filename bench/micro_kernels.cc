@@ -14,7 +14,6 @@
 
 #include "dse/sweep.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "kernels/conv_kernels.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/relu.hh"
@@ -276,12 +275,11 @@ BM_ConvRowNarrowI8(benchmark::State &state)
     const PackedWeightsI8 pw(
         f.fb, 1, std::vector<float>(BlockFixture::kFilters, 0.05f));
     const ConvBlockKernelI8 bk = resolveConvBlockKernelI8(3, 1);
-    const int row_idx[] = {0, 1, 2};
     std::vector<float> dst(
         static_cast<size_t>(BlockFixture::kFilters) * f.outW);
     for (auto _ : state) {
-        convBlockRowI8(bk, pw, 0, dst.data(), f.outW, f.outW, st,
-                       row_idx, 0, act);
+        convBlockRowI8(bk, pw, 0, dst.data(), f.outW, f.outW, st, 0, 0,
+                       act);
         benchmark::DoNotOptimize(dst.data());
     }
     state.SetItemsProcessed(state.iterations() * f.outW *
@@ -330,13 +328,12 @@ BM_ConvRowsGroupedI8(benchmark::State &state)
     const PackedWeightsI8 pw(
         f.fb, 1, std::vector<float>(BlockFixture::kFilters, 0.05f));
     const ConvBlockKernelI8 bk = resolveConvBlockKernelI8(3, 1);
-    const int row_idx[] = {0, 1, 2};
     const int64_t plane = static_cast<int64_t>(rows) * f.outW;
     std::vector<float> dst(
         static_cast<size_t>(BlockFixture::kFilters * plane));
     for (auto _ : state) {
-        convBlockRowI8(bk, pw, 0, dst.data(), plane, f.outW, st, row_idx,
-                       0, act, rows, f.outW);
+        convBlockRowI8(bk, pw, 0, dst.data(), plane, f.outW, st, 0, 0,
+                       act, rows, f.outW);
         benchmark::DoNotOptimize(dst.data());
         benchmark::ClobberMemory();
     }
@@ -400,7 +397,7 @@ BENCHMARK(BM_ReluRows)->Arg(4)->Arg(56)->Arg(224);
 void
 BM_ReluRowsScalar(benchmark::State &state)
 {
-    // The per-element std::max loop the line buffer's ReLU ran before
+    // The per-element std::max loop the executors' ReLU ran before
     // the helper, on the same rows as BM_ReluRows.
     const int w = static_cast<int>(state.range(0));
     const std::vector<float> src = reluInput(w);
@@ -577,19 +574,23 @@ BM_FusedPyramidExecutor(benchmark::State &state)
 BENCHMARK(BM_FusedPyramidExecutor)->Unit(benchmark::kMillisecond);
 
 void
-BM_LineBufferExecutorMicro(benchmark::State &state)
+BM_LineBufferMicro(benchmark::State &state)
 {
+    // The line buffer: tips of N rows across the whole output width.
     ExecFixture f;
-    LineBufferExecutor exec(f.net, f.weights, 0, f.net.numLayers() - 1,
-                            static_cast<int>(state.range(0)));
+    const int last = f.net.numLayers() - 1;
+    FusedExecutor exec(f.net, f.weights,
+                       TilePlan(f.net, 0, last,
+                                static_cast<int>(state.range(0)),
+                                f.net.outShape(last).w));
     for (auto _ : state) {
         Tensor out = exec.run(f.input);
         benchmark::DoNotOptimize(out.data());
     }
 }
-BENCHMARK(BM_LineBufferExecutorMicro)
+BENCHMARK(BM_LineBufferMicro)
     ->Arg(1)
-    ->Arg(8)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void

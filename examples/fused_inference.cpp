@@ -34,6 +34,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "accel/baseline_accel.hh"
 #include "common/argparse.hh"
@@ -44,8 +45,7 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/units.hh"
-#include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
+#include "fusion/fusion_plan.hh"
 #include "kernels/conv_kernels.hh"
 #include "nn/autotune_net.hh"
 #include "nn/precision.hh"
@@ -58,6 +58,39 @@
 #include "tensor/compare.hh"
 
 using namespace flcnn;
+
+namespace {
+
+/** One fused engine's output of layers [0, last]. */
+struct EngineOutput
+{
+    const char *name;
+    Tensor out;
+};
+
+/** Layers [0, last] of @p net on @p image through a compiled plan on
+ *  each fused engine (2x2 tips where the engine takes a tip), under
+ *  @p opt's precision and math tier. */
+std::vector<EngineOutput>
+runFusedEngines(const Network &net, const NetworkWeights &weights,
+                int last, const Tensor &image, PlanCompileOptions opt)
+{
+    std::vector<EngineOutput> outs;
+    for (PlanEngine e : {PlanEngine::Fused, PlanEngine::LineBuffer,
+                         PlanEngine::Recompute}) {
+        FusionPlan plan(net, weights);
+        plan.addRange(0, last);
+        opt.engine = e;
+        opt.tip = 2;
+        if (plan.compile(opt) != CompileStatus::Ok)
+            fatal("%s plan: %s", planEngineName(e),
+                  plan.diagnostic().c_str());
+        outs.push_back({planEngineName(e), plan.execute(image)});
+    }
+    return outs;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -224,21 +257,10 @@ main(int argc, char **argv)
         Tensor refp =
             runRange(net, weights, image, 0, last, &prec);
 
-        FusedExecutor fexec(net, weights, TilePlan(net, 0, last, 2, 2));
-        fexec.setPrecision(&prec);
-        LineBufferExecutor lexec(net, weights, 0, last);
-        lexec.setPrecision(&prec);
-        FusedExecutor rexec(net, weights, TilePlan(net, 0, last, 2, 2),
-                            FusedExecutor::Halo::Recompute);
-        rexec.setPrecision(&prec);
-        const struct
-        {
-            const char *name;
-            Tensor out;
-        } execs[] = {{"fused", fexec.run(image)},
-                     {"linebuffer", lexec.run(image)},
-                     {"recompute", rexec.run(image)}};
-        for (const auto &e : execs) {
+        PlanCompileOptions opt;
+        opt.precision = &prec;
+        for (const EngineOutput &e :
+             runFusedEngines(net, weights, last, image, opt)) {
             const bool same = tensorsEqual(refp, e.out);
             std::printf("%-10s vs %s reference: %s\n", e.name,
                         precisionName(precision),
@@ -283,21 +305,10 @@ main(int argc, char **argv)
                                      : "FMA unavailable, exact tier");
         Tensor ref = runRange(net, weights, image, 0, last);
 
-        FusedExecutor fexec(net, weights, TilePlan(net, 0, last, 2, 2));
-        fexec.setFastMath(true);
-        LineBufferExecutor lexec(net, weights, 0, last);
-        lexec.setFastMath(true);
-        FusedExecutor rexec(net, weights, TilePlan(net, 0, last, 2, 2),
-                            FusedExecutor::Halo::Recompute);
-        rexec.setFastMath(true);
-        const struct
-        {
-            const char *name;
-            Tensor out;
-        } execs[] = {{"fused", fexec.run(image)},
-                     {"linebuffer", lexec.run(image)},
-                     {"recompute", rexec.run(image)}};
-        for (const auto &e : execs) {
+        PlanCompileOptions opt;
+        opt.fastMath = true;
+        for (const EngineOutput &e :
+             runFusedEngines(net, weights, last, image, opt)) {
             CompareResult fm = compareTensors(ref, e.out, 5e-3, 5e-4);
             const int64_t ulp = maxUlpDistance(ref, e.out);
             std::printf("%-10s vs exact reference: %s, max ULP %lld\n",

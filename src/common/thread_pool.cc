@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <memory>
 
-#if defined(__linux__)
+#if defined(__unix__) || defined(__APPLE__)
 #include <pthread.h>
+#endif
+#if defined(__linux__)
 #include <sched.h>
 #endif
 
@@ -54,6 +56,46 @@ chunkBounds(int64_t begin, int64_t end, int t, int nchunks, int64_t *lo,
 
 std::unique_ptr<ThreadPool> global_pool;
 std::mutex global_mu;
+
+/** The global pool a forked child inherited from its parent. */
+ThreadPool *pool_of_parent = nullptr;
+
+#if defined(__unix__) || defined(__APPLE__)
+/**
+ * fork() copies the global pool object into the child but none of its
+ * worker threads. Left alone, the child's first pooled parallelFor
+ * would wait forever for workers that do not exist, and its exit()
+ * would join them and crash. So the child sets the inherited pool
+ * aside, never to be used or destroyed (still reachable, so leak
+ * checkers stay quiet), and builds a pool of the same width on first
+ * use. The locks are held across fork() so that the child never
+ * inherits them mid-update.
+ */
+void
+lockForFork()
+{
+    global_mu.lock();
+    observer_mu.lock();
+}
+
+void
+unlockAfterFork()
+{
+    observer_mu.unlock();
+    global_mu.unlock();
+}
+
+void
+forgetParentPool()
+{
+    if (global_pool)
+        pool_of_parent = global_pool.release();
+    unlockAfterFork();
+}
+
+const int fork_handlers =
+    pthread_atfork(lockForFork, unlockAfterFork, forgetParentPool);
+#endif
 
 } // namespace
 
@@ -230,8 +272,10 @@ ThreadPool &
 ThreadPool::global()
 {
     std::lock_guard<std::mutex> lk(global_mu);
-    if (!global_pool)
-        global_pool = std::make_unique<ThreadPool>();
+    if (!global_pool) {
+        global_pool = std::make_unique<ThreadPool>(
+            pool_of_parent ? pool_of_parent->numThreads() : 0);
+    }
     return *global_pool;
 }
 

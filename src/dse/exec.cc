@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "fusion/line_buffer_executor.hh"
+#include "fusion/fused_executor.hh"
 #include "nn/reference.hh"
 
 namespace flcnn {
@@ -53,8 +53,9 @@ executeSchedule(const Network &net, const NetworkWeights &weights,
         if (g.size() == 1) {
             cur = runRange(net, weights, cur, fl, ll);
         } else {
-            LineBufferExecutor exec(net, weights, fl, ll,
-                                    /*row_block=*/g.tileH);
+            FusedExecutor exec(net, weights,
+                               TilePlan(net, fl, ll, g.tileH,
+                                        net.outShape(ll).w));
             cur = exec.run(cur);
         }
     }

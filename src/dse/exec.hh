@@ -4,16 +4,16 @@
  * executors realize, for spot differential validation of priced
  * designs.
  *
- * The line-buffer executor's row_block knob IS the IR's pyramid tile
- * height — a retained multi-row Pyramid schedule maps group-by-group
- * onto LineBufferExecutor(first, last, row_block = tileH), and a
- * singleton group is plain layer-by-layer evaluation. Recomputed
- * boundaries, Independent tiles, and the UniformStride dataflow are
- * priced but not executable here, and the query below says why.
- * FusedExecutor does run a group that recomputes every boundary
- * (Halo::Recompute), but over square pyramid tips, not the IR's
- * per-boundary retain bits over row-block tiles, so this bridge does
- * not map such schedules onto it.
+ * The IR's tile height is a pyramid tip of tileH group-output rows
+ * across the whole output width: a retained multi-row Pyramid
+ * schedule maps group-by-group onto FusedExecutor(TilePlan(first,
+ * last, tileH, outW)) under Halo::Retain, and a singleton group is
+ * plain layer-by-layer evaluation. Recomputed boundaries, Independent
+ * tiles, and the UniformStride dataflow are priced but not executable
+ * here, and the query below says why. FusedExecutor does run a group
+ * that recomputes every boundary (Halo::Recompute), but not the IR's
+ * per-boundary retain bits, so this bridge does not map such schedules
+ * onto it.
  */
 
 #ifndef FLCNN_DSE_EXEC_HH
@@ -31,16 +31,17 @@ namespace dse {
 /**
  * Why @p s cannot be executed by the host executors, or the empty
  * string when it can: every group must be a Pyramid retaining all its
- * meaningful halos (any tile height — row blocking realizes it).
+ * meaningful halos (any tile height: full-width tiles of tileH rows
+ * realize it).
  * Invalid schedules return the validation error.
  */
 std::string scheduleExecutableReason(const Network &net,
                                      const Schedule &s);
 
 /**
- * Execute @p s on @p input: each multi-stage group runs through
- * LineBufferExecutor with row_block = tileH, each singleton group runs
- * layer by layer, groups chained in order. Bit-identical to
+ * Execute @p s on @p input: each multi-stage group runs through a
+ * FusedExecutor over full-width tiles of tileH rows, each singleton
+ * group runs layer by layer, groups chained in order. Bit-identical to
  * nn::runRange over the whole layer range — the differential check for
  * priced schedules. Panics if scheduleExecutableReason() is non-empty.
  */

@@ -370,6 +370,19 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
         // precision reference's, so the bit-exactness argument carries
         // over. Inside a wavefront lane these parallelFor calls run
         // inline.
+        //
+        // Items run filter block by filter block. Outside a lane (a
+        // one-lane plan such as the line buffer, whose items the pool
+        // splits) with the kernels reading the fp32 tile in place, that
+        // order has every thread stream the whole tile once per block,
+        // so there they run row group by row group, as runRange's do,
+        // and each thread reads its own band of rows. On the line
+        // buffer's fp32 VGG tiles at two threads that was 15% faster;
+        // in int8, whose staged tile is a quarter the size, and inside
+        // lanes it was no faster (EXPERIMENTS.md, "The line buffer as a
+        // full-width pyramid").
+        const bool by_row_group =
+            st.pw && !ThreadPool::inParallelRegion();
         const auto forEachRegion = [&](int num_blocks, int group,
                                        int grain, const auto &body) {
             const int groups = (oh + group - 1) / group;
@@ -377,10 +390,14 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
                 0, static_cast<int64_t>(num_blocks) * groups,
                 [&](int64_t lo, int64_t hi) {
                     for (int64_t w = lo; w < hi; w++) {
-                        const int bi = static_cast<int>(w / groups);
+                        const int64_t bi =
+                            by_row_group ? w % num_blocks : w / groups;
+                        const int64_t gi =
+                            by_row_group ? w / num_blocks : w % groups;
                         const int gy =
-                            oy.begin + static_cast<int>(w % groups) * group;
-                        body(bi, gy, std::min(group, oy.end - gy));
+                            oy.begin + static_cast<int>(gi) * group;
+                        body(static_cast<int>(bi), gy,
+                             std::min(group, oy.end - gy));
                     }
                 },
                 grain);
@@ -407,13 +424,11 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
                 forEachRegion(
                     pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
                     [&](int bi, int gy, int rows) {
-                        int row_idx[kMaxConvKernel];
-                        for (int i = 0; i < bk.k; i++)
-                            row_idx[i] = gy * s - y0 + i;
                         float *dst =
                             &fresh(pw.block(bi).m0, gy - oy.begin, 0);
                         convBlockRowI8(bk, pw, bi, dst, plane, ow, stage,
-                                       row_idx, x0, act, rows, row_pitch);
+                                       gy * s - y0, x0, act, rows,
+                                       row_pitch);
                         if (relu)
                             reluRegion(dst, pw.block(bi).lanes, rows);
                     });
@@ -424,13 +439,10 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
                 forEachRegion(
                     pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
                     [&](int bi, int gy, int rows) {
-                        int row_idx[kMaxConvKernel];
-                        for (int i = 0; i < bk.k; i++)
-                            row_idx[i] = gy * s - y0 + i;
                         float *dst =
                             &fresh(pw.block(bi).m0, gy - oy.begin, 0);
                         convBlockRowF16(bk, pw, bi, dst, plane, ow, stage,
-                                        row_idx, x0, rows, row_pitch);
+                                        gy * s - y0, x0, rows, row_pitch);
                         if (relu)
                             reluRegion(dst, pw.block(bi).lanes, rows);
                     });
@@ -838,11 +850,15 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     }
 
     // One lane when the calling thread is already inside a parallel
-    // region (it could not fan out anyway) or a trace sink needs the
-    // raster order; otherwise one lane per pool thread, at most one per
-    // pyramid row.
+    // region (it could not fan out anyway), a trace sink needs the
+    // raster order, or the plan is a retained single pyramid column
+    // (row r then waits for all of row r - 1, so lanes would only take
+    // turns; the kernels' work items use the pool instead). Otherwise
+    // one lane per pool thread, at most one per pyramid row.
+    const bool wavefront = haloMode == Halo::Recompute ||
+                           tplan.numPyramidCols() > 1;
     int nlanes = 1;
-    if (!traceSink && !ThreadPool::inParallelRegion())
+    if (wavefront && !traceSink && !ThreadPool::inParallelRegion())
         nlanes = std::min(ThreadPool::global().numThreads(), rows);
     while (static_cast<int>(lanes.size()) < nlanes)
         lanes.push_back(makeLane());

@@ -58,10 +58,19 @@
  * lanes never wait, and each pyramid computes the same values whichever
  * lane runs it. With one lane (a one-thread pool, a caller already
  * inside a parallel region such as a serving worker's InlineScope, a
- * single pyramid row, or a trace sink installed) the run is the plain
- * raster walk on the calling thread, and the kernels' own parallelFor
- * calls use the pool as before; a traced run therefore emits its DRAM
- * accesses in raster order.
+ * single pyramid row, a trace sink installed, or a Retain plan with a
+ * single pyramid column) the run is the plain raster walk on the
+ * calling thread, and the kernels' own parallelFor calls use the pool
+ * as before; a traced run therefore emits its DRAM accesses in raster
+ * order.
+ *
+ * A Retain plan whose tip spans the whole group output width is the
+ * line buffer (PlanEngine::LineBuffer): one pyramid column, no BL, and
+ * a BT strip per windowed layer that carries the K - S rows the next
+ * band of rows re-reads. Its wavefront would have nothing to overlap,
+ * since row r waits for every pyramid of row r - 1, which is why such
+ * a plan runs the one-lane walk with (filter block, row group) work
+ * items on the pool.
  */
 
 #ifndef FLCNN_FUSION_FUSED_EXECUTOR_HH

@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "fusion/fused_executor.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "fusion/plan.hh"
 #include "nn/autotune_net.hh"
 #include "nn/reference.hh"
@@ -23,6 +22,19 @@ wallSeconds()
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
 }
+
+/**
+ * Group-output rows per pyramid of the LineBuffer preset, whose tip
+ * spans the whole output width. One row, the paper's tip height, gives
+ * the (filter block, row group) work items one row to share and makes
+ * every tile carry its K - S BT rows per output row: on a 4-vCPU host,
+ * VGG-five 224 at two threads took 538 ms (fp32) and 200 ms (int8) per
+ * image at one row, 382 and 140 ms at four. At four rows, ten-pair
+ * perfbench A/Bs against the row-streaming executor this preset
+ * replaced kept img_s.linebuffer level and raised int8 serve.rps by a
+ * fifth (EXPERIMENTS.md, "The line buffer as a full-width pyramid").
+ */
+constexpr int kLineBufferRows = 4;
 
 } // namespace
 
@@ -81,7 +93,6 @@ FusionPlan::operator=(const FusionPlan &other)
     solverNames.clear();
     diag.clear();
     fused.reset();
-    lineBuffer.reset();
     return *this;
 }
 
@@ -230,25 +241,19 @@ FusionPlan::compile(const PlanCompileOptions &opt)
         solverNames.push_back(std::to_string(i) + ":" + cp.solver);
     }
 
-    switch (opt.engine) {
-      case PlanEngine::Reference:
-        break;
-      case PlanEngine::Fused:
-      case PlanEngine::Recompute:
+    if (opt.engine != PlanEngine::Reference) {
+        TilePlan tiles =
+            opt.engine == PlanEngine::LineBuffer
+                ? TilePlan(*net, first, last, kLineBufferRows,
+                           net->outShape(last).w)
+                : TilePlan(*net, first, last, opt.tip, opt.tip);
         fused = std::make_unique<FusedExecutor>(
-            *net, *weights, TilePlan(*net, first, last, opt.tip, opt.tip),
+            *net, *weights, std::move(tiles),
             opt.engine == PlanEngine::Recompute
                 ? FusedExecutor::Halo::Recompute
                 : FusedExecutor::Halo::Retain);
         fused->setPrecision(opt.precision);
         fused->setFastMath(opt.fastMath);
-        break;
-      case PlanEngine::LineBuffer:
-        lineBuffer = std::make_unique<LineBufferExecutor>(*net, *weights,
-                                                          first, last);
-        lineBuffer->setPrecision(opt.precision);
-        lineBuffer->setFastMath(opt.fastMath);
-        break;
     }
 
     opt_ = opt;
@@ -309,17 +314,11 @@ FusionPlan::execute(const Tensor &input)
     }
     if (opt_.metrics)
         opt_.metrics->addCounter("plan", "executes", 1);
-    switch (opt_.engine) {
-      case PlanEngine::Reference:
+    if (opt_.engine == PlanEngine::Reference) {
         return runRange(*net, *weights, input, opList.front(),
                         opList.back(), opt_.precision);
-      case PlanEngine::Fused:
-      case PlanEngine::Recompute:
-        return fused->run(input);
-      case PlanEngine::LineBuffer:
-        return lineBuffer->run(input);
     }
-    panic("unreachable plan engine");
+    return fused->run(input);
 }
 
 void
@@ -332,18 +331,9 @@ FusionPlan::executeInto(const Tensor &input, Tensor *out)
     }
     if (opt_.metrics)
         opt_.metrics->addCounter("plan", "executes", 1);
-    switch (opt_.engine) {
-      case PlanEngine::Fused:
-      case PlanEngine::Recompute:
-        fused->runInto(input, out);
-        return;
-      case PlanEngine::LineBuffer:
-        lineBuffer->runInto(input, out);
-        return;
-      case PlanEngine::Reference:
-        break;
-    }
-    panic("executeInto() on a plan without in-place output support");
+    if (!fused)
+        panic("executeInto() on a plan without in-place output support");
+    fused->runInto(input, out);
 }
 
 bool

@@ -15,12 +15,15 @@
  *
  * Supported-fusions table (PlanEngine x op kinds):
  *
- *   engine      | accepted op sequences
- *   ------------+----------------------------------------------------
- *   Fused       | path-shaped runs of Pad / Conv / Pool / ReLU / LRN
- *   LineBuffer  | (the pyramid and row-streaming executors share one
- *   Recompute   |  precondition set; Recompute is the pyramid one)
- *   Reference   | any path-shaped single-input run (FC included)
+ *   engine      | executor preset                | accepted op sequences
+ *   ------------+--------------------------------+---------------------
+ *   Fused       | FusedExecutor, Retain, tip^2   | path-shaped runs of
+ *   LineBuffer  | FusedExecutor, Retain, 4 rows  | Pad / Conv / Pool /
+ *               |   x the whole output width     | ReLU / LRN
+ *   Recompute   | FusedExecutor, Recompute, tip^2|
+ *   Reference   | nn::runRange                   | any path-shaped
+ *               |                                | single-input run
+ *               |                                | (FC included)
  *
  * Everything else is a typed rejection: multi-input joins (Add,
  * Concat) return MultiInputOp, FullyConnected under a fused engine
@@ -52,16 +55,16 @@
 namespace flcnn {
 
 class FusedExecutor;
-class LineBufferExecutor;
 class MetricsRegistry;
 
-/** Which executor a plan compiles onto (also the serving engine:
- *  ServeConfig::engine picks one for every worker). */
+/** Which executor preset a plan compiles onto (also the serving
+ *  engine: ServeConfig::engine picks one for every worker). */
 enum class PlanEngine
 {
     Reference,   //!< layer-by-layer nn::runRange (explicit choice)
     Fused,       //!< FusedExecutor, Halo::Retain (reuse model)
-    LineBuffer,  //!< LineBufferExecutor (row-streaming dataflow)
+    LineBuffer,  //!< FusedExecutor, Halo::Retain, tip 4 rows x the
+                 //!< whole output width: BT strips are line buffers
     Recompute,   //!< FusedExecutor, Halo::Recompute (no reuse buffers)
 };
 
@@ -207,10 +210,9 @@ class FusionPlan
     std::vector<std::string> solverNames;
     mutable std::string diag;
 
-    // Exactly one is live after compiling onto a fused engine
-    // (Reference pins no executor — runRange holds no state).
-    std::unique_ptr<FusedExecutor> fused;  //!< Fused and Recompute
-    std::unique_ptr<LineBufferExecutor> lineBuffer;
+    // Live after compiling onto any engine but Reference, which pins
+    // no executor (runRange holds no state).
+    std::unique_ptr<FusedExecutor> fused;
 };
 
 } // namespace flcnn

@@ -146,7 +146,13 @@ blockMf(float *dst, int64_t dst_stride, const float *in,
         // vector multiply-adds (the strided access is paid once per
         // tap instead of once per lane). Accumulator (f, t) still
         // receives its taps in the canonical (n, i, j) order; only the
-        // load schedule differs.
+        // load schedule differs. The empty asm after the gather keeps
+        // GCC 12 at -O3 from vectorizing the channel loop: it did so
+        // with emulated in-order sums, ran 2-3x slower than the plain
+        // loop, and loaded channel n + 1 while finishing channel n, a
+        // whole plane past the input on the last channel (SIGSEGV
+        // when that plane is unmapped; ConvBlockKernels.
+        // StripsReadNothingPastTheirInput).
         float acc[MR][W];
         for (int f = 0; f < MR; f++)
             for (int t = 0; t < W; t++)
@@ -163,6 +169,7 @@ blockMf(float *dst, int64_t dst_stride, const float *in,
                     float px[W];
                     for (int t = 0; t < W; t++)
                         px[t] = irow[t * SX + j];
+                    asm volatile("");
                     for (int f = 0; f < MR; f++) {
                         const float wf = wrow[j * MR + f];
                         for (int t = 0; t < W; t++)

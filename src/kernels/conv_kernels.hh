@@ -25,9 +25,8 @@
  *
  * Addressing model: the input is any CHW-like buffer described by a
  * channel stride plus a per-kernel-row offset table. Row offsets are an
- * explicit K-entry table (not y0 * row_stride) so the same kernel
- * serves linear tensors, tile buffers, and the line-buffer executor's
- * modular ring buffers.
+ * explicit K-entry table (not y0 * row_stride), so the rows a kernel
+ * reads need not be evenly spaced in memory.
  */
 
 #ifndef FLCNN_KERNELS_CONV_KERNELS_HH

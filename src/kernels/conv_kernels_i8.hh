@@ -21,8 +21,7 @@
  * inside i32 range.
  *
  * Addressing model: same as the fp32 kernels — a channel stride plus an
- * explicit K-entry row-offset table, serving linear tensors, tile
- * buffers, and modular ring buffers alike. The input is the staged u8
+ * explicit K-entry row-offset table. The input is the staged u8
  * image produced by ConvStage (kernels/conv_layer.hh); weights come
  * from a PackedWeightsI8 panel in j-group-of-4 interleaved layout (see
  * kernels/weight_pack_q.hh).

@@ -105,15 +105,13 @@ stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1)
 void
 convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
                int bi, float *dst, int64_t dst_stride, int count,
-               const ConvStage &st, const int *row_idx, int x0,
-               const ActQuant &act, int rows, int64_t dst_row_stride)
+               const ConvStage &st, int y0, int x0, const ActQuant &act,
+               int rows, int64_t dst_row_stride)
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     FLCNN_ASSERT(st.mode == Precision::Int8, "stage is not int8");
     int64_t row_off[kMaxConvKernel];
-    for (int i = 0; i < bk.k; i++)
-        row_off[i] =
-            static_cast<int64_t>(row_idx[i]) * st.stageW + x0;
+    linearRowOffsets(row_off, bk.k, y0, st.stageW, x0);
 
     // Raw i32 accumulation into thread-local scratch, lane f's row r at
     // (f * rows + r) * count (the kernels accumulate, so zero-fill
@@ -171,15 +169,13 @@ convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
 void
 convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
                 int bi, float *dst, int64_t dst_stride, int count,
-                const ConvStage &st, const int *row_idx, int x0, int rows,
+                const ConvStage &st, int y0, int x0, int rows,
                 int64_t dst_row_stride)
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     FLCNN_ASSERT(st.mode == Precision::Fp16, "stage is not fp16");
     int64_t row_off[kMaxConvKernel];
-    for (int i = 0; i < bk.k; i++)
-        row_off[i] =
-            static_cast<int64_t>(row_idx[i]) * st.stageW + x0;
+    linearRowOffsets(row_off, bk.k, y0, st.stageW, x0);
 
     const PackedBlock &b = pw.block(bi);
     for (int f = 0; f < b.lanes; f++) {

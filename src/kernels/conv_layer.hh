@@ -4,7 +4,7 @@
  *
  * The int8 and fp16 modes are conv-boundary transformations: before a
  * conv layer consumes an fp32 source buffer (a reference tensor, a
- * fused tile, a line-buffer ring, a recompute tile), the rows it will
+ * fused tile, a recompute tile), the rows it will
  * read are *staged* — converted elementwise into the mode's compute
  * format — and the strip kernels then run against the staged image.
  * ConvStage owns that staging buffer; the convBlockRow* drivers wrap
@@ -20,9 +20,8 @@
  * simd::i8TailOverread(K, stride) bytes (at most 31) past the image;
  * the half-row loads of row-grouped blocks read less
  * (simd::i8HalfOverread).
- * Row addressing is an explicit K-entry row-index table (like the
- * kernels' row-offset tables) so the same drivers serve linear
- * tensors, tile buffers, and the line-buffer executor's modular rings.
+ * Rows are addressed like convBlockRowTensor()'s: kernel row i of
+ * output row 0 reads staged row y0 + i.
  *
  * Determinism: staging is scalar and elementwise (one rounding per
  * element, no accumulation), the int8 kernels produce exact i32 sums,
@@ -85,7 +84,7 @@ void stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1);
 /**
  * Compute @p count output pixels of every filter in block @p bi of the
  * int8 pack into dst + f * dst_stride: exact i32 accumulation over the
- * staged image (kernel row i reads staged row row_idx[i], columns
+ * staged image (kernel row i reads staged row y0 + i, columns
  * x0 + t * stride), then the deterministic dequant epilogue
  *
  *   dst[t] = bias[m] + (act.scale * scale[m])
@@ -96,13 +95,12 @@ void stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1);
  *
  * With @p rows > 1 the call covers that many consecutive output rows
  * in one kernel region (see ConvBlockStripI8Fn): output row r reads
- * staged rows row_idx[i] + r * stride and lands at
- * dst + r * dst_row_stride. Bit-identical to @p rows one-row calls;
- * the staged rows must be linear (not a modular ring).
+ * staged rows y0 + r * stride + i and lands at dst + r *
+ * dst_row_stride. Bit-identical to @p rows one-row calls.
  */
 void convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
                     int bi, float *dst, int64_t dst_stride, int count,
-                    const ConvStage &st, const int *row_idx, int x0,
+                    const ConvStage &st, int y0, int x0,
                     const ActQuant &act, int rows = 1,
                     int64_t dst_row_stride = 0);
 
@@ -116,8 +114,8 @@ void convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
  */
 void convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
                      int bi, float *dst, int64_t dst_stride, int count,
-                     const ConvStage &st, const int *row_idx, int x0,
-                     int rows = 1, int64_t dst_row_stride = 0);
+                     const ConvStage &st, int y0, int x0, int rows = 1,
+                     int64_t dst_row_stride = 0);
 
 } // namespace flcnn
 

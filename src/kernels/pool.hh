@@ -4,8 +4,8 @@
  *
  * One call produces one output row of a K x K, stride-S pooling window.
  * The caller passes a table of K input row pointers rather than one
- * base pointer and a pitch, because the line buffer's ring rows are not
- * evenly spaced in memory. Every output element folds its window in
+ * base pointer and a pitch, so the rows need not be evenly spaced in
+ * memory. Every output element folds its window in
  * nn::poolPoint()'s order — max starts from the window's top-left tap,
  * then max(acc, v) over taps (i, j) row-major; average sums the same
  * taps from zero and divides by K * K — so results are bit-identical to

@@ -156,12 +156,10 @@ runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
                 for (int64_t w = lo; w < hi; w++) {
                     const int y = static_cast<int>(w / nb);
                     const int bi = static_cast<int>(w % nb);
-                    int row_idx[kMaxConvKernel];
-                    for (int i = 0; i < bk.k; i++)
-                        row_idx[i] = y * spec.stride + i;
                     convBlockRowI8(bk, pw, bi,
                                    &out(pw.block(bi).m0, y, 0), plane,
-                                   out_shape.w, st, row_idx, 0, act);
+                                   out_shape.w, st, y * spec.stride, 0,
+                                   act);
                 }
             },
             plan.cfg.grain);
@@ -178,12 +176,9 @@ runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
                 for (int64_t w = lo; w < hi; w++) {
                     const int y = static_cast<int>(w / nb);
                     const int bi = static_cast<int>(w % nb);
-                    int row_idx[kMaxConvKernel];
-                    for (int i = 0; i < bk.k; i++)
-                        row_idx[i] = y * spec.stride + i;
                     convBlockRowF16(bk, pw, bi,
                                     &out(pw.block(bi).m0, y, 0), plane,
-                                    out_shape.w, st, row_idx, 0);
+                                    out_shape.w, st, y * spec.stride, 0);
                 }
             },
             plan.cfg.grain);

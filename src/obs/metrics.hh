@@ -43,8 +43,8 @@ namespace flcnn {
 
 /**
  * Totals of one fused-executor run, the same fields for every engine
- * (FusedExecutor under either halo strategy, LineBufferExecutor and
- * the PartitionExecutor's sum over its groups). With a registry attached
+ * (FusedExecutor under either halo strategy and any tip, the line
+ * buffer included, and the PartitionExecutor's sum over its groups). With a registry attached
  * to the run, each counted field equals the sum of its counter over
  * every scope: loadedBytes = sumCounters("dram_read_bytes"),
  * storedBytes = sumCounters("dram_write_bytes"), pyramids =
@@ -55,10 +55,10 @@ struct RunStats
 {
     int64_t loadedBytes = 0;   //!< DRAM bytes read (incl. re-reads)
     int64_t storedBytes = 0;   //!< DRAM bytes written
-    int64_t reuseBytes = 0;    //!< BL + BT capacity (the paper's cost);
-                               //!< the line buffer's ring capacity
+    int64_t reuseBytes = 0;    //!< BL + BT capacity (the paper's cost;
+                               //!< BT alone for the line buffer)
     int64_t workingBytes = 0;  //!< tile + fresh-output buffer capacity
-    int64_t pyramids = 0;      //!< pyramids evaluated (0: line buffer)
+    int64_t pyramids = 0;      //!< pyramids evaluated
     OpCount ops;               //!< arithmetic performed, including any
                                //!< recomputation
 };

@@ -7,6 +7,9 @@
 #include <numeric>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "common/thread_pool.hh"
 
 namespace flcnn {
@@ -171,6 +174,40 @@ TEST(ThreadPool, ReusableAcrossManyJobs)
         });
         ASSERT_EQ(total.load(), 37);
     }
+}
+
+TEST(ThreadPool, ForkedChildRunsParallelForAndExitsCleanly)
+{
+#if defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "ThreadSanitizer refuses to start threads in the "
+                    "child of a multi-threaded fork";
+#endif
+    // The child inherits the started global pool but none of its
+    // workers. Its parallelFor must still cover the range on the pool
+    // width, and its exit() must not join the parent's workers.
+    ThreadPool::setGlobalThreads(2);
+    std::atomic<int64_t> total{0};
+    parallelFor(0, 100, [&](int64_t lo, int64_t hi) { total += hi - lo; });
+    ASSERT_EQ(total.load(), 100);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        alarm(60);  // a hang becomes a SIGALRM death, not a stuck test
+        std::atomic<int64_t> sum{0};
+        std::atomic<int> chunks{0};
+        parallelFor(0, 100, [&](int64_t lo, int64_t hi) {
+            sum += hi - lo;
+            chunks++;
+        });
+        const bool ok = sum.load() == 100 && chunks.load() == 2 &&
+                        ThreadPool::global().numThreads() == 2;
+        std::exit(ok ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status)) << "child died, status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    ThreadPool::setGlobalThreads(0);
 }
 
 } // namespace

@@ -11,8 +11,8 @@
  * survives the ReLU then flows
  * through a pool, a stand-alone ReLU and the second conv, whose int8
  * staging must quantize it identically on every engine. Fused and
- * Recompute (tips {1, 5}), LineBuffer through a plan and the
- * LineBufferExecutor directly (row blocks {1, 3}) at threads {1, 2, 8},
+ * Recompute (tips {1, 5}), LineBuffer through a plan and its
+ * full-width tiling directly (rows {1, 3}) at threads {1, 2, 8},
  * in fp32 and int8, must match nn::runRange bit for bit, compared as
  * raw bytes so NaN payloads and zero signs count: once on the range
  * ending at the first ReLU, whose clamped values are then the output
@@ -31,8 +31,8 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "fusion/fused_executor.hh"
 #include "fusion/fusion_plan.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 
@@ -177,19 +177,21 @@ TEST(ReluEpilogue, EdgeValuesMatchRunRangeBitForBit)
                     }
                 }
             }
-            // Row blocking changes which conv work items clamp which
-            // rows and lets Pad write several rows ahead into the ring.
-            for (int row_block : {1, 3}) {
-                LineBufferExecutor lb(net, w, range_first, range_last,
-                                      row_block);
+            // The rows per full-width tip change which conv work items
+            // clamp which rows and how a Pad's rows split between the
+            // BT strip and the fresh rows.
+            for (int rows : {1, 3}) {
+                FusedExecutor lb(net, w,
+                                 TilePlan(net, range_first, range_last,
+                                          rows,
+                                          net.outShape(range_last).w));
                 lb.setPrecision(&prec);
                 for (int threads : {1, 2, 8}) {
                     ScopedThreads pin(threads);
                     EXPECT_TRUE(sameBits(golden, lb.run(src)))
                         << m << " layers " << range_first << ".."
-                        << range_last
-                        << " LineBufferExecutor row block " << row_block
-                        << " threads " << threads;
+                        << range_last << " full width, " << rows
+                        << " rows, threads " << threads;
                 }
             }
         }

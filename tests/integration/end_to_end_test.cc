@@ -2,8 +2,9 @@
  * @file
  * Cross-module integration: the full designer workflow (explore → pick
  * → execute → verify), cross-checks between independent execution
- * paths (pyramid executor, line buffer, emitted HLS, tiled baseline),
- * and zoo networks exercised end to end at reduced scale.
+ * paths (pyramid executor at 1x1 and full-width tips, emitted HLS,
+ * tiled baseline), and zoo networks exercised end to end at reduced
+ * scale.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include "accel/partition_executor.hh"
 #include "common/thread_pool.hh"
 #include "dse/sweep.hh"
-#include "fusion/line_buffer_executor.hh"
 #include "hls/emitter.hh"
 #include "model/transfer.hh"
 #include "nn/reference.hh"
@@ -63,9 +63,9 @@ TEST(EndToEnd, ExploreThenExecuteTheParetoFront)
 
 TEST(EndToEnd, FourIndependentExecutionPathsAgree)
 {
-    // Reference, pyramid-fused, line-buffered, and tiled-baseline are
-    // four structurally different evaluations of the same network;
-    // all must agree bit-exactly.
+    // Reference, pyramid-fused (1x1 tips, and the line buffer's
+    // full-width tips) and tiled-baseline are structurally different
+    // evaluations of the same network; all must agree bit-exactly.
     Rng rng(83);
     for (int trial = 0; trial < 8; trial++) {
         Network net = randomFusableNet(rng);
@@ -80,7 +80,8 @@ TEST(EndToEnd, FourIndependentExecutionPathsAgree)
 
         Tensor ref = runRange(net, weights, input, 0, last);
         FusedExecutor fx(net, weights, TilePlan(net, 0, last));
-        LineBufferExecutor lb(net, weights, 0, last);
+        FusedExecutor lb(net, weights,
+                         TilePlan(net, 0, last, 4, net.outShape(last).w));
         BaselineAccelerator base(net, weights,
                                  BaselineConfig{2, 2, 5, 5});
 
@@ -253,7 +254,9 @@ TEST(Observability, ExecutorMetricSumsMatchRunStats)
          }},
         {"linebuffer",
          [&](MetricsRegistry &reg, RunStats &s) {
-             LineBufferExecutor x(net, weights, 0, last);
+             FusedExecutor x(net, weights,
+                             TilePlan(net, 0, last, 4,
+                                      net.outShape(last).w));
              x.setMetrics(&reg);
              x.run(input, &s);
              // A ReLU fused into its conv must still be counted once,

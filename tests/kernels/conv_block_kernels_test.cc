@@ -3,13 +3,17 @@
  * Multi-filter blocked strip kernels: bit-exact equivalence with the
  * canonical scalar convPoint() and with the single-filter strips
  * across the kernel/stride grid, filter-count and strip-width tails,
- * SIMD-vs-generic dispatch, ring row tables, grouped convolution, and
- * channel-range partial-sum chaining.
+ * SIMD-vs-generic dispatch, ring row tables, grouped convolution,
+ * channel-range partial-sum chaining, and reads that stay inside the
+ * input.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "kernels/conv_kernels.hh"
 #include "kernels/weight_pack.hh"
@@ -189,9 +193,9 @@ TEST(ConvBlockKernels, FilterCountsCoverEveryLaneTail)
 
 TEST(ConvBlockKernels, RingRowOffsetsMatchLinearRows)
 {
-    // The line-buffer executor hands the blocked kernel modular ring
-    // rows via row_off; the result must match the linear-tensor call
-    // bit for bit.
+    // Rows handed to the blocked kernel through row_off need not be
+    // evenly spaced: modular ring rows must match the linear-tensor
+    // call bit for bit.
     const int k = 3, s = 1, cap = 4, channels = 3, out_w = 21;
     const int in_h = 6;
     Tensor in(Shape{channels, in_h, out_w + k - 1});
@@ -304,6 +308,68 @@ TEST(ConvBlockKernels, ChannelRangeChainingIsBitExact)
     convBlockRowTensor(bk, pw, 0, oneshot.data(), out_w, out_w, c.in,
                        0, 0);
     EXPECT_EQ(chained, oneshot);
+}
+
+TEST(ConvBlockKernels, StripsReadNothingPastTheirInput)
+{
+    // Each input ends on a page boundary with an inaccessible page
+    // behind it, so a kernel that loads past its last input element
+    // dies with SIGSEGV. Every output row of a valid conv is computed,
+    // over the kernel/stride grid, by the single-filter strips and the
+    // multi-filter blocks at each lane count, for channel counts that
+    // are and are not multiples of a vector width.
+    const int64_t page = sysconf(_SC_PAGESIZE);
+    const int out_w = 13, out_h = 3;  // 8 + 4 + 1 pixel blocks
+    for (int k : {1, 3, 5, 7, 11}) {
+        for (int s : {1, 2, 4}) {
+            const int h = (out_h - 1) * s + k, w = (out_w - 1) * s + k;
+            for (int channels : {1, 2, 3, 5, 8}) {
+                const size_t bytes =
+                    static_cast<size_t>(channels) * h * w * sizeof(float);
+                const size_t span = (bytes + page - 1) / page * page;
+                void *map = mmap(nullptr, span + page,
+                                 PROT_READ | PROT_WRITE,
+                                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+                ASSERT_NE(map, MAP_FAILED);
+                char *base = static_cast<char *>(map);
+                ASSERT_EQ(mprotect(base + span, page, PROT_NONE), 0);
+                float *in = reinterpret_cast<float *>(base + span - bytes);
+                for (size_t e = 0; e < bytes / sizeof(float); e++)
+                    in[e] = 1.0f;
+                std::vector<float> wp(
+                    static_cast<size_t>(kConvBlockLanes) * channels * k * k,
+                    0.5f);
+                std::vector<float> dst(
+                    static_cast<size_t>(kConvBlockLanes) * out_w);
+                const int64_t plane = static_cast<int64_t>(h) * w;
+                const float want = 0.5f * channels * k * k;
+                for (int y = 0; y < out_h; y++) {
+                    SCOPED_TRACE("k=" + std::to_string(k) +
+                                 " s=" + std::to_string(s) +
+                                 " channels=" + std::to_string(channels) +
+                                 " y=" + std::to_string(y));
+                    int64_t row_off[kMaxConvKernel];
+                    linearRowOffsets(row_off, k, y * s, w);
+                    for (const ConvBlockKernel &bk :
+                         {resolveConvBlockKernelScalar(k, s),
+                          resolveConvBlockKernel(k, s)}) {
+                        for (int mr : {1, 2, 4}) {
+                            std::fill(dst.begin(), dst.end(), 0.0f);
+                            bk.run(mr, dst.data(), out_w, out_w, in,
+                                   plane, row_off, wp.data(), channels);
+                            ASSERT_EQ(dst[0], want) << "mr=" << mr;
+                        }
+                    }
+                    std::fill(dst.begin(), dst.end(), 0.0f);
+                    resolveConvKernel(k, s).run(dst.data(), out_w, in,
+                                                plane, row_off, wp.data(),
+                                                channels);
+                    ASSERT_EQ(dst[0], want) << "single filter";
+                }
+                munmap(map, span + page);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -166,9 +166,9 @@ TEST(ConvKernels, GroupedConvolutionMatchesConvPoint)
 
 TEST(ConvKernels, RingRowOffsetsMatchLinearRows)
 {
-    // The line-buffer executor hands the kernel modular ring rows via
-    // the row_off table; feeding the same rows through a ring layout
-    // must reproduce the linear-tensor result bit for bit.
+    // Rows handed to the kernel through the row_off table need not be
+    // evenly spaced: feeding the same rows through a ring layout must
+    // reproduce the linear-tensor result bit for bit.
     const int k = 3, cap = 4, channels = 3, out_w = 21;
     ConvCase c(k, 1, channels, 2, out_w, 6, 55);
     const ConvKernel ks = resolveConvKernel(k, 1);

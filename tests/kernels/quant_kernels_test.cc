@@ -280,12 +280,9 @@ TEST(ConvKernelsI8, RowDriverMatchesNaiveQuantizedConvBitExactly)
         const int64_t plane = static_cast<int64_t>(out_h) * out_w;
         for (int bi = 0; bi < pw.numBlocks(); bi++) {
             for (int y = 0; y < out_h; y++) {
-                int row_idx[kMaxConvKernel];
-                for (int i = 0; i < k; i++)
-                    row_idx[i] = y * stride + i;
                 convBlockRowI8(bk, pw, bi,
                                &out(pw.block(bi).m0, y, 0), plane,
-                               out_w, st, row_idx, 0, act);
+                               out_w, st, y * stride, 0, act);
             }
         }
 

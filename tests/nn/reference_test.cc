@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
+#include "tensor/compare.hh"
 
 namespace flcnn {
 namespace {
@@ -396,6 +398,32 @@ TEST(ReferenceGraphDeath, RunRangeRejectsNonPathRanges)
     Tensor in(net.inputShape());
     EXPECT_DEATH(runRange(net, w, in, 0, net.numLayers() - 1),
                  "path-shaped");
+}
+
+TEST(Reference, OutputIsThreadCountInvariant)
+{
+    // runRange is parallelized too; its output, every fused engine's
+    // golden value, must not depend on the pool width either.
+    Network net("refinv", Shape{3, 30, 30});
+    net.addConvBlock("c1", 6, 3, 1, 1);
+    net.addMaxPool("p1", 3, 2);
+    net.addConvBlock("c2", 4, 5, 1, 2);
+    const int last = net.numLayers() - 1;
+    Rng wrng(77);
+    NetworkWeights weights(net, wrng);
+    Tensor input(net.inputShape());
+    Rng irng(78);
+    input.fillRandom(irng);
+
+    ThreadPool::setGlobalThreads(1);
+    const Tensor ref = runRange(net, weights, input, 0, last);
+    for (int threads : {2, 3, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        EXPECT_TRUE(tensorsEqual(ref, runRange(net, weights, input, 0,
+                                               last)))
+            << "threads=" << threads;
+    }
+    ThreadPool::setGlobalThreads(0);
 }
 
 } // namespace
