@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "dse/sweep.hh"
 #include "fusion/fused_executor.hh"
 #include "kernels/conv_kernels.hh"
@@ -342,6 +343,81 @@ BM_ConvRowsGroupedI8(benchmark::State &state)
     state.SetLabel(solverLabel(f, false, Precision::Int8));
 }
 BENCHMARK(BM_ConvRowsGroupedI8)->Args({4, 4})->Args({2, 8});
+
+/** A whole int8 conv layer: VGG-five's five convs at 224^2 and
+ *  AlexNet's conv2 (two groups of 48 channels, 5x5, 27^2 out). */
+struct I8LayerShape
+{
+    const char *name;
+    int c, m, k, out, groups;
+};
+constexpr I8LayerShape kI8Layers[] = {
+    {"conv1_1", 3, 64, 3, 224, 1},   {"conv1_2", 64, 64, 3, 224, 1},
+    {"conv2_1", 64, 128, 3, 112, 1}, {"conv2_2", 128, 128, 3, 112, 1},
+    {"conv3_1", 128, 256, 3, 56, 1}, {"alex_conv2", 96, 256, 5, 27, 2},
+};
+constexpr const char *kI8Tiers[] = {"i8.vnni", "i8.amx"};
+
+void
+BM_ConvLayerI8(benchmark::State &state)
+{
+    // One thread stages the padded input and runs every (filter block,
+    // row group) region of the layer through convBlockRowI8, epilogue
+    // included, under the named solver: the A/B of i8.amx against
+    // i8.vnni on real layer shapes. GMAC/s counts only the layer's
+    // multiply-accumulates.
+    const I8LayerShape &l = kI8Layers[state.range(0)];
+    const char *tier = kI8Tiers[state.range(1)];
+    ConvQuery q;
+    q.shape = ConvShape{l.k, 1, l.c, l.m, l.out, l.out, l.groups};
+    q.dtype = Precision::Int8;
+    const ConvSolver *solver = findConvSolver(tier);
+    if (!solver || !solver->isApplicable(q)) {
+        state.SkipWithError("solver does not apply to this layer here");
+        return;
+    }
+    ConvPlan plan;
+    plan.solver = tier;
+    solver->resolve(q, plan.cfg, &plan);
+    const int side = l.out + l.k - 1;
+    Tensor in(l.c, side, side);
+    Rng rng(19);
+    in.fillRandom(rng, -1.0f, 1.0f);
+    FilterBank fb(l.m, l.c / l.groups, l.k);
+    fb.fillRandom(rng);
+    const ActQuant act = chooseActQuant(-1.0f, 1.0f);
+    const PackedWeightsI8 pw(
+        fb, l.groups, std::vector<float>(static_cast<size_t>(l.m), 0.05f),
+        plan.cfg.mrCap);
+    ConvStage st;
+    st.configure(Precision::Int8, l.c, side, side,
+                 plan.bkI8.stageGroups(l.groups));
+    Tensor out(l.m, l.out, l.out);
+    const int64_t plane = static_cast<int64_t>(l.out) * l.out;
+    const int group = plan.bkI8.groupRows(l.out);
+    ThreadPool::setGlobalThreads(1);
+    for (auto _ : state) {
+        stageConvInputI8(st, in, act, 0, side);
+        for (int y = 0; y < l.out; y += group)
+            for (int bi = 0; bi < pw.numBlocks(); bi++)
+                convBlockRowI8(plan.bkI8, pw, bi,
+                               &out(pw.block(bi).m0, y, 0), plane, l.out,
+                               st, y, 0, act, std::min(group, l.out - y),
+                               l.out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    ThreadPool::setGlobalThreads(0);
+    const double macs = static_cast<double>(plane) * l.m * l.k * l.k *
+                        (l.c / l.groups);
+    state.counters["GMAC/s"] = benchmark::Counter(
+        macs * 1e-9 * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+    state.SetLabel(std::string(l.name) + " " + tier);
+}
+BENCHMARK(BM_ConvLayerI8)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_QuantizeRowI8(benchmark::State &state)

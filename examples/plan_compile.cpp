@@ -6,7 +6,9 @@
  * This is the CI smoke for the plan compile/execute contract: every
  * known-supported zoo network must compile onto every fused engine
  * with zero rejects and zero silent fallbacks (the `plan:` metrics
- * scope proves both). It doubles as a compile-time probe.
+ * scope proves both). It doubles as a compile-time probe. The text
+ * report ends with the int8 solver each fused conv plans to on this
+ * host, so a CI log shows which int8 tier (i8.amx or lower) ran.
  *
  * Usage:
  *   plan_compile [--json] [--check] [--tip N]
@@ -25,6 +27,7 @@
 #include "common/argparse.hh"
 #include "common/logging.hh"
 #include "fusion/fusion_plan.hh"
+#include "nn/autotune_net.hh"
 #include "nn/zoo.hh"
 #include "obs/metrics.hh"
 
@@ -166,6 +169,23 @@ main(int argc, char **argv)
                                                        "compiles")),
                     static_cast<long long>(rejected),
                     static_cast<long long>(fallbacks));
+        // The int8 tier each fused conv resolves to on this host, so a
+        // log shows whether i8.amx (or only a lower tier) ran here.
+        std::printf("\nint8 solvers (layer:solver):\n");
+        for (const Entry &e : zoo) {
+            int first, last;
+            fusablePrefix(e.net, &first, &last);
+            std::printf("  %-22s", e.label);
+            for (int l = first; l <= last; l++) {
+                if (e.net.layer(l).kind == LayerKind::Conv)
+                    std::printf(" %d:%s", l,
+                                planConv(convLayerQuery(e.net, l,
+                                                        Precision::Int8,
+                                                        false))
+                                    .solver.c_str());
+            }
+            std::printf("\n");
+        }
     }
 
     if (check) {

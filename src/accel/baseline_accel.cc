@@ -136,9 +136,6 @@ BaselineAccelerator::runConvStage(int stage_idx, const Tensor &in,
                         // blocks. The packed panel's (n, i, j, lane)
                         // layout keeps channel sub-range [n0, n0+tnn)
                         // contiguous at offset n0*K*K*lanes.
-                        FLCNN_ASSERT(
-                            k <= kMaxConvKernel,
-                            "conv kernel exceeds the strip row table");
                         const Shape &tsh = in_tile.shape();
                         const int64_t tile_ch_stride =
                             static_cast<int64_t>(tsh.h) * tsh.w;
@@ -151,20 +148,17 @@ BaselineAccelerator::runConvStage(int stage_idx, const Tensor &in,
                         parallelFor(
                             0, static_cast<int64_t>(nb_tile) * trr,
                             [&](int64_t wlo, int64_t whi) {
-                                int64_t row_off[kMaxConvKernel];
                                 for (int64_t w = wlo; w < whi; w++) {
                                     const int bi =
                                         bi0 + static_cast<int>(w / trr);
                                     const int r =
                                         static_cast<int>(w % trr);
                                     const PackedBlock &blk = pw.block(bi);
-                                    linearRowOffsets(row_off, k,
-                                                     r * s, tsh.w);
                                     bk.run(blk.lanes,
                                            &out(blk.m0, row + r, col),
                                            out_plane, tcc,
-                                           in_tile.rowPtr(0, 0, 0),
-                                           tile_ch_stride, row_off,
+                                           in_tile.rowPtr(0, r * s, 0),
+                                           tile_ch_stride, tsh.w,
                                            pw.panel(bi) +
                                                static_cast<int64_t>(n0) *
                                                    k * k * blk.lanes,

@@ -411,7 +411,9 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
             const Shape &ts = tile.shape();
             const Precision mode =
                 st.pwI8 ? Precision::Int8 : Precision::Fp16;
-            ll.stage.configure(mode, ts.c, ts.h, ts.w);
+            ll.stage.configure(
+                mode, ts.c, ts.h, ts.w,
+                st.pwI8 ? st.plan.bkI8.stageGroups(spec.groups) : 0);
             const int r0 = oy.begin * s - y0;
             const int r1 =
                 std::min((oy.end - 1) * s - y0 + spec.kernel, ts.h);

@@ -18,7 +18,7 @@ namespace {
 template <int W, int K, int SX>
 inline void
 stripBlock(float *dst, const float *in, int64_t ch_stride,
-           const int64_t *row_off, const float *w, int n_count)
+           int64_t row_pitch, const float *w, int n_count)
 {
     float acc[W];
     for (int t = 0; t < W; t++)
@@ -27,7 +27,7 @@ stripBlock(float *dst, const float *in, int64_t ch_stride,
     const float *wchan = w;
     for (int n = 0; n < n_count; n++, chan += ch_stride, wchan += K * K) {
         for (int i = 0; i < K; i++) {
-            const float *irow = chan + row_off[i];
+            const float *irow = chan + i * row_pitch;
             const float *wrow = wchan + static_cast<int64_t>(i) * K;
             for (int j = 0; j < K; j++) {
                 const float wj = wrow[j];
@@ -44,7 +44,7 @@ stripBlock(float *dst, const float *in, int64_t ch_stride,
 template <int W>
 inline void
 stripBlockGeneric(float *dst, const float *in, int64_t ch_stride,
-                  const int64_t *row_off, const float *w, int n_count,
+                  int64_t row_pitch, const float *w, int n_count,
                   int k, int sx)
 {
     float acc[W];
@@ -55,7 +55,7 @@ stripBlockGeneric(float *dst, const float *in, int64_t ch_stride,
     const int64_t wcs = static_cast<int64_t>(k) * k;
     for (int n = 0; n < n_count; n++, chan += ch_stride, wchan += wcs) {
         for (int i = 0; i < k; i++) {
-            const float *irow = chan + row_off[i];
+            const float *irow = chan + i * row_pitch;
             const float *wrow = wchan + static_cast<int64_t>(i) * k;
             for (int j = 0; j < k; j++) {
                 const float wj = wrow[j];
@@ -74,28 +74,28 @@ stripBlockGeneric(float *dst, const float *in, int64_t ch_stride,
 template <int K, int SX>
 void
 convStripSpec(float *dst, int count, const float *in, int64_t ch_stride,
-              const int64_t *row_off, const float *w, int n_count)
+              int64_t row_pitch, const float *w, int n_count)
 {
     while (count >= 8) {
-        stripBlock<8, K, SX>(dst, in, ch_stride, row_off, w, n_count);
+        stripBlock<8, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
         dst += 8;
         in += 8 * SX;
         count -= 8;
     }
     if (count >= 4) {
-        stripBlock<4, K, SX>(dst, in, ch_stride, row_off, w, n_count);
+        stripBlock<4, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
         dst += 4;
         in += 4 * SX;
         count -= 4;
     }
     if (count >= 2) {
-        stripBlock<2, K, SX>(dst, in, ch_stride, row_off, w, n_count);
+        stripBlock<2, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
         dst += 2;
         in += 2 * SX;
         count -= 2;
     }
     if (count >= 1)
-        stripBlock<1, K, SX>(dst, in, ch_stride, row_off, w, n_count);
+        stripBlock<1, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
 }
 
 /**
@@ -110,7 +110,7 @@ convStripSpec(float *dst, int count, const float *in, int64_t ch_stride,
 template <int MR, int W, int K, int SX>
 inline void
 blockMf(float *dst, int64_t dst_stride, const float *in,
-        int64_t ch_stride, const int64_t *row_off, const float *wp,
+        int64_t ch_stride, int64_t row_pitch, const float *wp,
         int n_count)
 {
     if constexpr (SX == 1) {
@@ -125,7 +125,7 @@ blockMf(float *dst, int64_t dst_stride, const float *in,
         for (int n = 0; n < n_count;
              n++, chan += ch_stride, wchan += K * K * MR) {
             for (int i = 0; i < K; i++) {
-                const float *irow = chan + row_off[i];
+                const float *irow = chan + i * row_pitch;
                 const float *wrow =
                     wchan + static_cast<int64_t>(i) * K * MR;
                 for (int j = 0; j < K; j++) {
@@ -162,7 +162,7 @@ blockMf(float *dst, int64_t dst_stride, const float *in,
         for (int n = 0; n < n_count;
              n++, chan += ch_stride, wchan += K * K * MR) {
             for (int i = 0; i < K; i++) {
-                const float *irow = chan + row_off[i];
+                const float *irow = chan + i * row_pitch;
                 const float *wrow =
                     wchan + static_cast<int64_t>(i) * K * MR;
                 for (int j = 0; j < K; j++) {
@@ -188,7 +188,7 @@ blockMf(float *dst, int64_t dst_stride, const float *in,
 template <int MR, int W>
 inline void
 blockMfGeneric(float *dst, int64_t dst_stride, const float *in,
-               int64_t ch_stride, const int64_t *row_off,
+               int64_t ch_stride, int64_t row_pitch,
                const float *wp, int n_count, int k, int sx)
 {
     float acc[MR][W];
@@ -200,7 +200,7 @@ blockMfGeneric(float *dst, int64_t dst_stride, const float *in,
     const int64_t wcs = static_cast<int64_t>(k) * k * MR;
     for (int n = 0; n < n_count; n++, chan += ch_stride, wchan += wcs) {
         for (int i = 0; i < k; i++) {
-            const float *irow = chan + row_off[i];
+            const float *irow = chan + i * row_pitch;
             const float *wrow = wchan + static_cast<int64_t>(i) * k * MR;
             for (int j = 0; j < k; j++) {
                 for (int f = 0; f < MR; f++) {
@@ -223,31 +223,31 @@ template <int MR, int K, int SX>
 void
 convBlockStripSpec(float *dst, int64_t dst_stride, int count,
                    const float *in, int64_t ch_stride,
-                   const int64_t *row_off, const float *wp, int n_count)
+                   int64_t row_pitch, const float *wp, int n_count)
 {
     while (count >= 8) {
-        blockMf<MR, 8, K, SX>(dst, dst_stride, in, ch_stride, row_off,
+        blockMf<MR, 8, K, SX>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count);
         dst += 8;
         in += 8 * SX;
         count -= 8;
     }
     if (count >= 4) {
-        blockMf<MR, 4, K, SX>(dst, dst_stride, in, ch_stride, row_off,
+        blockMf<MR, 4, K, SX>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count);
         dst += 4;
         in += 4 * SX;
         count -= 4;
     }
     if (count >= 2) {
-        blockMf<MR, 2, K, SX>(dst, dst_stride, in, ch_stride, row_off,
+        blockMf<MR, 2, K, SX>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count);
         dst += 2;
         in += 2 * SX;
         count -= 2;
     }
     if (count >= 1)
-        blockMf<MR, 1, K, SX>(dst, dst_stride, in, ch_stride, row_off,
+        blockMf<MR, 1, K, SX>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count);
 }
 
@@ -256,13 +256,13 @@ template <int MR, int K, int SX>
 void
 convBlockRegionSpec(float *dst, int64_t dst_stride, int64_t dst_row_stride,
                     int rows, int count, const float *in,
-                    int64_t ch_stride, const int64_t *row_off,
+                    int64_t ch_stride, int64_t row_pitch,
                     int64_t in_row_step, const float *wp, int n_count)
 {
     for (int r = 0; r < rows; r++)
         convBlockStripSpec<MR, K, SX>(dst + r * dst_row_stride, dst_stride,
                                       count, in + r * in_row_step,
-                                      ch_stride, row_off, wp, n_count);
+                                      ch_stride, row_pitch, wp, n_count);
 }
 
 /** Generic driver for one lane width (runtime K and stride). */
@@ -270,32 +270,32 @@ template <int MR>
 void
 convBlockStripGenericMr(float *dst, int64_t dst_stride, int count,
                         const float *in, int64_t ch_stride,
-                        const int64_t *row_off, const float *wp,
+                        int64_t row_pitch, const float *wp,
                         int n_count, int k, int sx)
 {
     while (count >= 8) {
-        blockMfGeneric<MR, 8>(dst, dst_stride, in, ch_stride, row_off,
+        blockMfGeneric<MR, 8>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count, k, sx);
         dst += 8;
         in += static_cast<int64_t>(8) * sx;
         count -= 8;
     }
     if (count >= 4) {
-        blockMfGeneric<MR, 4>(dst, dst_stride, in, ch_stride, row_off,
+        blockMfGeneric<MR, 4>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count, k, sx);
         dst += 4;
         in += static_cast<int64_t>(4) * sx;
         count -= 4;
     }
     if (count >= 2) {
-        blockMfGeneric<MR, 2>(dst, dst_stride, in, ch_stride, row_off,
+        blockMfGeneric<MR, 2>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count, k, sx);
         dst += 2;
         in += static_cast<int64_t>(2) * sx;
         count -= 2;
     }
     if (count >= 1)
-        blockMfGeneric<MR, 1>(dst, dst_stride, in, ch_stride, row_off,
+        blockMfGeneric<MR, 1>(dst, dst_stride, in, ch_stride, row_pitch,
                               wp, n_count, k, sx);
 }
 
@@ -350,32 +350,32 @@ constexpr BlockKernelEntry kBlockKernelTable[] = {
 
 void
 ConvKernel::convStripGeneric(float *dst, int count, const float *in,
-                             int64_t ch_stride, const int64_t *row_off,
+                             int64_t ch_stride, int64_t row_pitch,
                              const float *w, int n_count, int k, int sx)
 {
     while (count >= 8) {
-        stripBlockGeneric<8>(dst, in, ch_stride, row_off, w, n_count, k,
+        stripBlockGeneric<8>(dst, in, ch_stride, row_pitch, w, n_count, k,
                              sx);
         dst += 8;
         in += static_cast<int64_t>(8) * sx;
         count -= 8;
     }
     if (count >= 4) {
-        stripBlockGeneric<4>(dst, in, ch_stride, row_off, w, n_count, k,
+        stripBlockGeneric<4>(dst, in, ch_stride, row_pitch, w, n_count, k,
                              sx);
         dst += 4;
         in += static_cast<int64_t>(4) * sx;
         count -= 4;
     }
     if (count >= 2) {
-        stripBlockGeneric<2>(dst, in, ch_stride, row_off, w, n_count, k,
+        stripBlockGeneric<2>(dst, in, ch_stride, row_pitch, w, n_count, k,
                              sx);
         dst += 2;
         in += static_cast<int64_t>(2) * sx;
         count -= 2;
     }
     if (count >= 1)
-        stripBlockGeneric<1>(dst, in, ch_stride, row_off, w, n_count, k,
+        stripBlockGeneric<1>(dst, in, ch_stride, row_pitch, w, n_count, k,
                              sx);
 }
 
@@ -384,22 +384,22 @@ ConvBlockKernel::convBlockStripGeneric(int mr, float *dst,
                                        int64_t dst_stride, int count,
                                        const float *in,
                                        int64_t ch_stride,
-                                       const int64_t *row_off,
+                                       int64_t row_pitch,
                                        const float *wp, int n_count,
                                        int k, int sx)
 {
     switch (mr) {
       case 1:
         convBlockStripGenericMr<1>(dst, dst_stride, count, in, ch_stride,
-                                   row_off, wp, n_count, k, sx);
+                                   row_pitch, wp, n_count, k, sx);
         return;
       case 2:
         convBlockStripGenericMr<2>(dst, dst_stride, count, in, ch_stride,
-                                   row_off, wp, n_count, k, sx);
+                                   row_pitch, wp, n_count, k, sx);
         return;
       case 4:
         convBlockStripGenericMr<4>(dst, dst_stride, count, in, ch_stride,
-                                   row_off, wp, n_count, k, sx);
+                                   row_pitch, wp, n_count, k, sx);
         return;
       default:
         panic("unsupported filter-block lane count %d", mr);
@@ -421,6 +421,16 @@ convFmaEnabled()
 {
 #ifdef FLCNN_SIMD_FMA
     return simd::fmaSupported();
+#else
+    return false;
+#endif
+}
+
+bool
+convAmxEnabled()
+{
+#ifdef FLCNN_SIMD_AMX
+    return simd::amxSupported();
 #else
     return false;
 #endif
@@ -520,13 +530,11 @@ convRowTensor(const ConvKernel &ks, float *dst, int count,
 {
     FLCNN_ASSERT(ks.k == fb.kernel(), "kernel mismatch with filter bank");
     const Shape &s = in.shape();
-    int64_t row_off[kMaxConvKernel];
-    linearRowOffsets(row_off, ks.k, y0, s.w, x0);
     const float bias = fb.bias(m);
     for (int t = 0; t < count; t++)
         dst[t] = bias;
-    ks.run(dst, count, in.rowPtr(n_base, 0, 0),
-           static_cast<int64_t>(s.h) * s.w, row_off, fb.wRow(m, 0, 0),
+    ks.run(dst, count, in.rowPtr(n_base, y0, x0),
+           static_cast<int64_t>(s.h) * s.w, s.w, fb.wRow(m, 0, 0),
            fb.numChannels());
 }
 

@@ -24,9 +24,9 @@
  * the scalar path would not use.)
  *
  * Addressing model: the input is any CHW-like buffer described by a
- * channel stride plus a per-kernel-row offset table. Row offsets are an
- * explicit K-entry table (not y0 * row_stride), so the rows a kernel
- * reads need not be evenly spaced in memory.
+ * start pointer (channel 0 at the receptive field's first row and
+ * column), a channel stride and a row pitch: kernel row i of the
+ * receptive field is i * row_pitch past the start.
  */
 
 #ifndef FLCNN_KERNELS_CONV_KERNELS_HH
@@ -39,15 +39,12 @@
 
 namespace flcnn {
 
-/** Largest kernel size the row-offset helpers support. */
-constexpr int kMaxConvKernel = 32;
-
 /**
  * Signature of a compiled strip kernel. Accumulates the conv taps of
  * one filter into @p dst[0, count): for pixel t,
  *
  *   dst[t] += sum_n sum_i sum_j w[n*K*K + i*K + j]
- *                             * in[n*ch_stride + row_off[i] + t*SX + j]
+ *                             * in[n*ch_stride + i * row_pitch + t*SX + j]
  *
  * with the additions applied to dst[t]'s running value in exactly that
  * (n, i, j) order. Callers preload dst with the bias (fresh pixels) or
@@ -55,16 +52,15 @@ constexpr int kMaxConvKernel = 32;
  *
  * @param dst       count contiguous output accumulators
  * @param count     number of strip pixels (>= 0)
- * @param in        channel-base pointer (channel 0 of the filter's group)
+ * @param in        channel 0 of the filter's group, at the first row
+ *                  and column pixel 0 reads
  * @param ch_stride elements between consecutive input channels
- * @param row_off   K offsets, one per kernel row, relative to @p in;
- *                  entry i addresses the input row underneath kernel
- *                  row i (already including the x offset of pixel 0)
+ * @param row_pitch elements between consecutive input rows
  * @param w         weights of this filter, channel-major (n, i, j)
  * @param n_count   input channels to accumulate
  */
 using ConvStripFn = void (*)(float *dst, int count, const float *in,
-                             int64_t ch_stride, const int64_t *row_off,
+                             int64_t ch_stride, int64_t row_pitch,
                              const float *w, int n_count);
 
 /**
@@ -83,12 +79,12 @@ struct ConvKernel
     /** Run the strip kernel (specialized or generic fallback). */
     void
     run(float *dst, int count, const float *in, int64_t ch_stride,
-        const int64_t *row_off, const float *w, int n_count) const
+        int64_t row_pitch, const float *w, int n_count) const
     {
         if (fn)
-            fn(dst, count, in, ch_stride, row_off, w, n_count);
+            fn(dst, count, in, ch_stride, row_pitch, w, n_count);
         else
-            convStripGeneric(dst, count, in, ch_stride, row_off, w,
+            convStripGeneric(dst, count, in, ch_stride, row_pitch, w,
                              n_count, k, sx);
     }
 
@@ -96,7 +92,7 @@ struct ConvKernel
      *  tests can differentially check specialized vs generic. */
     static void convStripGeneric(float *dst, int count, const float *in,
                                  int64_t ch_stride,
-                                 const int64_t *row_off, const float *w,
+                                 int64_t row_pitch, const float *w,
                                  int n_count, int k, int sx);
 };
 
@@ -107,17 +103,6 @@ struct ConvKernel
  * small table; anything else returns the generic path.
  */
 ConvKernel resolveConvKernel(int kernel, int stride);
-
-/** Fill @p row_off for a linear CHW buffer: row i of the receptive
- *  field lives at (y0 + i) * row_stride + x0. */
-inline void
-linearRowOffsets(int64_t *row_off, int k, int y0, int64_t row_stride,
-                 int64_t x0 = 0)
-{
-    FLCNN_ASSERT(k <= kMaxConvKernel, "kernel exceeds row-offset table");
-    for (int i = 0; i < k; i++)
-        row_off[i] = (y0 + i) * row_stride + x0;
-}
 
 /** Widest filter block the multi-filter kernels compute per pass. */
 constexpr int kConvBlockLanes = 4;
@@ -153,13 +138,13 @@ convRegionRows(int vec_w, int count)
  * Signature of a multi-filter strip driver. One call computes a region
  * of @p rows output rows x @p count pixels for MR adjacent filters
  * ("lanes"): output row r's pixels sit at dst + r * dst_row_stride
- * and read the input at row_off[i] + r * in_row_step, so every loaded
+ * and read the input at i * row_pitch + r * in_row_step, so every loaded
  * input element is reused MR times and narrow rows can share a vector
  * block. For lane f, row r and pixel t,
  *
  *   dst[f*dst_stride + r*dst_row_stride + t] +=
  *       sum_n sum_i sum_j wp[((n*K + i)*K + j)*MR + f]
- *           * in[n*ch_stride + row_off[i] + r*in_row_step + t*SX + j]
+ *           * in[n*ch_stride + i * row_pitch + r*in_row_step + t*SX + j]
  *
  * with each (f, r, t) accumulator private and fed in exactly the
  * canonical (n, i, j) order — the blocking reuses loads and packs
@@ -179,7 +164,7 @@ using ConvBlockStripFn = void (*)(float *dst, int64_t dst_stride,
                                   int64_t dst_row_stride, int rows,
                                   int count, const float *in,
                                   int64_t ch_stride,
-                                  const int64_t *row_off,
+                                  int64_t row_pitch,
                                   int64_t in_row_step, const float *wp,
                                   int n_count);
 
@@ -209,10 +194,10 @@ struct ConvBlockKernel
      *  case. */
     void
     run(int mr, float *dst, int64_t dst_stride, int count,
-        const float *in, int64_t ch_stride, const int64_t *row_off,
+        const float *in, int64_t ch_stride, int64_t row_pitch,
         const float *wp, int n_count) const
     {
-        runRows(mr, dst, dst_stride, 1, 0, count, in, ch_stride, row_off,
+        runRows(mr, dst, dst_stride, 1, 0, count, in, ch_stride, row_pitch,
                 0, wp, n_count);
     }
 
@@ -225,7 +210,7 @@ struct ConvBlockKernel
     void
     runRows(int mr, float *dst, int64_t dst_stride, int rows,
             int64_t dst_row_stride, int count, const float *in,
-            int64_t ch_stride, const int64_t *row_off,
+            int64_t ch_stride, int64_t row_pitch,
             int64_t in_row_step, const float *wp, int n_count) const
     {
         FLCNN_ASSERT(mr >= 1 && mr <= kConvBlockLanes,
@@ -237,14 +222,14 @@ struct ConvBlockKernel
             const float *src = in + static_cast<int64_t>(t) * sx;
             if (fn[mr]) {
                 fn[mr](d, dst_stride, dst_row_stride, rows, c, src,
-                       ch_stride, row_off, in_row_step, wp, n_count);
+                       ch_stride, row_pitch, in_row_step, wp, n_count);
                 continue;
             }
             for (int r = 0; r < rows; r++)
                 convBlockStripGeneric(mr, d + r * dst_row_stride,
                                       dst_stride, c,
                                       src + r * in_row_step, ch_stride,
-                                      row_off, wp, n_count, k, sx);
+                                      row_pitch, wp, n_count, k, sx);
         }
     }
 
@@ -254,7 +239,7 @@ struct ConvBlockKernel
     static void convBlockStripGeneric(int mr, float *dst,
                                       int64_t dst_stride, int count,
                                       const float *in, int64_t ch_stride,
-                                      const int64_t *row_off,
+                                      int64_t row_pitch,
                                       const float *wp, int n_count,
                                       int k, int sx);
 };
@@ -302,6 +287,10 @@ bool convFmaEnabled();
 /** True when the AVX-VNNI int8 kernels are compiled in and the CPU
  *  supports them. */
 bool convVnniEnabled();
+
+/** True when the AMX int8 region driver is compiled in, the CPU has
+ *  AMX-INT8 and the kernel granted the tile-data permission. */
+bool convAmxEnabled();
 
 /**
  * Convenience wrapper for the common Tensor + FilterBank call sites:

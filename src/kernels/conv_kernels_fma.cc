@@ -89,7 +89,7 @@ loadPixF(const float *p)
 template <int MR, int K, int SX, bool SPLIT = false, bool MASKED = false>
 inline void
 blockMfFma(float *dst, int64_t dst_stride, const float *in,
-           int64_t ch_stride, const int64_t *row_off, const float *wp,
+           int64_t ch_stride, int64_t row_pitch, const float *wp,
            int n_count, const OctetPos &o)
 {
     static_assert(SX == 1 || !(SPLIT || MASKED),
@@ -107,12 +107,12 @@ blockMfFma(float *dst, int64_t dst_stride, const float *in,
     for (int n = 0; n < n_count; n++, lo += ch_stride, hi += ch_stride,
              wchan += K * K * MR) {
         for (int i = 0; i < K; i++) {
-            const float *lrow = lo + row_off[i];
+            const float *lrow = lo + i * row_pitch;
             const float *wrow = wchan + static_cast<int64_t>(i) * K * MR;
             for (int j = 0; j < K; j++) {
                 __m256 iv;
                 if constexpr (SX == 1)
-                    iv = loadTapsF32<SPLIT, MASKED>(lrow, hi + row_off[i], j,
+                    iv = loadTapsF32<SPLIT, MASKED>(lrow, hi + i * row_pitch, j,
                                                     mask);
                 else
                     iv = loadPixF<SX>(lrow + j);
@@ -139,7 +139,7 @@ template <int MR, int K, int SX>
 void
 convBlockRegionFma(float *dst, int64_t dst_stride, int64_t dst_row_stride,
                    int rows, int count, const float *in,
-                   int64_t ch_stride, const int64_t *row_off,
+                   int64_t ch_stride, int64_t row_pitch,
                    int64_t in_row_step, const float *wp, int n_count)
 {
     if constexpr (SX == 1) {
@@ -148,7 +148,7 @@ convBlockRegionFma(float *dst, int64_t dst_stride, int64_t dst_row_stride,
             [&](auto shape, const OctetPos *o) {
                 using S = decltype(shape);
                 blockMfFma<MR, K, SX, S::kSplit, S::kMasked>(
-                    dst, dst_stride, in, ch_stride, row_off, wp, n_count,
+                    dst, dst_stride, in, ch_stride, row_pitch, wp, n_count,
                     o[0]);
             });
         return;
@@ -160,12 +160,12 @@ convBlockRegionFma(float *dst, int64_t dst_stride, int64_t dst_row_stride,
         for (int x = 0; x < full; x += 8) {
             const OctetPos o{x * SX, x * SX + 4 * SX, x, x + 4, 8, 8};
             blockMfFma<MR, K, SX>(drow, dst_stride, irow, ch_stride,
-                                  row_off, wp, n_count, o);
+                                  row_pitch, wp, n_count, o);
         }
         if (full < count)
             ConvBlockKernel::convBlockStripGeneric(
                 MR, drow + full, dst_stride, count - full,
-                irow + full * SX, ch_stride, row_off, wp, n_count, K, SX);
+                irow + full * SX, ch_stride, row_pitch, wp, n_count, K, SX);
     }
 }
 

@@ -18,14 +18,14 @@ template <int MR>
 void
 blockI8Generic(int32_t *dst, int64_t dst_stride, int count,
                const uint8_t *in, int64_t ch_stride,
-               const int64_t *row_off, const int8_t *wp, int n_count,
+               int64_t row_pitch, const int8_t *wp, int n_count,
                int k, int sx)
 {
     const int jg_count = (k + 3) / 4;
     for (int n = 0; n < n_count; n++) {
         const uint8_t *chan = in + n * ch_stride;
         for (int i = 0; i < k; i++) {
-            const uint8_t *row = chan + row_off[i];
+            const uint8_t *row = chan + i * row_pitch;
             const int8_t *wrow =
                 wp + (static_cast<int64_t>(n) * k + i) * jg_count * MR * 4;
             for (int jg = 0; jg < jg_count; jg++) {
@@ -51,10 +51,10 @@ template <int MR>
 void
 stripI8GenericMr(int32_t *dst, int64_t dst_stride, int count,
                  const uint8_t *in, int64_t ch_stride,
-                 const int64_t *row_off, const int8_t *wp, int n_count,
+                 int64_t row_pitch, const int8_t *wp, int n_count,
                  int k, int sx)
 {
-    blockI8Generic<MR>(dst, dst_stride, count, in, ch_stride, row_off,
+    blockI8Generic<MR>(dst, dst_stride, count, in, ch_stride, row_pitch,
                        wp, n_count, k, sx);
 }
 
@@ -65,26 +65,26 @@ ConvBlockKernelI8::convBlockStripI8Generic(int mr, int32_t *dst,
                                            int64_t dst_stride, int count,
                                            const uint8_t *in,
                                            int64_t ch_stride,
-                                           const int64_t *row_off,
+                                           int64_t row_pitch,
                                            const int8_t *wp, int n_count,
                                            int k, int sx)
 {
     switch (mr) {
       case 4:
         stripI8GenericMr<4>(dst, dst_stride, count, in, ch_stride,
-                            row_off, wp, n_count, k, sx);
+                            row_pitch, wp, n_count, k, sx);
         break;
       case 2:
         stripI8GenericMr<2>(dst, dst_stride, count, in, ch_stride,
-                            row_off, wp, n_count, k, sx);
+                            row_pitch, wp, n_count, k, sx);
         break;
       case 1:
         stripI8GenericMr<1>(dst, dst_stride, count, in, ch_stride,
-                            row_off, wp, n_count, k, sx);
+                            row_pitch, wp, n_count, k, sx);
         break;
       case 3:
         stripI8GenericMr<3>(dst, dst_stride, count, in, ch_stride,
-                            row_off, wp, n_count, k, sx);
+                            row_pitch, wp, n_count, k, sx);
         break;
       default:
         FLCNN_ASSERT(false, "unsupported int8 lane count");
@@ -98,6 +98,17 @@ resolveConvBlockKernelI8Scalar(int kernel, int stride)
     bk.k = kernel;
     bk.k4 = (kernel + 3) & ~3;
     bk.sx = stride;
+    return bk;
+}
+
+ConvBlockKernelI8
+resolveConvBlockKernelI8Amx(int kernel, int stride)
+{
+    ConvBlockKernelI8 bk = resolveConvBlockKernelI8Scalar(kernel, stride);
+#ifdef FLCNN_SIMD_AMX
+    if (simd::amxSupported())
+        bk.amx = &simd::convRegionI8Amx;
+#endif
     return bk;
 }
 

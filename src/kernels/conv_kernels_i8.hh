@@ -20,8 +20,8 @@
  * N * K^2 * 255 * 63 (~7.4e7 for VGG's 512-channel 3x3 layers), far
  * inside i32 range.
  *
- * Addressing model: same as the fp32 kernels — a channel stride plus an
- * explicit K-entry row-offset table. The input is the staged u8
+ * Addressing model: same as the fp32 kernels — a start pointer, a
+ * channel stride and a row pitch. The input is the staged u8
  * image produced by ConvStage (kernels/conv_layer.hh); weights come
  * from a PackedWeightsI8 panel in j-group-of-4 interleaved layout (see
  * kernels/weight_pack_q.hh).
@@ -41,14 +41,14 @@ namespace flcnn {
  * Signature of an int8 multi-filter strip driver. Like
  * ConvBlockStripFn, one call covers a region of @p rows output rows x
  * @p count pixels: row r's accumulators sit at dst + r *
- * dst_row_stride and read the input at row_off[i] + r * in_row_step.
+ * dst_row_stride and read the input at i * row_pitch + r * in_row_step.
  * For lane f, row r and pixel t, with K4 = K rounded up to a multiple
  * of 4 and the panel in ((n*K + i)*(K4/4) + jg) * (MR*4) + f*4 + u
  * layout (zero-padded taps beyond K contribute zero products):
  *
  *   dst[f*dst_stride + r*dst_row_stride + t] +=
  *       sum_n sum_i sum_jg sum_u wp[((n*K + i)*(K4/4) + jg)*MR*4 + f*4 + u]
- *           * in[n*ch_stride + row_off[i] + r*in_row_step + t*SX + jg*4 + u]
+ *           * in[n*ch_stride + i * row_pitch + r*in_row_step + t*SX + jg*4 + u]
  *
  * dst holds raw i32 accumulators; callers zero-fill it first (the
  * dequant epilogue applies bias and scales afterwards). The staged
@@ -60,9 +60,58 @@ using ConvBlockStripI8Fn = void (*)(int32_t *dst, int64_t dst_stride,
                                     int64_t dst_row_stride, int rows,
                                     int count, const uint8_t *in,
                                     int64_t ch_stride,
-                                    const int64_t *row_off,
+                                    int64_t row_pitch,
                                     int64_t in_row_step,
                                     const int8_t *wp, int n_count);
+
+/**
+ * Filters per i8.amx panel block: two 16-filter B tiles. A pack built
+ * with this mr_cap (PackedWeightsI8) holds AMX panels instead of the
+ * 4/2/1 ladder; only the i8.amx tier asks for it.
+ */
+constexpr int kAmxLanes = 32;
+
+/** Zero apron past each channel-last staged row: the last 64-byte
+ *  reduction chunk of a row's last pixel reads up to 63 bytes past
+ *  that pixel's K * C bytes. */
+constexpr int kAmxStagePad = 64;
+
+/**
+ * One i8.amx region: @p rows output rows x @p count pixels of one
+ * filter block, over a channel-last (HWC) staged image of one conv
+ * group. Kernel row i of output pixel (r, t) is the K * C contiguous
+ * bytes at
+ *
+ *   in + r * inRowStep + t * pixStep + i * rowPitch
+ *
+ * (in points at the region's first kernel row and pixel), read in
+ * @p chunks 64-byte pieces; bytes past K * C meet zero panel rows.
+ * The driver writes the dequantized outputs
+ *
+ *   dst[f * dstStride + r * dstRowStride + t] =
+ *       bias[f] + scale[f] * float(acc - zpTerm[f])
+ *
+ * for every lane f < lanes, with acc the exact i32 sum.
+ */
+struct AmxRegion
+{
+    const uint8_t *in = nullptr;
+    int64_t rowPitch = 0;   //!< bytes between staged rows
+    int64_t pixStep = 0;    //!< bytes between adjacent output pixels
+    int64_t inRowStep = 0;  //!< bytes between adjacent output rows
+    int k = 0;              //!< kernel rows
+    int chunks = 0;         //!< 64-byte reduction chunks per kernel row
+    int rows = 1, count = 0;
+    const int8_t *wp = nullptr;  //!< the block's AMX panel
+    int lanes = 0;               //!< filters in the block (<= 32)
+    float *dst = nullptr;
+    int64_t dstStride = 0, dstRowStride = 0;
+    const float *bias = nullptr;     //!< kAmxLanes entries
+    const float *scale = nullptr;    //!< kAmxLanes entries
+    const int32_t *zpTerm = nullptr; //!< kAmxLanes entries
+};
+
+using ConvAmxRegionFn = void (*)(const AmxRegion &);
 
 /**
  * Resolved int8 multi-filter kernels for one (k, stride) pair: one
@@ -81,20 +130,36 @@ struct ConvBlockKernelI8
      *  which runs a region row by row. */
     int vecW = 0;
     ConvBlockStripI8Fn fn[kConvBlockLanes + 1] = {};  //!< per lane count
+    /** The i8.amx region driver. When set, the tier stages channel-last
+     *  (ConvStage::groups) and packs AMX panels (kAmxLanes); fn[] is
+     *  unused. */
+    ConvAmxRegionFn amx = nullptr;
 
     bool specialized(int mr) const { return fn[mr] != nullptr; }
 
-    /** Rows a region call should cover for rows of @p count pixels. */
-    int groupRows(int count) const { return convRegionRows(vecW, count); }
+    /** Conv groups a ConvStage for this tier lays out channel-last, or
+     *  0 for the planar CHW stage the strip drivers read. */
+    int stageGroups(int groups) const { return amx ? groups : 0; }
+
+    /** Rows a region call should cover for rows of @p count pixels.
+     *  The AMX driver packs any pixels of a region into its 32-pixel
+     *  tile pairs, so it asks for enough rows to fill one. */
+    int
+    groupRows(int count) const
+    {
+        if (amx)
+            return count >= 32 || count <= 0 ? 1 : (32 + count - 1) / count;
+        return convRegionRows(vecW, count);
+    }
 
     /** Run the @p mr-lane kernels over one row: runRows()'s R = 1
      *  case. */
     void
     run(int mr, int32_t *dst, int64_t dst_stride, int count,
-        const uint8_t *in, int64_t ch_stride, const int64_t *row_off,
+        const uint8_t *in, int64_t ch_stride, int64_t row_pitch,
         const int8_t *wp, int n_count) const
     {
-        runRows(mr, dst, dst_stride, 1, 0, count, in, ch_stride, row_off,
+        runRows(mr, dst, dst_stride, 1, 0, count, in, ch_stride, row_pitch,
                 0, wp, n_count);
     }
 
@@ -106,7 +171,7 @@ struct ConvBlockKernelI8
     void
     runRows(int mr, int32_t *dst, int64_t dst_stride, int rows,
             int64_t dst_row_stride, int count, const uint8_t *in,
-            int64_t ch_stride, const int64_t *row_off,
+            int64_t ch_stride, int64_t row_pitch,
             int64_t in_row_step, const int8_t *wp, int n_count) const
     {
         FLCNN_ASSERT(mr >= 1 && mr <= kConvBlockLanes,
@@ -118,14 +183,14 @@ struct ConvBlockKernelI8
             const uint8_t *src = in + static_cast<int64_t>(t) * sx;
             if (fn[mr]) {
                 fn[mr](d, dst_stride, dst_row_stride, rows, c, src,
-                       ch_stride, row_off, in_row_step, wp, n_count);
+                       ch_stride, row_pitch, in_row_step, wp, n_count);
                 continue;
             }
             for (int r = 0; r < rows; r++)
                 convBlockStripI8Generic(mr, d + r * dst_row_stride,
                                         dst_stride, c,
                                         src + r * in_row_step, ch_stride,
-                                        row_off, wp, n_count, k, sx);
+                                        row_pitch, wp, n_count, k, sx);
         }
     }
 
@@ -135,7 +200,7 @@ struct ConvBlockKernelI8
                                         int64_t dst_stride, int count,
                                         const uint8_t *in,
                                         int64_t ch_stride,
-                                        const int64_t *row_off,
+                                        int64_t row_pitch,
                                         const int8_t *wp, int n_count,
                                         int k, int sx);
 };
@@ -157,6 +222,14 @@ ConvBlockKernelI8 resolveConvBlockKernelI8(int kernel, int stride);
  * the always-applicable "i8.scalar" solver.
  */
 ConvBlockKernelI8 resolveConvBlockKernelI8Scalar(int kernel, int stride);
+
+/**
+ * Resolve the i8.amx tier: the AMX region driver for any (kernel,
+ * stride), over a channel-last stage and AMX panels. Without AMX (not
+ * compiled in, CPU lacks it, or permission denied) this is the
+ * portable resolution, amx unset.
+ */
+ConvBlockKernelI8 resolveConvBlockKernelI8Amx(int kernel, int stride);
 
 } // namespace flcnn
 

@@ -97,7 +97,7 @@ packLanesU8(__m256i q)
 template <int MR, int K, int SX, bool SPLIT, bool MASKED>
 inline void
 blockI8Avx2(int32_t *dst, int64_t dst_stride, const uint8_t *in,
-            int64_t ch_stride, const int64_t *row_off, const int8_t *wp,
+            int64_t ch_stride, int64_t row_pitch, const int8_t *wp,
             int n_count, const OctetPos &o)
 {
     constexpr int JG = (K + 3) / 4;
@@ -116,7 +116,7 @@ blockI8Avx2(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             const int8_t *wrow = wchan + i * W_ROW;
             for (int jg = 0; jg < JG; jg++) {
                 const __m256i pix = loadPixTaps<SX, SPLIT>(
-                    lo + row_off[i], hi + row_off[i], jg);
+                    lo + i * row_pitch, hi + i * row_pitch, jg);
                 const int8_t *wtap = wrow + jg * MR * 4;
                 for (int f = 0; f < MR; f++) {
                     int32_t wbits;
@@ -139,7 +139,7 @@ void
 convBlockRegionI8Avx2(int32_t *dst, int64_t dst_stride,
                       int64_t dst_row_stride, int rows, int count,
                       const uint8_t *in, int64_t ch_stride,
-                      const int64_t *row_off, int64_t in_row_step,
+                      int64_t row_pitch, int64_t in_row_step,
                       const int8_t *wp, int n_count)
 {
     static_assert(i8TailOverread(K, SX) <= kConvStagePad,
@@ -151,7 +151,7 @@ convBlockRegionI8Avx2(int32_t *dst, int64_t dst_stride,
         [&](auto shape, const OctetPos *o) {
             using S = decltype(shape);
             blockI8Avx2<MR, K, SX, S::kSplit, S::kMasked>(
-                dst, dst_stride, in, ch_stride, row_off, wp, n_count,
+                dst, dst_stride, in, ch_stride, row_pitch, wp, n_count,
                 o[0]);
         });
 }
@@ -223,6 +223,41 @@ quantizeRowI8(uint8_t *dst, const float *src, int count,
 }
 
 void
+quantizeWeightsI8(int8_t *dst, const float *src, int count, float scale)
+{
+    // Inside (-64, 64) lrintf-then-clamp equals a float clamp to +/-63
+    // followed by the round-to-nearest-even conversion, and the
+    // division is the same IEEE operation lane for lane. A group with
+    // any tap outside that range (or NaN) takes the scalar path, whose
+    // conversion of huge values the vector one does not reproduce.
+    const __m256 vs = _mm256_set1_ps(scale);
+    const __m256 hi = _mm256_set1_ps(static_cast<float>(kWeightQuantMax));
+    const __m256 lo = _mm256_set1_ps(-static_cast<float>(kWeightQuantMax));
+    const __m256 bound = _mm256_set1_ps(64.0f);
+    const __m256 nbound = _mm256_set1_ps(-64.0f);
+    int t = 0;
+    for (; t + 8 <= count; t += 8) {
+        const __m256 x = _mm256_div_ps(_mm256_loadu_ps(src + t), vs);
+        const __m256 inside =
+            _mm256_and_ps(_mm256_cmp_ps(x, bound, _CMP_LT_OQ),
+                          _mm256_cmp_ps(x, nbound, _CMP_GT_OQ));
+        if (_mm256_movemask_ps(inside) != 0xff) {
+            for (int u = t; u < t + 8; u++)
+                dst[u] = quantizeWeight(src[u], scale);
+            continue;
+        }
+        const __m256i v = _mm256_cvtps_epi32(
+            _mm256_min_ps(_mm256_max_ps(x, lo), hi));
+        const __m128i i16 = _mm_packs_epi32(_mm256_castsi256_si128(v),
+                                            _mm256_extracti128_si256(v, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + t),
+                         _mm_packs_epi16(i16, i16));
+    }
+    for (; t < count; t++)
+        dst[t] = quantizeWeight(src[t], scale);
+}
+
+void
 dequantRowI8(float *dst, const int32_t *acc, int count, float bias,
              float scale, int32_t zp_term)
 {
@@ -240,6 +275,69 @@ dequantRowI8(float *dst, const int32_t *acc, int count, float bias,
     }
     for (; t < count; t++)
         dst[t] = bias + scale * static_cast<float>(acc[t] - zp_term);
+}
+
+void
+quantizeInterleaveI8(uint8_t *dst, const float *src, int64_t src_ch_stride,
+                     int channels, int count, float inv_scale, int zp)
+{
+    const __m256 vinv = _mm256_set1_ps(inv_scale);
+    const __m256i vzp = _mm256_set1_epi32(zp);
+    // 16 channels x 16 pixels at a time: quantize each channel's 16
+    // pixels into one register as quantizeRowI8 does, then four rounds
+    // of pairing register q with q + 8 by unpacklo/hi_epi8 rotate each
+    // byte's 8-bit (channel, pixel) index left by one, so after four
+    // the registers are the pixels.
+    int c0 = 0;
+    for (; c0 + 16 <= channels; c0 += 16) {
+        int x0 = 0;
+        for (; x0 + 16 <= count; x0 += 16) {
+            __m128i r[16], t[16];
+            for (int q = 0; q < 16; q++) {
+                const float *row = src + (c0 + q) * src_ch_stride + x0;
+                const __m256i i16 = _mm256_packs_epi32(
+                    quantizeLanes(_mm256_loadu_ps(row), vinv, vzp),
+                    quantizeLanes(_mm256_loadu_ps(row + 8), vinv, vzp));
+                r[q] = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                    _mm256_packus_epi16(i16, _mm256_setzero_si256()),
+                    _mm256_setr_epi32(0, 4, 1, 5, 0, 0, 0, 0)));
+            }
+            for (int round = 0; round < 4; round++) {
+                for (int q = 0; q < 8; q++) {
+                    t[2 * q] = _mm_unpacklo_epi8(r[q], r[q + 8]);
+                    t[2 * q + 1] = _mm_unpackhi_epi8(r[q], r[q + 8]);
+                }
+                for (int q = 0; q < 16; q++)
+                    r[q] = t[q];
+            }
+            for (int q = 0; q < 16; q++)
+                _mm_storeu_si128(reinterpret_cast<__m128i *>(
+                                     dst + (x0 + q) * channels + c0),
+                                 r[q]);
+        }
+        if (x0 < count) {
+            // Pixel tail: quantize each channel's few pixels (masked
+            // loads) into a block, then interleave it byte by byte.
+            alignas(16) uint8_t tail[16][16];
+            for (int q = 0; q < 16; q++)
+                quantizeRowI8(tail[q], src + (c0 + q) * src_ch_stride + x0,
+                              count - x0, inv_scale, zp);
+            for (int x = x0; x < count; x++)
+                for (int q = 0; q < 16; q++)
+                    dst[x * channels + c0 + q] = tail[q][x - x0];
+        }
+    }
+    // Channel tail: one channel row at a time, 64 pixels per piece.
+    for (int c = c0; c < channels; c++) {
+        for (int x0 = 0; x0 < count; x0 += 64) {
+            const int n = count - x0 < 64 ? count - x0 : 64;
+            alignas(16) uint8_t piece[64];
+            quantizeRowI8(piece, src + c * src_ch_stride + x0, n, inv_scale,
+                          zp);
+            for (int x = 0; x < n; x++)
+                dst[(x0 + x) * channels + c] = piece[x];
+        }
+    }
 }
 
 ConvBlockStripI8Fn

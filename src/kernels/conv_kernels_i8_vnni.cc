@@ -54,7 +54,7 @@ namespace {
 template <int MR, int K, int SX, int NO, bool SPLIT, bool MASKED>
 inline void
 blockI8Vnni(int32_t *dst, int64_t dst_stride, const uint8_t *in,
-            int64_t ch_stride, const int64_t *row_off, const int8_t *wp,
+            int64_t ch_stride, int64_t row_pitch, const int8_t *wp,
             int n_count, const OctetPos *o)
 {
     constexpr int JG = (K + 3) / 4;
@@ -82,8 +82,8 @@ blockI8Vnni(int32_t *dst, int64_t dst_stride, const uint8_t *in,
             for (int jg = 0; jg < JG; jg++) {
                 __m256i pix[NO];
                 for (int q = 0; q < NO; q++)
-                    pix[q] = loadPixTaps<SX, SPLIT>(lo[q] + row_off[i],
-                                                    hi[q] + row_off[i], jg);
+                    pix[q] = loadPixTaps<SX, SPLIT>(lo[q] + i * row_pitch,
+                                                    hi[q] + i * row_pitch, jg);
                 const int8_t *wtap = wrow + jg * MR * 4;
                 for (int f = 0; f < MR; f++) {
                     int32_t wbits;
@@ -113,11 +113,11 @@ blockI8Vnni(int32_t *dst, int64_t dst_stride, const uint8_t *in,
 template <int MR, int K, int SX, int NO, bool MASKED>
 [[gnu::noinline]] void
 splitBlockI8Vnni(int32_t *dst, int64_t dst_stride, const uint8_t *in,
-                 int64_t ch_stride, const int64_t *row_off,
+                 int64_t ch_stride, int64_t row_pitch,
                  const int8_t *wp, int n_count, const OctetPos *o)
 {
     blockI8Vnni<MR, K, SX, NO, true, MASKED>(dst, dst_stride, in,
-                                             ch_stride, row_off, wp,
+                                             ch_stride, row_pitch, wp,
                                              n_count, o);
 }
 
@@ -127,7 +127,7 @@ void
 convBlockRegionI8Vnni(int32_t *dst, int64_t dst_stride,
                       int64_t dst_row_stride, int rows, int count,
                       const uint8_t *in, int64_t ch_stride,
-                      const int64_t *row_off, int64_t in_row_step,
+                      int64_t row_pitch, int64_t in_row_step,
                       const int8_t *wp, int n_count)
 {
     static_assert(i8TailOverread(K, SX) <= kConvStagePad,
@@ -140,11 +140,11 @@ convBlockRegionI8Vnni(int32_t *dst, int64_t dst_stride,
             using S = decltype(shape);
             if constexpr (S::kSplit)
                 splitBlockI8Vnni<MR, K, SX, S::kOctets, S::kMasked>(
-                    dst, dst_stride, in, ch_stride, row_off, wp, n_count,
+                    dst, dst_stride, in, ch_stride, row_pitch, wp, n_count,
                     o);
             else
                 blockI8Vnni<MR, K, SX, S::kOctets, false, S::kMasked>(
-                    dst, dst_stride, in, ch_stride, row_off, wp, n_count,
+                    dst, dst_stride, in, ch_stride, row_pitch, wp, n_count,
                     o);
         });
 }

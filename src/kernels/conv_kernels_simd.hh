@@ -108,6 +108,22 @@ bool avxVnniSupported();
 ConvBlockStripI8Fn blockFnI8Vnni(int mr, int kernel, int stride);
 
 /**
+ * True when the running CPU has AMX-TILE, AMX-INT8 and AVX2 and the
+ * kernel granted this process the tile-data state (asked once, on the
+ * first call). Only compiled with -mamx-tile -mamx-int8
+ * (FLCNN_SIMD_AMX).
+ */
+bool amxSupported();
+
+/**
+ * The i8.amx region driver (see AmxRegion and the TU header): exact
+ * i32 sums by TDPBUSD over a channel-last stage, then the shared
+ * dequant epilogue. Bit-equal to every other int8 tier. Call only
+ * after amxSupported().
+ */
+void convRegionI8Amx(const AmxRegion &r);
+
+/**
  * Vectorized activation quantization: dst[t] = clamp(rne(src[t] *
  * inv_scale) + zp, 0, 255). Bit-equal to quantizeAct() per element,
  * for every float including NaN and +/-inf: the same max/min bound
@@ -121,6 +137,30 @@ ConvBlockStripI8Fn blockFnI8Vnni(int mr, int kernel, int stride);
  */
 void quantizeRowI8(uint8_t *dst, const float *src, int count,
                    float inv_scale, int zp);
+
+/**
+ * Quantize @p channels float rows into one channel-last u8 row:
+ * dst[x * channels + c] = quantizeAct(src[c * src_ch_stride + x]) for
+ * x < @p count. Bit-equal to quantizeAct per element: the quantizeRowI8
+ * lane math, then 16 x 16 byte transposes, and quantizeRowI8 itself on
+ * the pixel and channel edges. The channel-last stage of the i8.amx
+ * tier, for any channel count.
+ * AVX2 TU; call only after avx2Supported().
+ */
+void quantizeInterleaveI8(uint8_t *dst, const float *src,
+                          int64_t src_ch_stride, int channels, int count,
+                          float inv_scale, int zp);
+
+/**
+ * Vectorized weight quantization: dst[t] = quantizeWeight(src[t],
+ * scale), bit-equal per element. Taps whose quotient lies in (-64, 64)
+ * take the same IEEE division, a float clamp to +/-63 and the
+ * round-to-nearest-even conversion; any 8-tap group holding another
+ * value (or NaN) runs quantizeWeight itself. AVX2 TU; call only after
+ * avx2Supported().
+ */
+void quantizeWeightsI8(int8_t *dst, const float *src, int count,
+                       float scale);
 
 /**
  * Vectorized int8 dequant epilogue: dst[t] = bias + scale *

@@ -27,18 +27,24 @@ useAvx2Helpers()
 } // namespace
 
 void
-ConvStage::configure(Precision m, int cc, int hh, int ww)
+ConvStage::configure(Precision m, int cc, int hh, int ww, int gg)
 {
-    if (mode == m && c == cc && h == hh && w == ww && stageW == ww +
-        kConvStagePad)
+    FLCNN_ASSERT(gg == 0 || (m == Precision::Int8 && cc % gg == 0),
+                 "channel-last staging is int8, whole groups");
+    const int pitch =
+        gg > 0 ? ww * (cc / gg) + kAmxStagePad : ww + kConvStagePad;
+    if (mode == m && c == cc && h == hh && w == ww && groups == gg &&
+        stageW == pitch)
         return;
     mode = m;
     c = cc;
     h = hh;
     w = ww;
-    stageW = ww + kConvStagePad;
+    groups = gg;
+    stageW = pitch;
+    const int64_t planes = groups > 0 ? groups : c;
     const size_t elems =
-        static_cast<size_t>(c) * static_cast<size_t>(chStride());
+        static_cast<size_t>(planes) * static_cast<size_t>(chStride());
     if (mode == Precision::Int8) {
         u8.assign(elems, 0);
         f32.clear();
@@ -62,6 +68,29 @@ stageConvInputI8(ConvStage &st, const Tensor &src, const ActQuant &act,
     FLCNN_ASSERT(r0 >= 0 && r1 <= st.h, "stage row range out of bounds");
     const float inv_scale = 1.0f / act.scale;
     const bool vec = useAvx2Helpers();
+    if (st.groups > 0) {
+        const int cg = st.c / st.groups;
+        const int64_t src_ch = static_cast<int64_t>(s.h) * s.w;
+        for (int g = 0; g < st.groups; g++) {
+            for (int y = r0; y < r1; y++) {
+                uint8_t *out = st.u8.data() + g * st.chStride() +
+                               static_cast<int64_t>(y) * st.stageW;
+                const float *rows = src.rowPtr(g * cg, y, 0);
+#ifdef FLCNN_SIMD_AVX2
+                if (vec) {
+                    simd::quantizeInterleaveI8(out, rows, src_ch, cg, st.w,
+                                               inv_scale, act.zp);
+                    continue;
+                }
+#endif
+                for (int x = 0; x < st.w; x++)
+                    for (int n = 0; n < cg; n++)
+                        out[x * cg + n] = quantizeAct(rows[n * src_ch + x],
+                                                      inv_scale, act.zp);
+            }
+        }
+        return;
+    }
     for (int n = 0; n < st.c; n++) {
         for (int y = r0; y < r1; y++) {
             const float *row = src.rowPtr(n, y, 0);
@@ -110,9 +139,45 @@ convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     FLCNN_ASSERT(st.mode == Precision::Int8, "stage is not int8");
-    int64_t row_off[kMaxConvKernel];
-    linearRowOffsets(row_off, bk.k, y0, st.stageW, x0);
-
+    FLCNN_ASSERT((bk.amx != nullptr) == pw.amx() &&
+                     (bk.amx != nullptr) == (st.groups > 0),
+                 "int8 tier, pack and stage layouts disagree");
+    const PackedBlock &b = pw.block(bi);
+    if (bk.amx) {
+        // Per-lane epilogue terms; |zp * wsum| <= 255 * 63 * K^2 * C,
+        // which the tier's plan-time check keeps inside i32.
+        alignas(32) float bias[kAmxLanes] = {};
+        alignas(32) float scale[kAmxLanes] = {};
+        alignas(32) int32_t zp_term[kAmxLanes] = {};
+        for (int f = 0; f < b.lanes; f++) {
+            const int m = b.m0 + f;
+            bias[f] = pw.bias(m);
+            scale[f] = act.scale * pw.scale(m);
+            zp_term[f] = act.zp * pw.wsum(m);
+        }
+        const int cg = pw.numChannels();
+        AmxRegion r;
+        r.in = st.u8.data() + pw.nBase(bi) / cg * st.chStride() +
+               static_cast<int64_t>(y0) * st.stageW +
+               static_cast<int64_t>(x0) * cg;
+        r.rowPitch = st.stageW;
+        r.pixStep = static_cast<int64_t>(bk.sx) * cg;
+        r.inRowStep = static_cast<int64_t>(bk.sx) * st.stageW;
+        r.k = bk.k;
+        r.chunks = pw.amxChunks();
+        r.rows = rows;
+        r.count = count;
+        r.wp = pw.panel(bi);
+        r.lanes = b.lanes;
+        r.dst = dst;
+        r.dstStride = dst_stride;
+        r.dstRowStride = dst_row_stride;
+        r.bias = bias;
+        r.scale = scale;
+        r.zpTerm = zp_term;
+        bk.amx(r);
+        return;
+    }
     // Raw i32 accumulation into thread-local scratch, lane f's row r at
     // (f * rows + r) * count (the kernels accumulate, so zero-fill
     // first).
@@ -124,11 +189,11 @@ convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
         scratch.resize(need);
     std::memset(scratch.data(), 0, need * sizeof(int32_t));
 
-    const PackedBlock &b = pw.block(bi);
     const uint8_t *in =
-        st.u8.data() + static_cast<int64_t>(pw.nBase(bi)) * st.chStride();
+        st.u8.data() + static_cast<int64_t>(pw.nBase(bi)) * st.chStride() +
+        static_cast<int64_t>(y0) * st.stageW + x0;
     bk.runRows(b.lanes, scratch.data(), plane, rows, count, count, in,
-               st.chStride(), row_off,
+               st.chStride(), st.stageW,
                static_cast<int64_t>(bk.sx) * st.stageW, pw.panel(bi),
                pw.numChannels());
 
@@ -174,9 +239,6 @@ convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     FLCNN_ASSERT(st.mode == Precision::Fp16, "stage is not fp16");
-    int64_t row_off[kMaxConvKernel];
-    linearRowOffsets(row_off, bk.k, y0, st.stageW, x0);
-
     const PackedBlock &b = pw.block(bi);
     for (int f = 0; f < b.lanes; f++) {
         const float bias = pw.bias(b.m0 + f);
@@ -187,9 +249,10 @@ convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
         }
     }
     const float *in =
-        st.f32.data() + static_cast<int64_t>(pw.nBase(bi)) * st.chStride();
+        st.f32.data() + static_cast<int64_t>(pw.nBase(bi)) * st.chStride() +
+        static_cast<int64_t>(y0) * st.stageW + x0;
     bk.runRows(b.lanes, dst, dst_stride, rows, dst_row_stride, count, in,
-               st.chStride(), row_off,
+               st.chStride(), st.stageW,
                static_cast<int64_t>(bk.sx) * st.stageW, pw.panel(bi),
                pw.numChannels());
 }

@@ -11,15 +11,25 @@
  * one (filter-block, output-rows) kernel region plus the mode's
  * epilogue, mirroring convBlockRowTensor() for the fp32 path.
  *
- * Staged geometry: channels x source-height x stageW, where
- * stageW = source-width + 48. The 48 trailing columns are zero-filled
- * at allocation and never written, giving the int8 vector kernels a
- * safe overread apron and the zero-padded panel taps zero products.
- * The widest reader is the vector kernels' masked whole-row octet:
- * with one live pixel it still loads eight pixels' taps, up to
- * simd::i8TailOverread(K, stride) bytes (at most 31) past the image;
- * the half-row loads of row-grouped blocks read less
- * (simd::i8HalfOverread).
+ * Staged geometry depends on the resolved int8 tier
+ * (ConvBlockKernelI8::stageGroups), never on an option:
+ *
+ *  - planar (groups == 0; every tier but i8.amx, and fp16): channels x
+ *    source-height x stageW, where stageW = source-width + 48. The 48
+ *    trailing columns are zero-filled at allocation and never written,
+ *    giving the int8 vector kernels a safe overread apron and the
+ *    zero-padded panel taps zero products. The widest reader is the
+ *    vector kernels' masked whole-row octet: with one live pixel it
+ *    still loads eight pixels' taps, up to simd::i8TailOverread(K,
+ *    stride) bytes (at most 31) past the image; the half-row loads of
+ *    row-grouped blocks read less (simd::i8HalfOverread).
+ *  - channel-last (groups > 0; i8.amx): one HWC image per conv group,
+ *    groups x source-height x stageW bytes with stageW = source-width
+ *    * (channels / groups) + 64. Pixel x's channels are the bytes
+ *    [x * C, (x + 1) * C) of its row, so a kernel row's K * C bytes
+ *    are contiguous; the last 64-byte chunk of a row's last pixel
+ *    reads at most 63 bytes into the zero apron (kAmxStagePad).
+ *
  * Rows are addressed like convBlockRowTensor()'s: kernel row i of
  * output row 0 reads staged row y0 + i.
  *
@@ -56,14 +66,19 @@ struct ConvStage
 {
     Precision mode = Precision::Fp32;
     int c = 0, h = 0, w = 0;  //!< source geometry
-    int stageW = 0;           //!< staged row pitch (w + kConvStagePad)
+    int groups = 0;           //!< channel-last conv groups, 0 = planar
+    int stageW = 0;           //!< staged row pitch (elements)
     std::vector<uint8_t> u8;  //!< staged image, Int8 mode
     std::vector<float> f32;   //!< staged image, Fp16 mode (pre-rounded)
 
-    /** (Re)allocate for a source of @p c x @p h x @p w in @p mode.
-     *  Idempotent for matching geometry; zero-fills on (re)shape. */
-    void configure(Precision mode, int c, int h, int w);
+    /** (Re)allocate for a source of @p c x @p h x @p w in @p mode,
+     *  planar, or channel-last per conv group when @p groups > 0 (Int8
+     *  only). Idempotent for matching geometry; zero-fills on
+     *  (re)shape. */
+    void configure(Precision mode, int c, int h, int w, int groups = 0);
 
+    /** Elements between planar channels, or between the channel-last
+     *  images of consecutive conv groups. */
     int64_t
     chStride() const
     {
@@ -72,8 +87,9 @@ struct ConvStage
 };
 
 /** Quantize rows [r0, r1) of every channel of @p src into @p st
- *  (Int8 mode): q = clamp(round(x / act.scale) + act.zp, 0, 255).
- *  Idempotent — restaging a row rewrites the same bytes. */
+ *  (Int8 mode, either layout): q = clamp(round(x / act.scale) +
+ *  act.zp, 0, 255). Idempotent — restaging a row rewrites the same
+ *  bytes. */
 void stageConvInputI8(ConvStage &st, const Tensor &src,
                       const ActQuant &act, int r0, int r1);
 
@@ -97,6 +113,10 @@ void stageConvInputF16(ConvStage &st, const Tensor &src, int r0, int r1);
  * in one kernel region (see ConvBlockStripI8Fn): output row r reads
  * staged rows y0 + r * stride + i and lands at dst + r *
  * dst_row_stride. Bit-identical to @p rows one-row calls.
+ *
+ * Under the i8.amx tier (bk.amx set) the stage is channel-last and the
+ * pack holds AMX panels; the AMX driver runs the same epilogue
+ * expression itself.
  */
 void convBlockRowI8(const ConvBlockKernelI8 &bk, const PackedWeightsI8 &pw,
                     int bi, float *dst, int64_t dst_stride, int count,

@@ -216,8 +216,6 @@ convBlockRowTensor(const ConvBlockKernel &bk, const PackedWeights &pw,
 {
     FLCNN_ASSERT(bk.k == pw.kernel(), "kernel mismatch with packed bank");
     const Shape &s = in.shape();
-    int64_t row_off[kMaxConvKernel];
-    linearRowOffsets(row_off, bk.k, y0, s.w, x0);
     const PackedBlock &b = pw.block(bi);
     for (int f = 0; f < b.lanes; f++) {
         const float bias = pw.bias(b.m0 + f);
@@ -228,8 +226,8 @@ convBlockRowTensor(const ConvBlockKernel &bk, const PackedWeights &pw,
         }
     }
     bk.runRows(b.lanes, dst, dst_stride, rows, dst_row_stride, count,
-               in.rowPtr(pw.nBase(bi), 0, 0),
-               static_cast<int64_t>(s.h) * s.w, row_off,
+               in.rowPtr(pw.nBase(bi), y0, x0),
+               static_cast<int64_t>(s.h) * s.w, s.w,
                static_cast<int64_t>(bk.sx) * s.w, pw.panel(bi),
                pw.numChannels());
 }

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "kernels/conv_kernels.hh"
+#include "kernels/conv_kernels_i8.hh"
 #include "tensor/precision.hh"
 #include "tensor/tensor.hh"
 
@@ -126,6 +127,14 @@ class PackedWeights
  * scale it quantized with, the sum of the quantized weights (the
  * activation zero-point correction term), and the original fp32 bias;
  * the dequant epilogue in kernels/conv_layer.hh consumes all three.
+ *
+ * With mr_cap == kAmxLanes the pack holds the i8.amx tier's panels
+ * instead: blocks of up to 32 filters (never straddling a group), and
+ * per (kernel row i, 64-byte chunk c, 16-filter half h) one 16 x 64
+ * B tile in VNNI-4 order, tile ((i * chunks + c) * halves + h), row r
+ * byte f * 4 + u holding filter 16h + f's weight for reduction byte
+ * b = c * 64 + r * 4 + u of kernel row i — channel-last order,
+ * b = j * C + n. Bytes b >= K * C and lanes past the block are zero.
  */
 class PackedWeightsI8
 {
@@ -134,7 +143,8 @@ class PackedWeightsI8
 
     /** Quantize and pack @p fb with per-filter scales @p w_scales
      *  (size fb.numFilters(); see chooseWeightScale()). @p mr_cap
-     *  limits the widest ladder rung, as in PackedWeights. */
+     *  limits the widest ladder rung, as in PackedWeights, or selects
+     *  the AMX panels (kAmxLanes). */
     PackedWeightsI8(const FilterBank &fb, int groups,
                     const std::vector<float> &w_scales,
                     int mr_cap = kConvBlockLanes);
@@ -178,6 +188,12 @@ class PackedWeightsI8
     int numChannels() const { return n_; }
     int numFilters() const { return m_; }
 
+    /** True for the i8.amx panel layout. */
+    bool amx() const { return amxChunks_ > 0; }
+
+    /** 64-byte reduction chunks per kernel row (AMX layout). */
+    int amxChunks() const { return amxChunks_; }
+
     /** Packed buffer size in bytes (weights only, 1 byte/element). */
     int64_t
     bytes() const
@@ -194,6 +210,11 @@ class PackedWeightsI8
     std::vector<int32_t> wsums;
     int m_ = 0, n_ = 0, k_ = 0, k4_ = 0;
     int mPerGroup = 0;
+    int amxChunks_ = 0;
+
+    /** Lay out the AMX panels from @p q, every filter's quantized
+     *  taps in (m, n, i, j) order. */
+    void packAmx(const int8_t *q, int groups);
 };
 
 /**

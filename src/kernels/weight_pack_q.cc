@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "kernels/conv_kernels_simd.hh"
 #include "kernels/fp16.hh"
 #include "kernels/quant.hh"
 
@@ -72,16 +73,38 @@ PackedWeightsI8::PackedWeightsI8(const FilterBank &fb, int groups,
     for (int m = 0; m < m_; m++)
         biases[static_cast<size_t>(m)] = fb.bias(m);
 
+    // Quantize every tap once, filter-major (m, n, i, j) like the bank,
+    // and take the zero-point sums; the layouts below only move bytes.
+    const int64_t taps = static_cast<int64_t>(n_) * k_ * k_;
+    std::vector<int8_t> q(static_cast<size_t>(m_ * taps));
+    for (int m = 0; m < m_; m++) {
+        int8_t *qm = q.data() + m * taps;
+        const float *w = fb.wRow(m, 0, 0);
+        const float ws = scales[static_cast<size_t>(m)];
+#ifdef FLCNN_SIMD_AVX2
+        if (simd::avx2Supported())
+            simd::quantizeWeightsI8(qm, w, static_cast<int>(taps), ws);
+        else
+#endif
+            for (int64_t t = 0; t < taps; t++)
+                qm[t] = quantizeWeight(w[t], ws);
+        for (int64_t t = 0; t < taps; t++)
+            wsums[static_cast<size_t>(m)] += qm[t];
+    }
+    if (mr_cap == kAmxLanes) {
+        packAmx(q.data(), groups);
+        return;
+    }
+
     const int64_t taps_per_lane =
         static_cast<int64_t>(n_) * k_ * k4_;
     const int64_t total = ladderBlocks(m_, groups, taps_per_lane,
                                        mr_cap, blks, blockOfM);
     data.assign(static_cast<size_t>(total), 0);
 
-    // Fill the panels: ((n*K + i)*(K4/4) + jg) * (lanes*4) + f*4 + u,
-    // quantizing each tap with its filter's scale. Padded taps
-    // (jg*4 + u >= K) stay zero so the kernels can walk full 4-groups
-    // without edge tests.
+    // Fill the panels: ((n*K + i)*(K4/4) + jg) * (lanes*4) + f*4 + u.
+    // Padded taps (jg*4 + u >= K) stay zero so the kernels can walk
+    // full 4-groups without edge tests.
     const int jg_count = k4_ / 4;
     for (const PackedBlock &b : blks) {
         int8_t *p = data.data() + b.offset;
@@ -89,17 +112,56 @@ PackedWeightsI8::PackedWeightsI8(const FilterBank &fb, int groups,
             for (int i = 0; i < k_; i++) {
                 for (int jg = 0; jg < jg_count; jg++) {
                     for (int f = 0; f < b.lanes; f++) {
-                        const int m = b.m0 + f;
-                        const float ws = scales[static_cast<size_t>(m)];
+                        const int8_t *qrow =
+                            q.data() + (b.m0 + f) * taps +
+                            (static_cast<int64_t>(n) * k_ + i) * k_;
                         for (int u = 0; u < 4; u++) {
                             const int j = jg * 4 + u;
-                            int8_t q = 0;
-                            if (j < k_) {
-                                q = quantizeWeight(fb.w(m, n, i, j), ws);
-                                wsums[static_cast<size_t>(m)] += q;
-                            }
-                            *p++ = q;
+                            *p++ = j < k_ ? qrow[j] : int8_t{0};
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+void
+PackedWeightsI8::packAmx(const int8_t *q, int groups)
+{
+    constexpr int kHalf = 16, kChunk = 64, kTile = kHalf * kChunk;
+    amxChunks_ = (k_ * n_ + kChunk - 1) / kChunk;  // per kernel row
+    const int64_t taps = static_cast<int64_t>(n_) * k_ * k_;
+    blockOfM.resize(static_cast<size_t>(m_));
+    int64_t offset = 0;
+    for (int g = 0; g < groups; g++) {
+        for (int m0 = g * mPerGroup; m0 < (g + 1) * mPerGroup;
+             m0 += kAmxLanes) {
+            const int lanes = std::min(kAmxLanes, (g + 1) * mPerGroup - m0);
+            for (int f = 0; f < lanes; f++)
+                blockOfM[static_cast<size_t>(m0 + f)] =
+                    static_cast<int>(blks.size());
+            blks.push_back(PackedBlock{m0, lanes, offset});
+            const int halves = (lanes + kHalf - 1) / kHalf;
+            offset += static_cast<int64_t>(k_) * amxChunks_ * halves * kTile;
+        }
+    }
+    data.assign(static_cast<size_t>(offset), 0);
+    for (const PackedBlock &b : blks) {
+        const int halves = (b.lanes + kHalf - 1) / kHalf;
+        for (int f = 0; f < b.lanes; f++) {
+            const int8_t *qm = q + (b.m0 + f) * taps;
+            int8_t *lane = data.data() + b.offset + f / kHalf * kTile +
+                           f % kHalf * 4;
+            for (int i = 0; i < k_; i++) {
+                int8_t *row = lane + static_cast<int64_t>(i) * amxChunks_ *
+                                         halves * kTile;
+                for (int j = 0; j < k_; j++) {
+                    for (int n = 0; n < n_; n++) {
+                        const int bb = j * n_ + n;
+                        row[bb / kChunk * halves * kTile +
+                            bb % kChunk / 4 * kChunk + bb % 4] =
+                            qm[(static_cast<int64_t>(n) * k_ + i) * k_ + j];
                     }
                 }
             }

@@ -121,13 +121,30 @@ runConv(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
     return out;
 }
 
+/** Run @p stage_rows(r0, r1) over the input rows [0, h) in bands of
+ *  a few rows on the pool: staging is elementwise, so the bands are
+ *  independent and the staged bytes do not depend on the split. */
+template <typename StageRows>
+void
+stageInBands(int h, const StageRows &stage_rows)
+{
+    constexpr int kBandRows = 4;
+    parallelFor(0, (h + kBandRows - 1) / kBandRows,
+                [&](int64_t lo, int64_t hi) {
+                    stage_rows(static_cast<int>(lo) * kBandRows,
+                               std::min(h, static_cast<int>(hi) *
+                                               kBandRows));
+                });
+}
+
 /**
- * runConv() under a non-fp32 precision mode: stage the whole input
- * once (scalar, O(elems) — negligible next to the O(elems * K^2 * M)
- * kernel work), then run the mode's (filter-block, row) drivers with
- * the same parallel shape and row-major work order as the fp32 path.
- * Packing per call mirrors runConv(); long-lived executors cache
- * through WeightPackCache.
+ * runConv() under a non-fp32 precision mode: stage the whole input in
+ * row bands on the pool (elementwise, O(elems)), then run the mode's
+ * (filter-block, row) drivers with the same parallel shape and
+ * row-major work order as the fp32 path. The int8 stage layout is the
+ * resolved tier's (ConvBlockKernelI8::stageGroups). Packing per call
+ * mirrors runConv(); long-lived executors cache through
+ * WeightPackCache.
  */
 Tensor
 runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
@@ -139,14 +156,16 @@ runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
     const int64_t plane = static_cast<int64_t>(out_shape.h) * out_shape.w;
 
     ConvStage st;
-    st.configure(prec.mode(), s.c, s.h, s.w);
-
     if (prec.mode() == Precision::Int8) {
         const ActQuant &act = prec.actQuant(slot);
-        stageConvInputI8(st, in, act, 0, s.h);
         const ConvPlan plan = planConv(
             convLayerQuery(spec, in.shape(), Precision::Int8, false));
         const ConvBlockKernelI8 &bk = plan.bkI8;
+        st.configure(Precision::Int8, s.c, s.h, s.w,
+                     bk.stageGroups(spec.groups));
+        stageInBands(s.h, [&](int r0, int r1) {
+            stageConvInputI8(st, in, act, r0, r1);
+        });
         const PackedWeightsI8 pw(fb, spec.groups,
                                  prec.weightScales(slot), plan.cfg.mrCap);
         const int nb = pw.numBlocks();
@@ -164,7 +183,10 @@ runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
             },
             plan.cfg.grain);
     } else {
-        stageConvInputF16(st, in, 0, s.h);
+        st.configure(prec.mode(), s.c, s.h, s.w);
+        stageInBands(s.h, [&](int r0, int r1) {
+            stageConvInputF16(st, in, r0, r1);
+        });
         const ConvPlan plan = planConv(
             convLayerQuery(spec, in.shape(), Precision::Fp16, false));
         const ConvBlockKernel &bk = plan.bk;

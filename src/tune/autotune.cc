@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -37,11 +36,10 @@ struct BenchWorkload
     int inH = 0, inW = 0;
     int nPerGroup = 0;
     FilterBank fb;
-    Tensor in;                  //!< fp32 input (fp32/fp16 solvers)
-    std::vector<uint8_t> u8;    //!< staged u8 input (int8 solvers)
-    int stageW = 0;
-    Tensor out;                 //!< fp32 accumulator planes
-    std::vector<int32_t> acc;   //!< i32 accumulator planes
+    Tensor in;                  //!< fp32 input
+    Tensor out;                 //!< fp32 output planes
+    ActQuant act{1.0f / 64.0f, 128};      //!< int8 input quantization
+    std::map<int, ConvStage> stages;      //!< int8, by stage layout
     std::map<int, PackedWeights> packs;
     std::map<int, PackedWeightsI8> packsI8;
     std::vector<float> wScales;
@@ -56,19 +54,26 @@ struct BenchWorkload
         Rng rng(0x7a3e5c91u + static_cast<uint64_t>(s.kernel) * 131 +
                 static_cast<uint64_t>(s.outC));
         fb.fillRandom(rng);
-        if (q.dtype == Precision::Int8) {
-            stageW = inW + kConvStagePad;
-            u8.resize(static_cast<size_t>(s.inC) * inH * stageW);
-            for (size_t i = 0; i < u8.size(); i++)
-                u8[i] = static_cast<uint8_t>(rng.next());
-            acc.assign(static_cast<size_t>(s.outC) * s.outH * s.outW,
-                       0);
+        in = Tensor(Shape{s.inC, inH, inW});
+        in.fillRandom(rng);
+        out = Tensor(Shape{s.outC, s.outH, s.outW});
+        if (q.dtype == Precision::Int8)
             wScales.assign(static_cast<size_t>(s.outC), 0.05f);
-        } else {
-            in = Tensor(Shape{s.inC, inH, inW});
-            in.fillRandom(rng);
-            out = Tensor(Shape{s.outC, s.outH, s.outW});
+    }
+
+    /** The int8 input staged in the layout @p bk reads. */
+    const ConvStage &
+    stage(const ConvBlockKernelI8 &bk)
+    {
+        const int groups = bk.stageGroups(q.shape.groups);
+        auto it = stages.find(groups);
+        if (it == stages.end()) {
+            it = stages.emplace(groups, ConvStage{}).first;
+            it->second.configure(Precision::Int8, q.shape.inC, inH, inW,
+                                 groups);
+            stageConvInputI8(it->second, in, act, 0, inH);
         }
+        return it->second;
     }
 
     const PackedWeights &
@@ -104,9 +109,8 @@ runOnce(BenchWorkload &w, const ConvPlan &plan)
     const ConvShape &s = w.q.shape;
     if (w.q.dtype == Precision::Int8) {
         const PackedWeightsI8 &pw = w.packI8(plan.cfg.mrCap);
+        const ConvStage &st = w.stage(plan.bkI8);
         const int nb = pw.numBlocks();
-        const int64_t ch_stride =
-            static_cast<int64_t>(w.inH) * w.stageW;
         const int64_t plane =
             static_cast<int64_t>(s.outH) * s.outW;
         parallelFor(
@@ -115,21 +119,9 @@ runOnce(BenchWorkload &w, const ConvPlan &plan)
               for (int64_t i = i0; i < i1; i++) {
                 const int bi = static_cast<int>(i / s.outH);
                 const int y = static_cast<int>(i % s.outH);
-                const PackedBlock &b = pw.block(bi);
-                int64_t row_off[kMaxConvKernel];
-                for (int r = 0; r < s.kernel; r++)
-                    row_off[r] =
-                        (static_cast<int64_t>(y) * s.stride + r) *
-                        w.stageW;
-                int32_t *dst =
-                    w.acc.data() + b.m0 * plane + y * s.outW;
-                for (int f = 0; f < b.lanes; f++)
-                    std::memset(dst + f * plane, 0,
-                                sizeof(int32_t) * s.outW);
-                plan.bkI8.run(b.lanes, dst, plane, s.outW,
-                              w.u8.data() + pw.nBase(bi) * ch_stride,
-                              ch_stride, row_off, pw.panel(bi),
-                              pw.numChannels());
+                convBlockRowI8(plan.bkI8, pw, bi,
+                               &w.out(pw.block(bi).m0, y, 0), plane,
+                               s.outW, st, y * s.stride, 0, w.act);
               }
             },
             plan.cfg.grain);

@@ -113,6 +113,7 @@ probe()
     p.avx2 = convSimdEnabled();
     p.fma = convFmaEnabled();
     p.avxVnni = convVnniEnabled();
+    p.amx = convAmxEnabled();
     p.simdWidthBytes = p.avx2 ? 32 : static_cast<int>(sizeof(float));
 #if defined(_SC_LEVEL1_DCACHE_SIZE)
     p.l1dBytes = sysconfCache(_SC_LEVEL1_DCACHE_SIZE);
@@ -149,9 +150,9 @@ HostProfile::fingerprint() const
         model = "unknown";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  ";t%d;%s%s%s;l1=%lld;l2=%lld;l3=%lld", threads,
+                  ";t%d;%s%s%s%s;l1=%lld;l2=%lld;l3=%lld", threads,
                   avx2 ? "avx2" : "scalar", fma ? "+fma" : "",
-                  avxVnni ? "+vnni" : "",
+                  avxVnni ? "+vnni" : "", amx ? "+amx" : "",
                   static_cast<long long>(l1dBytes),
                   static_cast<long long>(l2Bytes),
                   static_cast<long long>(l3Bytes));

@@ -33,6 +33,8 @@ struct HostProfile
     bool avx2 = false;      //!< AVX2 usable (build + runtime)
     bool fma = false;       //!< FMA3 usable (fast-math tier only)
     bool avxVnni = false;   //!< AVX-VNNI usable (int8 vpdpbusd path)
+    bool amx = false;       //!< AMX-INT8 usable: CPUID and tile-data
+                            //!< permission granted (i8.amx tier)
     int simdWidthBytes = 0; //!< widest usable vector (32 with AVX2)
     int64_t l1dBytes = 0;   //!< per-core L1 data cache (0 if unknown)
     int64_t l2Bytes = 0;    //!< per-core L2 (0 if unknown)

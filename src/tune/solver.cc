@@ -10,6 +10,22 @@ namespace flcnn {
 
 namespace {
 
+/** K^2 * C (C per group): the taps of one filter. */
+int64_t
+amxTaps(const ConvShape &s)
+{
+    return static_cast<int64_t>(s.kernel) * s.kernel *
+           (s.inC / std::max(s.groups, 1));
+}
+
+/** i8.amx takes a layer only when a filter has at least one 64-byte
+ *  chunk of taps. Below that (VGG's 3-channel conv1_1: 27 taps) the
+ *  tile work is a sliver and its channel-last stage and transposing
+ *  epilogue set the time: conv1_1 ran 3.66 ms under i8.amx against
+ *  2.96 ms under i8.vnni at one thread (bench/micro_kernels
+ *  BM_ConvLayerI8), and 8.0 against 6.0 ms in a tip-4 pyramid. */
+constexpr int64_t kAmxMinTaps = 64;
+
 /** Kernel sizes with compile-time specialized variants (the zoo). */
 bool
 tableKernel(int k)
@@ -60,11 +76,20 @@ resolveFp32Fast(const ConvQuery &q, const ConvConfig &cfg, ConvPlan *p)
     p->bk.seg = cfg.segW;
 }
 
+/** The strip tiers' pack ladder is 4/2/1: a cap outside it (a
+ *  hand-edited cache naming kAmxLanes) must not select AMX panels. */
+void
+clampLadderCap(ConvPlan *p)
+{
+    p->cfg.mrCap = std::min(std::max(p->cfg.mrCap, 1), kConvBlockLanes);
+}
+
 void
 resolveI8Vector(const ConvQuery &q, const ConvConfig &cfg, ConvPlan *p)
 {
     p->bkI8 = resolveConvBlockKernelI8(q.shape.kernel, q.shape.stride);
     p->bkI8.seg = cfg.segW;
+    clampLadderCap(p);
 }
 
 void
@@ -73,6 +98,28 @@ resolveI8Scalar(const ConvQuery &q, const ConvConfig &cfg, ConvPlan *p)
     p->bkI8 =
         resolveConvBlockKernelI8Scalar(q.shape.kernel, q.shape.stride);
     p->bkI8.seg = cfg.segW;
+    clampLadderCap(p);
+}
+
+/** i8.amx packs AMX panels (kAmxLanes) whatever the config says; only
+ *  the thread-chunk grain is tunable. */
+void
+resolveI8Amx(const ConvQuery &q, const ConvConfig &, ConvPlan *p)
+{
+    p->bkI8 = resolveConvBlockKernelI8Amx(q.shape.kernel, q.shape.stride);
+    p->cfg.mrCap = kAmxLanes;
+    p->cfg.segW = 0;
+}
+
+std::vector<ConvConfig>
+amxCandidates(const ConvQuery &q)
+{
+    std::vector<ConvConfig> out;
+    for (int grain : {1, 2, 4}) {
+        if (grain == 1 || grain * 2 <= q.shape.outH)
+            out.push_back(ConvConfig{kAmxLanes, 0, grain});
+    }
+    return out;
 }
 
 std::vector<ConvSolver>
@@ -113,6 +160,14 @@ builtinSolvers()
         &defaultCandidates});
 
     // --- int8 family (exact integer sums in every variant).
+
+    v.push_back(ConvSolver{
+        "i8.amx", Precision::Int8, 40,
+        [](const ConvQuery &q) {
+            return convAmxEnabled() && amxTaps(q.shape) >= kAmxMinTaps &&
+                   amxSumFitsI32(q.shape);
+        },
+        &resolveI8Amx, &amxCandidates});
 
     v.push_back(ConvSolver{
         "i8.vnni", Precision::Int8, 30,
@@ -188,6 +243,12 @@ findConvSolver(const std::string &name)
             return &s;
     }
     return nullptr;
+}
+
+bool
+amxSumFitsI32(const ConvShape &s)
+{
+    return 255 * 63 * amxTaps(s) < (int64_t{1} << 31);
 }
 
 std::string

@@ -3,8 +3,8 @@
  * Solver registry and per-layer conv planning.
  *
  * A *solver* is one implementation strategy for the conv inner loop —
- * the scalar strip ladder, the AVX2 MR x 8 block, the int8 maddubs or
- * VNNI pipelines, the opt-in fast-math FMA tier. Each registers:
+ * the scalar strip ladder, the AVX2 MR x 8 block, the int8 maddubs,
+ * VNNI or AMX pipelines, the opt-in fast-math FMA tier. Each registers:
  *
  *   - a name ("fp32.avx2", "i8.vnni", ...) used in the tune cache,
  *     bench labels, and logs;
@@ -23,10 +23,12 @@
  * default chain is constructed to reproduce the pre-registry dispatch
  * exactly (resolveConvBlockKernel / resolveConvBlockKernelI8 with the
  * full 4/2/1 ladder, whole-row strips, grain 1), so a cold cache
- * changes nothing: same kernels, same bits, same speed. A cached
- * winner can only have been stored by the autotuner, which always
- * includes the default as candidate zero and keeps it on ties — the
- * tuned path is never slower than the default by construction.
+ * changes nothing: same kernels, same bits, same speed. The one
+ * addition above it is i8.amx, which takes every int8 layer it applies
+ * to on a host with AMX (same bits, its own stage and pack layout). A
+ * cached winner can only have been stored by the autotuner, which
+ * always includes the default as candidate zero and keeps it on ties —
+ * the tuned path is never slower than the default by construction.
  *
  * Determinism: for every solver except the explicit fast-math tier,
  * solver choice and config are invisible in the output bits (the
@@ -72,7 +74,8 @@ struct ConvQuery
 /** Tunable performance knobs — all bit-invariant (see file header). */
 struct ConvConfig
 {
-    int mrCap = kConvBlockLanes;  //!< widest pack-ladder rung (4/2/1)
+    int mrCap = kConvBlockLanes;  //!< widest pack-ladder rung (4/2/1;
+                                  //!< kAmxLanes under i8.amx)
     int segW = 0;                 //!< strip segment width, 0 = row
     int grain = 1;                //!< parallelFor thread-chunk grain
 };
@@ -118,6 +121,12 @@ void registerConvSolver(ConvSolver s);
 
 /** Find a registered solver by name; nullptr when absent. */
 const ConvSolver *findConvSolver(const std::string &name);
+
+/** The i8.amx plan-time check: 255 * 63 * K^2 * C (C per group)
+ *  below 2^31, so no i32 accumulator or zero-point term can wrap.
+ *  Layers that fail it run i8.vnni or below, as do layers with fewer
+ *  than 64 taps per filter (where i8.vnni measured faster). */
+bool amxSumFitsI32(const ConvShape &s);
 
 /** The canonical tune-cache key for a query, e.g.
  *  "k11s4g1n3m96x55y55.i8" (fast-math adds ".fast"). */

@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include <sys/mman.h>
 #include <unistd.h>
 
 #include "kernels/conv_kernels.hh"
+#include "kernels/conv_kernels_simd.hh"
 #include "kernels/weight_pack.hh"
 #include "nn/reference.hh"
 
@@ -191,52 +193,51 @@ TEST(ConvBlockKernels, FilterCountsCoverEveryLaneTail)
     }
 }
 
-TEST(ConvBlockKernels, RingRowOffsetsMatchLinearRows)
+TEST(ConvBlockKernels, StartRowAddressingMatchesPerRowCalls)
 {
-    // Rows handed to the blocked kernel through row_off need not be
-    // evenly spaced: modular ring rows must match the linear-tensor
-    // call bit for bit.
-    const int k = 3, s = 1, cap = 4, channels = 3, out_w = 21;
-    const int in_h = 6;
-    Tensor in(Shape{channels, in_h, out_w + k - 1});
-    Rng irng(91);
-    in.fillRandom(irng);
-    FilterBank fb(5, channels, k);
-    Rng wrng(92);
-    fb.fillRandom(wrng);
+    // A region call reads output row r at r * in_row_step past its
+    // start pointer, kernel row i at i * row_pitch: one call over every
+    // output row, started at a nonzero column, must equal per-row calls
+    // each started at its own first input row, bit for bit.
+    const int k = 3, channels = 3, out_w = 21, x0 = 2;
+    for (int s : {1, 2}) {
+        const int out_h = 4;
+        Tensor in(Shape{channels, (out_h - 1) * s + k,
+                        x0 + (out_w - 1) * s + k});
+        Rng irng(91);
+        in.fillRandom(irng);
+        FilterBank fb(5, channels, k);
+        Rng wrng(92);
+        fb.fillRandom(wrng);
 
-    const ConvBlockKernel bk = resolveConvBlockKernel(k, s);
-    const PackedWeights pw(fb);
-    const int64_t w = in.shape().w;
+        const ConvBlockKernel bk = resolveConvBlockKernel(k, s);
+        const PackedWeights pw(fb);
+        const Shape &sh = in.shape();
+        const int64_t ch_stride = static_cast<int64_t>(sh.h) * sh.w;
+        const int64_t plane = static_cast<int64_t>(out_h) * out_w;
+        for (int bi = 0; bi < pw.numBlocks(); bi++) {
+            const PackedBlock &blk = pw.block(bi);
+            std::vector<float> region(
+                static_cast<size_t>(blk.lanes) * plane);
+            for (int f = 0; f < blk.lanes; f++)
+                std::fill_n(region.begin() + f * plane, plane,
+                            pw.bias(blk.m0 + f));
+            std::vector<float> rows = region;
+            bk.runRows(blk.lanes, region.data(), plane, out_h, out_w,
+                       out_w, in.rowPtr(0, 0, x0), ch_stride, sh.w,
+                       static_cast<int64_t>(s) * sh.w, pw.panel(bi),
+                       channels);
+            for (int y = 0; y < out_h; y++)
+                bk.run(blk.lanes, rows.data() + y * out_w, plane, out_w,
+                       in.rowPtr(0, y * s, x0), ch_stride, sh.w,
+                       pw.panel(bi), channels);
+            EXPECT_EQ(region, rows) << "s=" << s << " bi=" << bi;
 
-    Tensor ring(Shape{channels, cap, static_cast<int>(w)});
-    const int y0 = 3;  // rows 3, 4, 5 -> ring rows 3, 0, 1: wraps
-    for (int n = 0; n < channels; n++)
-        for (int i = 0; i < k; i++)
-            for (int x = 0; x < w; x++)
-                ring(n, (y0 + i) % cap, x) = in(n, y0 + i, x);
-
-    int64_t ring_off[kMaxConvKernel];
-    for (int i = 0; i < k; i++)
-        ring_off[i] = static_cast<int64_t>((y0 + i) % cap) * w;
-
-    for (int bi = 0; bi < pw.numBlocks(); bi++) {
-        const PackedBlock &blk = pw.block(bi);
-        std::vector<float> got(
-            static_cast<size_t>(blk.lanes) * out_w);
-        for (int f = 0; f < blk.lanes; f++)
-            for (int x = 0; x < out_w; x++)
-                got[static_cast<size_t>(f) * out_w + x] =
-                    pw.bias(blk.m0 + f);
-        bk.run(blk.lanes, got.data(), out_w, out_w,
-               ring.rowPtr(0, 0, 0), static_cast<int64_t>(cap) * w,
-               ring_off, pw.panel(bi), channels);
-
-        std::vector<float> want(
-            static_cast<size_t>(blk.lanes) * out_w);
-        convBlockRowTensor(bk, pw, bi, want.data(), out_w, out_w, in,
-                           y0, 0);
-        EXPECT_EQ(got, want) << "bi=" << bi;
+            std::vector<float> want(region.size());
+            convBlockRowTensor(bk, pw, bi, want.data(), plane, out_w, in,
+                               0, x0, out_h, out_w);
+            EXPECT_EQ(region, want) << "s=" << s << " bi=" << bi;
+        }
     }
 }
 
@@ -285,8 +286,6 @@ TEST(ConvBlockKernels, ChannelRangeChainingIsBitExact)
     const PackedBlock &blk = pw.block(0);
     const Shape &sh = c.in.shape();
     const int64_t ch_stride = static_cast<int64_t>(sh.h) * sh.w;
-    int64_t row_off[kMaxConvKernel];
-    linearRowOffsets(row_off, k, 0, sh.w);
 
     std::vector<float> chained(
         static_cast<size_t>(blk.lanes) * out_w);
@@ -297,7 +296,7 @@ TEST(ConvBlockKernels, ChannelRangeChainingIsBitExact)
     const int splits[][2] = {{0, 2}, {2, 3}};  // [n0, tnn]
     for (auto [n0, tnn] : splits) {
         bk.run(blk.lanes, chained.data(), out_w, out_w,
-               c.in.rowPtr(n0, 0, 0), ch_stride, row_off,
+               c.in.rowPtr(n0, 0, 0), ch_stride, sh.w,
                pw.panel(0) + static_cast<int64_t>(n0) * k * k *
                                  blk.lanes,
                tnn);
@@ -348,21 +347,20 @@ TEST(ConvBlockKernels, StripsReadNothingPastTheirInput)
                                  " s=" + std::to_string(s) +
                                  " channels=" + std::to_string(channels) +
                                  " y=" + std::to_string(y));
-                    int64_t row_off[kMaxConvKernel];
-                    linearRowOffsets(row_off, k, y * s, w);
+                    const float *start = in + y * s * w;
                     for (const ConvBlockKernel &bk :
                          {resolveConvBlockKernelScalar(k, s),
                           resolveConvBlockKernel(k, s)}) {
                         for (int mr : {1, 2, 4}) {
                             std::fill(dst.begin(), dst.end(), 0.0f);
-                            bk.run(mr, dst.data(), out_w, out_w, in,
-                                   plane, row_off, wp.data(), channels);
+                            bk.run(mr, dst.data(), out_w, out_w, start,
+                                   plane, w, wp.data(), channels);
                             ASSERT_EQ(dst[0], want) << "mr=" << mr;
                         }
                     }
                     std::fill(dst.begin(), dst.end(), 0.0f);
-                    resolveConvKernel(k, s).run(dst.data(), out_w, in,
-                                                plane, row_off, wp.data(),
+                    resolveConvKernel(k, s).run(dst.data(), out_w, start,
+                                                plane, w, wp.data(),
                                                 channels);
                     ASSERT_EQ(dst[0], want) << "single filter";
                 }
@@ -370,6 +368,87 @@ TEST(ConvBlockKernels, StripsReadNothingPastTheirInput)
             }
         }
     }
+
+    // The i8.amx driver over a channel-last stage whose last row's
+    // kAmxStagePad-byte apron ends on the guard page: its 64-byte
+    // chunks may read into the apron, never past it. Whole 16-pixel
+    // runs load straight from the stage; the 13-pixel rows and the
+    // 3 x 13 region's tails go through the gather buffer.
+#ifdef FLCNN_SIMD_AMX
+    if (!convAmxEnabled())
+        return;
+    for (int k : {1, 3, 5, 7, 11}) {
+        for (int s : {1, 2, 4}) {
+            for (int channels : {1, 3, 5, 48, 64}) {
+                for (int rows : {1, out_h}) {
+                    for (int count : {out_w, 16}) {
+                        const int h = (rows - 1) * s + k;
+                        const int w = (count - 1) * s + k;
+                        const int64_t pitch =
+                            static_cast<int64_t>(w) * channels +
+                            kAmxStagePad;
+                        const size_t bytes =
+                            static_cast<size_t>(h * pitch);
+                        const size_t span =
+                            (bytes + page - 1) / page * page;
+                        void *map = mmap(nullptr, span + page,
+                                         PROT_READ | PROT_WRITE,
+                                         MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                                         0);
+                        ASSERT_NE(map, MAP_FAILED);
+                        char *base = static_cast<char *>(map);
+                        ASSERT_EQ(mprotect(base + span, page, PROT_NONE),
+                                  0);
+                        uint8_t *in = reinterpret_cast<uint8_t *>(
+                            base + span - bytes);
+                        for (int y = 0; y < h; y++)
+                            std::fill_n(in + y * pitch, w * channels, 1);
+                        FilterBank fb(kAmxLanes, channels, k);
+                        for (int m = 0; m < kAmxLanes; m++)
+                            for (int n = 0; n < channels; n++)
+                                for (int i = 0; i < k; i++)
+                                    for (int j = 0; j < k; j++)
+                                        fb.w(m, n, i, j) = 1.0f;
+                        const PackedWeightsI8 pw(
+                            fb, 1, std::vector<float>(kAmxLanes, 1.0f),
+                            kAmxLanes);
+                        const std::vector<float> bias(kAmxLanes, 0.0f),
+                            scale(kAmxLanes, 1.0f);
+                        const std::vector<int32_t> zp(kAmxLanes, 0);
+                        std::vector<float> dst(
+                            static_cast<size_t>(kAmxLanes) * rows * count);
+                        AmxRegion r;
+                        r.in = in;
+                        r.rowPitch = pitch;
+                        r.pixStep = static_cast<int64_t>(s) * channels;
+                        r.inRowStep = s * pitch;
+                        r.k = k;
+                        r.chunks = pw.amxChunks();
+                        r.rows = rows;
+                        r.count = count;
+                        r.wp = pw.panel(0);
+                        r.lanes = kAmxLanes;
+                        r.dst = dst.data();
+                        r.dstStride = static_cast<int64_t>(rows) * count;
+                        r.dstRowStride = count;
+                        r.bias = bias.data();
+                        r.scale = scale.data();
+                        r.zpTerm = zp.data();
+                        simd::convRegionI8Amx(r);
+                        const float want =
+                            static_cast<float>(k * k * channels);
+                        for (float v : dst)
+                            ASSERT_EQ(v, want)
+                                << "k=" << k << " s=" << s
+                                << " channels=" << channels
+                                << " rows=" << rows << " count=" << count;
+                        munmap(map, span + page);
+                    }
+                }
+            }
+        }
+    }
+#endif
 }
 
 } // namespace

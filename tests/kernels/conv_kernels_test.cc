@@ -2,8 +2,8 @@
  * @file
  * Register-tiled strip kernels: bit-exact equivalence with the
  * canonical scalar convPoint() across the kernel/stride grid, grouped
- * convolution, odd strip widths (the 8/4/2/1 remainder ladder), ring
- * row-offset tables, and thread counts.
+ * convolution, odd strip widths (the 8/4/2/1 remainder ladder),
+ * start-row addressing, and thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -99,8 +99,6 @@ TEST(ConvKernels, SpecializedAndGenericProduceIdenticalBits)
             const ConvKernel spec = resolveConvKernel(k, s);
             ASSERT_TRUE(spec.specialized());
 
-            int64_t row_off[kMaxConvKernel];
-            linearRowOffsets(row_off, k, 0, c.in.shape().w);
             const int64_t ch_stride =
                 static_cast<int64_t>(c.in.shape().h) * c.in.shape().w;
 
@@ -109,9 +107,10 @@ TEST(ConvKernels, SpecializedAndGenericProduceIdenticalBits)
                 a[static_cast<size_t>(x)] =
                     b[static_cast<size_t>(x)] = c.fb.bias(0);
             spec.fn(a.data(), 29, c.in.rowPtr(0, 0, 0), ch_stride,
-                    row_off, c.fb.wRow(0, 0, 0), c.fb.numChannels());
+                    c.in.shape().w, c.fb.wRow(0, 0, 0),
+                    c.fb.numChannels());
             ConvKernel::convStripGeneric(
-                b.data(), 29, c.in.rowPtr(0, 0, 0), ch_stride, row_off,
+                b.data(), 29, c.in.rowPtr(0, 0, 0), ch_stride, c.in.shape().w,
                 c.fb.wRow(0, 0, 0), c.fb.numChannels(), k, s);
             EXPECT_EQ(a, b) << "k=" << k << " s=" << s;
         }
@@ -164,35 +163,30 @@ TEST(ConvKernels, GroupedConvolutionMatchesConvPoint)
     }
 }
 
-TEST(ConvKernels, RingRowOffsetsMatchLinearRows)
+TEST(ConvKernels, StartRowAddressingMatchesConvPoint)
 {
-    // Rows handed to the kernel through the row_off table need not be
-    // evenly spaced: feeding the same rows through a ring layout must
-    // reproduce the linear-tensor result bit for bit.
-    const int k = 3, cap = 4, channels = 3, out_w = 21;
-    ConvCase c(k, 1, channels, 2, out_w, 6, 55);
-    const ConvKernel ks = resolveConvKernel(k, 1);
-    const int64_t w = c.in.shape().w;
-
-    Tensor ring(Shape{channels, cap, static_cast<int>(w)});
-    const int y0 = 3;  // rows 3, 4, 5 -> ring rows 3, 0, 1: wraps
-    for (int n = 0; n < channels; n++)
-        for (int i = 0; i < k; i++)
-            for (int x = 0; x < w; x++)
-                ring(n, (y0 + i) % cap, x) = c.in(n, y0 + i, x);
-
-    int64_t ring_off[kMaxConvKernel];
-    for (int i = 0; i < k; i++)
-        ring_off[i] = static_cast<int64_t>((y0 + i) % cap) * w;
-
-    std::vector<float> got(out_w, c.fb.bias(0));
-    ks.run(got.data(), out_w, ring.rowPtr(0, 0, 0),
-           static_cast<int64_t>(cap) * w, ring_off, c.fb.wRow(0, 0, 0),
-           channels);
-
-    std::vector<float> want(static_cast<size_t>(out_w));
-    convRowTensor(ks, want.data(), out_w, c.in, c.fb, 0, 0, y0, 0);
-    EXPECT_EQ(got, want);
+    // The strip reads kernel row i at i * row_pitch past its start
+    // pointer: starting the same kernel at each output row's first
+    // input row (and a nonzero column) must give convPoint's bits.
+    const int k = 3, channels = 3, out_w = 21;
+    for (int s : {1, 2}) {
+        ConvCase c(k, s, channels, 2, out_w + 2, 6, 55 + s);
+        const ConvKernel ks = resolveConvKernel(k, s);
+        const Shape &sh = c.in.shape();
+        const int x0 = sh.w - (out_w - 1) * s - k;
+        const int out_h = (sh.h - k) / s + 1;
+        for (int y = 0; y < out_h; y++) {
+            std::vector<float> got(out_w, c.fb.bias(1));
+            ks.run(got.data(), out_w, c.in.rowPtr(0, y * s, x0),
+                   static_cast<int64_t>(sh.h) * sh.w, sh.w,
+                   c.fb.wRow(1, 0, 0), channels);
+            for (int x = 0; x < out_w; x++)
+                ASSERT_EQ(got[static_cast<size_t>(x)],
+                          convPoint(c.in, c.fb, 1, y * s, x0 + x * s, 1, 2,
+                                    nullptr))
+                    << "s=" << s << " y=" << y << " x=" << x;
+        }
+    }
 }
 
 /** RAII: run a scope at a fixed global thread count, then restore the

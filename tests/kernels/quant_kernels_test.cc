@@ -10,11 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/fp16.hh"
 #include "kernels/quant.hh"
@@ -199,16 +204,14 @@ TEST(ConvKernelsI8, ResolvedMatchesGenericExactly)
         const int count = w - k + 1;
         for (int bi = 0; bi < pw.numBlocks(); bi++) {
             const int mr = pw.block(bi).lanes;
-            int64_t row_off[kMaxConvKernel];
-            for (int i = 0; i < k; i++)
-                row_off[i] = static_cast<int64_t>(i + 2) * st.stageW;
             std::vector<int32_t> got(static_cast<size_t>(mr) * count, 0);
             std::vector<int32_t> want(got);
-            bk.run(mr, got.data(), count, count, st.u8.data(),
-                   st.chStride(), row_off, pw.panel(bi), c);
+            const uint8_t *in = st.u8.data() + 2 * st.stageW;
+            bk.run(mr, got.data(), count, count, in, st.chStride(),
+                   st.stageW, pw.panel(bi), c);
             ConvBlockKernelI8::convBlockStripI8Generic(
-                mr, want.data(), count, count, st.u8.data(),
-                st.chStride(), row_off, pw.panel(bi), c, k, 1);
+                mr, want.data(), count, count, in, st.chStride(),
+                st.stageW, pw.panel(bi), c, k, 1);
             EXPECT_EQ(got, want) << "k=" << k << " mr=" << mr;
         }
     }
@@ -238,16 +241,13 @@ TEST(ConvKernelsI8, Stride4ResolvedMatchesGenericExactly)
         const int count = (w - k) / stride + 1;
         for (int bi = 0; bi < pw.numBlocks(); bi++) {
             const int mr = pw.block(bi).lanes;
-            int64_t row_off[kMaxConvKernel];
-            for (int i = 0; i < k; i++)
-                row_off[i] = static_cast<int64_t>(i) * st.stageW;
             std::vector<int32_t> got(static_cast<size_t>(mr) * count, 0);
             std::vector<int32_t> want(got);
             bk.run(mr, got.data(), count, count, st.u8.data(),
-                   st.chStride(), row_off, pw.panel(bi), c);
+                   st.chStride(), st.stageW, pw.panel(bi), c);
             ConvBlockKernelI8::convBlockStripI8Generic(
                 mr, want.data(), count, count, st.u8.data(),
-                st.chStride(), row_off, pw.panel(bi), c, k, stride);
+                st.chStride(), st.stageW, pw.panel(bi), c, k, stride);
             EXPECT_EQ(got, want) << "k=" << k << " mr=" << mr;
         }
     }
@@ -350,6 +350,140 @@ TEST(ConvStage, StagingIsIdempotentAndRowScoped)
                 EXPECT_EQ(st.u8[static_cast<size_t>(
                               n * st.chStride() + r * st.stageW + x)],
                           0);
+}
+
+/** The channel-last stage holds exactly the planar stage's bytes,
+ *  interleaved per conv group, with a zero apron: every channel count
+ *  around the 16 x 16 transpose blocks, both vector and scalar
+ *  edges. */
+TEST(ConvStage, ChannelLastHoldsThePlanarBytesInterleaved)
+{
+    Rng rng(48);
+    const int h = 3;
+    const ActQuant act = chooseActQuant(-1.0f, 1.0f);
+    for (int groups : {1, 2}) {
+        for (int cg : {1, 3, 15, 16, 17, 33, 48}) {
+            for (int w : {1, 7, 16, 23, 40}) {
+                Tensor src(cg * groups, h, w);
+                src.fillRandom(rng, -1.2f, 1.2f);
+                ConvStage planar, hwc;
+                planar.configure(Precision::Int8, cg * groups, h, w);
+                hwc.configure(Precision::Int8, cg * groups, h, w, groups);
+                ASSERT_EQ(hwc.stageW, w * cg + kAmxStagePad);
+                stageConvInputI8(planar, src, act, 0, h);
+                stageConvInputI8(hwc, src, act, 0, h);
+                for (int g = 0; g < groups; g++)
+                    for (int y = 0; y < h; y++) {
+                        const uint8_t *row = hwc.u8.data() +
+                                             g * hwc.chStride() +
+                                             y * hwc.stageW;
+                        for (int x = 0; x < w; x++)
+                            for (int n = 0; n < cg; n++)
+                                ASSERT_EQ(row[x * cg + n],
+                                          planar.u8[static_cast<size_t>(
+                                              (g * cg + n) *
+                                                  planar.chStride() +
+                                              y * planar.stageW + x)])
+                                    << "cg=" << cg << " w=" << w;
+                        for (int b = w * cg; b < hwc.stageW; b++)
+                            ASSERT_EQ(row[b], 0) << "apron";
+                    }
+            }
+        }
+    }
+}
+
+/** One int8 layer through the i8.amx tier on the calling thread. */
+std::vector<float>
+amxLayer()
+{
+    const int c = 24, m = 40, k = 3, h = 9, w = 21;
+    Rng rng(95);
+    FilterBank fb(m, c, k);
+    fb.fillRandom(rng, -1.0f, 1.0f);
+    Tensor src(c, h, w);
+    src.fillRandom(rng, -1.0f, 1.0f);
+    const ActQuant act = chooseActQuant(-1.0f, 1.0f);
+    const ConvBlockKernelI8 bk = resolveConvBlockKernelI8Amx(k, 1);
+    const PackedWeightsI8 pw(
+        fb, 1, std::vector<float>(static_cast<size_t>(m), 1.0f / 63.0f),
+        kAmxLanes);
+    ConvStage st;
+    st.configure(Precision::Int8, c, h, w, bk.stageGroups(1));
+    stageConvInputI8(st, src, act, 0, h);
+    const int oh = h - k + 1, ow = w - k + 1;
+    std::vector<float> out(static_cast<size_t>(m) * oh * ow);
+    for (int bi = 0; bi < pw.numBlocks(); bi++)
+        for (int y = 0; y < oh; y += 2)
+            convBlockRowI8(bk, pw, bi,
+                           out.data() + (pw.block(bi).m0 * oh + y) * ow,
+                           static_cast<int64_t>(oh) * ow, ow, st, y, 0,
+                           act, std::min(2, oh - y), ow);
+    return out;
+}
+
+/** Each thread loads its own tile configuration: the tier's bits are
+ *  the same on the calling thread, on a pool worker, on a fresh
+ *  std::thread and in a forked child. */
+TEST(AmxTier, SameBitsOnPoolWorkerFreshThreadAndForkedChild)
+{
+    if (!convAmxEnabled())
+        GTEST_SKIP() << "i8.amx is not compiled in, not supported by "
+                        "this CPU or not permitted";
+    const std::vector<float> want = amxLayer();
+
+    ThreadPool::setGlobalThreads(3);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::vector<float>> pooled(3);
+    std::vector<std::thread::id> ran(3);
+    parallelFor(0, 3, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; i++) {
+            ran[static_cast<size_t>(i)] = std::this_thread::get_id();
+            pooled[static_cast<size_t>(i)] = amxLayer();
+        }
+    });
+    ThreadPool::setGlobalThreads(0);
+    bool on_worker = false;
+    for (size_t i = 0; i < pooled.size(); i++) {
+        EXPECT_EQ(pooled[i], want) << "pool item " << i;
+        on_worker = on_worker || ran[i] != caller;
+    }
+    EXPECT_TRUE(on_worker) << "no item ran on a pool worker";
+
+    std::vector<float> fresh;
+    std::thread([&] { fresh = amxLayer(); }).join();
+    EXPECT_EQ(fresh, want);
+
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        close(fds[0]);
+        const std::vector<float> got = amxLayer();
+        const size_t bytes = got.size() * sizeof(float);
+        const bool ok = write(fds[1], got.data(), bytes) ==
+                        static_cast<ssize_t>(bytes);
+        _exit(ok ? 0 : 1);
+    }
+    close(fds[1]);
+    std::vector<float> child(want.size());
+    size_t have = 0;
+    const size_t bytes = child.size() * sizeof(float);
+    while (have < bytes) {
+        const ssize_t n =
+            read(fds[0], reinterpret_cast<char *>(child.data()) + have,
+                 bytes - have);
+        if (n <= 0)
+            break;
+        have += static_cast<size_t>(n);
+    }
+    close(fds[0]);
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    ASSERT_EQ(have, bytes);
+    EXPECT_EQ(child, want);
 }
 
 } // namespace

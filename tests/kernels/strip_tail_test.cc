@@ -22,11 +22,15 @@
  * Every dst row sits between canaries, and each region ends flush with
  * the last row and column of its source (the int8 one with its apron),
  * so a grouped block that overreads or overwrites shows here or under
- * ASan. A tier this build or CPU lacks reports itself skipped.
+ * ASan. The i8.amx tier reads a channel-last stage and AMX panels, so
+ * its case runs whole convBlockRowI8 regions against the portable
+ * plane instead (checkAmxRegions). A tier this build or CPU lacks
+ * reports itself skipped.
  *
  * The int8 staging quantizer simd::quantizeRowI8 gets the same sweep
  * (widths 1..40 against quantizeAct, one sentinel byte after the row,
- * the float source flush with its allocation).
+ * the float source flush with its allocation), and the weight
+ * quantizer simd::quantizeWeightsI8 one against quantizeWeight.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +48,7 @@
 #include "kernels/conv_kernels_simd.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/quant.hh"
+#include "kernels/weight_pack.hh"
 #include "tensor/compare.hh"
 
 namespace flcnn {
@@ -117,14 +122,6 @@ caseName(const char *tier, int k, int s, int mr, int count, int seg)
            " seg=" + std::to_string(seg);
 }
 
-/** Kernel-row offsets for kChannels x k rows of @p pitch elements. */
-void
-rowOffsets(int64_t *row_off, int k, int64_t pitch)
-{
-    for (int i = 0; i < k; i++)
-        row_off[i] = i * pitch;
-}
-
 TEST(StripTail, Fp32VectorTiersMatchGenericAtEveryWidth)
 {
     const std::vector<F32Tier> tiers = f32Tiers();
@@ -152,8 +149,6 @@ TEST(StripTail, Fp32VectorTiersMatchGenericAtEveryWidth)
                             kChannels * k * pitch));
                         for (float &v : in)
                             v = rng.uniformF(0.5f, 1.5f);
-                        int64_t row_off[kMaxConvKernel];
-                        rowOffsets(row_off, k, pitch);
 
                         const int64_t dst_stride = count + kSentinelPad;
                         std::vector<float> init(
@@ -167,7 +162,7 @@ TEST(StripTail, Fp32VectorTiersMatchGenericAtEveryWidth)
                         std::vector<float> want = init;
                         ConvBlockKernel::convBlockStripGeneric(
                             mr, want.data(), dst_stride, count,
-                            in.data(), k * pitch, row_off, wp.data(),
+                            in.data(), k * pitch, pitch, wp.data(),
                             kChannels, k, s);
 
                         for (int seg : kSegs) {
@@ -178,7 +173,7 @@ TEST(StripTail, Fp32VectorTiersMatchGenericAtEveryWidth)
                             bk.fn[mr] = fn;
                             std::vector<float> got = init;
                             bk.run(mr, got.data(), dst_stride, count,
-                                   in.data(), k * pitch, row_off,
+                                   in.data(), k * pitch, pitch,
                                    wp.data(), kChannels);
                             const std::string what = caseName(
                                 tier.name, k, s, mr, count, seg);
@@ -248,8 +243,6 @@ TEST(StripTail, Int8VectorTiersMatchGenericAtEveryWidth)
                             kChannels * k * pitch));
                         for (uint8_t &v : in)
                             v = static_cast<uint8_t>(rng.next());
-                        int64_t row_off[kMaxConvKernel];
-                        rowOffsets(row_off, k, pitch);
 
                         const int64_t dst_stride = count + kSentinelPad;
                         std::vector<int32_t> init(
@@ -265,7 +258,7 @@ TEST(StripTail, Int8VectorTiersMatchGenericAtEveryWidth)
                         std::vector<int32_t> want = init;
                         ConvBlockKernelI8::convBlockStripI8Generic(
                             mr, want.data(), dst_stride, count,
-                            in.data(), k * pitch, row_off, wp.data(),
+                            in.data(), k * pitch, pitch, wp.data(),
                             kChannels, k, s);
 
                         for (int seg : kSegs) {
@@ -277,7 +270,7 @@ TEST(StripTail, Int8VectorTiersMatchGenericAtEveryWidth)
                             bk.fn[mr] = fn;
                             std::vector<int32_t> got = init;
                             bk.run(mr, got.data(), dst_stride, count,
-                                   in.data(), k * pitch, row_off,
+                                   in.data(), k * pitch, pitch,
                                    wp.data(), kChannels);
                             ASSERT_EQ(got, want) << caseName(
                                 tier.name, k, s, mr, count, seg);
@@ -350,9 +343,6 @@ checkRegion(const Kernel &bk, const RegionCase &c, const std::string &tier,
             const std::vector<In> &in, int64_t in_pitch,
             const std::vector<W> &wp, T init_value, T sentinel, Rng &rng)
 {
-    int64_t row_off[kMaxConvKernel];
-    for (int i = 0; i < c.k; i++)
-        row_off[i] = i * in_pitch + c.x0;
     const int64_t ch_stride = c.height() * in_pitch;
     std::vector<T> init(c.dstElems(), sentinel);
     for (size_t e = 0; e < init.size(); e++) {
@@ -363,12 +353,12 @@ checkRegion(const Kernel &bk, const RegionCase &c, const std::string &tier,
     for (int r = 0; r < c.rows; r++) {
         bk.run(c.mr, want.data() + kSentinelPad + r * c.dstRowStride(),
                c.dstLaneStride(), c.count,
-               in.data() + r * c.s * in_pitch, ch_stride, row_off,
+               in.data() + r * c.s * in_pitch + c.x0, ch_stride, in_pitch,
                wp.data(), kChannels);
     }
     std::vector<T> got = init;
     bk.runRows(c.mr, got.data() + kSentinelPad, c.dstLaneStride(), c.rows,
-               c.dstRowStride(), c.count, in.data(), ch_stride, row_off,
+               c.dstRowStride(), c.count, in.data() + c.x0, ch_stride, in_pitch,
                c.s * in_pitch, wp.data(), kChannels);
     for (size_t e = 0; e < got.size(); e++) {
         ASSERT_EQ(got[e], want[e])
@@ -376,6 +366,114 @@ checkRegion(const Kernel &bk, const RegionCase &c, const std::string &tier,
             << (c.live(e) ? "" : " (canary)");
         if (!c.live(e)) {
             ASSERT_EQ(got[e], sentinel) << c.name(tier) << " at " << e;
+        }
+    }
+}
+
+/**
+ * i8.amx against i8.portable through convBlockRowI8, the only way in
+ * to the AMX driver (it stages channel-last, packs AMX panels and runs
+ * its own epilogue): for every K, stride 1/2/4 and 1, 3, 48, 64 or 128
+ * channels per group (two groups at 3 and 48), every region of 1..6
+ * rows x 1..40 pixels (sampled on the widest reductions) at x0 = 1
+ * must reproduce the portable plane bit for bit, with the canaries
+ * around each dst row untouched. The filter count leaves a ragged
+ * block (40 = 32 + 8 per group, or 20 = 16 + 4).
+ */
+void
+checkAmxRegions()
+{
+    constexpr int kMaxRows = 6, kX0 = 1;
+    constexpr float kCanary = -777.25f;
+    const ActQuant act{1.0f / 100.0f, 120};
+    Rng rng(83);
+    for (int k : kKernels) {
+        for (int s : {1, 2, 4}) {
+            for (int cg : {1, 3, 48, 64, 128}) {
+                for (int groups : {1, 2}) {
+                    if (groups == 2 && cg != 3 && cg != 48)
+                        continue;
+                    SCOPED_TRACE("k=" + std::to_string(k) + " s=" +
+                                 std::to_string(s) + " c=" +
+                                 std::to_string(cg) + " groups=" +
+                                 std::to_string(groups));
+                    const int m = groups == 1 ? 40 : 2 * 20;
+                    const int h = (kMaxRows - 1) * s + k;
+                    const int w = kX0 + (kMaxCount - 1) * s + k;
+                    FilterBank fb(m, cg, k);
+                    fb.fillRandom(rng, -1.0f, 1.0f);
+                    const std::vector<float> ws(
+                        static_cast<size_t>(m), 1.0f / 63.0f);
+                    Tensor in(Shape{cg * groups, h, w});
+                    in.fillRandom(rng, -1.3f, 1.3f);
+
+                    // The portable plane: kMaxRows x kMaxCount.
+                    ConvStage planar;
+                    planar.configure(Precision::Int8, cg * groups, h, w);
+                    stageConvInputI8(planar, in, act, 0, h);
+                    const ConvBlockKernelI8 ref =
+                        resolveConvBlockKernelI8Scalar(k, s);
+                    const PackedWeightsI8 pref(fb, groups, ws);
+                    const int64_t plane = kMaxRows * kMaxCount;
+                    std::vector<float> want(static_cast<size_t>(m) *
+                                            plane);
+                    for (int bi = 0; bi < pref.numBlocks(); bi++)
+                        convBlockRowI8(ref, pref, bi,
+                                       want.data() +
+                                           pref.block(bi).m0 * plane,
+                                       plane, kMaxCount, planar, 0, kX0,
+                                       act, kMaxRows, kMaxCount);
+
+                    const ConvBlockKernelI8 bk =
+                        resolveConvBlockKernelI8Amx(k, s);
+                    ASSERT_NE(bk.amx, nullptr);
+                    ConvStage hwc;
+                    hwc.configure(Precision::Int8, cg * groups, h, w,
+                                  bk.stageGroups(groups));
+                    stageConvInputI8(hwc, in, act, 0, h);
+                    const PackedWeightsI8 pw(fb, groups, ws, kAmxLanes);
+                    const bool wide = k * k * cg > 1000;
+                    for (int rows = 1; rows <= kMaxRows; rows++) {
+                        for (int count = 1; count <= kMaxCount; count++) {
+                            if (wide && count % 8 > 1 && count % 8 != 7)
+                                continue;
+                            const int64_t pitch = count + kSentinelPad;
+                            const int64_t lane = rows * pitch;
+                            std::vector<float> got(
+                                static_cast<size_t>(m * lane +
+                                                    kSentinelPad),
+                                kCanary);
+                            for (int bi = 0; bi < pw.numBlocks(); bi++)
+                                convBlockRowI8(
+                                    bk, pw, bi,
+                                    got.data() + kSentinelPad +
+                                        pw.block(bi).m0 * lane,
+                                    lane, count, hwc, 0, kX0, act, rows,
+                                    pitch);
+                            for (size_t e = 0; e < got.size(); e++) {
+                                const int64_t at =
+                                    static_cast<int64_t>(e) - kSentinelPad;
+                                const int64_t t = at % pitch;
+                                if (at < 0 || t >= count) {
+                                    ASSERT_EQ(got[e], kCanary)
+                                        << "canary at " << e << " rows="
+                                        << rows << " count=" << count;
+                                    continue;
+                                }
+                                const int64_t f = at / lane;
+                                const int64_t r = at % lane / pitch;
+                                ASSERT_EQ(got[e],
+                                          want[static_cast<size_t>(
+                                              f * plane + r * kMaxCount +
+                                              t)])
+                                    << "filter " << f << " row " << r
+                                    << " pixel " << t << " rows=" << rows
+                                    << " count=" << count;
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -409,6 +507,13 @@ TEST_P(RegionTier, RegionEqualsOneRowCallsBitForBit)
     if (simd::avxVnniSupported() && tier == "i8.vnni")
         i8 = &simd::blockFnI8Vnni;
 #endif
+    if (tier == "i8.amx") {
+        if (!convAmxEnabled())
+            GTEST_SKIP() << tier << " is not compiled in, not supported "
+                                    "by this CPU or not permitted";
+        checkAmxRegions();
+        return;
+    }
     if (!portable && !f32 && !i8)
         GTEST_SKIP() << tier << " is not compiled in or not supported "
                                 "by this CPU";
@@ -465,7 +570,8 @@ TEST_P(RegionTier, RegionEqualsOneRowCallsBitForBit)
 INSTANTIATE_TEST_SUITE_P(
     StripTail, RegionTier,
     ::testing::Values("fp32.portable", "fp32.avx2", "fp32.fma",
-                      "i8.portable", "i8.maddubs", "i8.vnni"),
+                      "i8.portable", "i8.maddubs", "i8.vnni",
+                      "i8.amx"),
     [](const ::testing::TestParamInfo<const char *> &info) {
         std::string n = info.param;
         for (char &ch : n)
@@ -527,6 +633,56 @@ TEST(StripTail, QuantizeRowI8MatchesQuantizeActAtEveryWidth)
             }
         }
     }
+#else
+    GTEST_SKIP() << "built without the AVX2 kernels";
+#endif
+}
+
+TEST(StripTail, QuantizeWeightsI8MatchesQuantizeWeight)
+{
+#ifdef FLCNN_SIMD_AVX2
+    if (!simd::avx2Supported())
+        GTEST_SKIP() << "no AVX2 on this host";
+    // Scale 1/2 makes the quotient exact, so (k + 0.5) / 2 lands on
+    // true ties; the pool also holds the clamp edges, quotients past
+    // +/-64 and past int32, non-finite values and noise, shuffled so
+    // most 8-tap groups mix in-range and out-of-range taps.
+    constexpr float kScale = 0.5f;
+    std::vector<float> pool;
+    for (int k = -140; k <= 140; k++)
+        pool.push_back((static_cast<float>(k) + 0.5f) * kScale);
+    for (float v : {31.5f, 32.0f, 32.25f, 1.0e3f, 3.0e9f, 3.0e38f,
+                    std::numeric_limits<float>::infinity(),
+                    std::numeric_limits<float>::quiet_NaN(), 0.0f})
+        for (float sign : {1.0f, -1.0f})
+            pool.push_back(sign * v);
+    Rng rng(75);
+    for (int i = 0; i < 200; i++)
+        pool.push_back(rng.uniformF(-31.0f, 31.0f));
+    for (size_t i = pool.size() - 1; i > 0; i--)
+        std::swap(pool[i], pool[rng.next() % (i + 1)]);
+    for (int count = 1; count <= kMaxCount; count++) {
+        for (size_t start = 0;
+             start + static_cast<size_t>(count) <= pool.size();
+             start += static_cast<size_t>(count)) {
+            std::vector<int8_t> got(static_cast<size_t>(count) + 1, 99);
+            simd::quantizeWeightsI8(got.data(), pool.data() + start,
+                                    count, kScale);
+            for (int t = 0; t < count; t++)
+                ASSERT_EQ(got[static_cast<size_t>(t)],
+                          quantizeWeight(pool[start + t], kScale))
+                    << "count=" << count << " w=" << pool[start + t];
+            ASSERT_EQ(got[static_cast<size_t>(count)], 99);
+        }
+    }
+    // In-range groups take the vector path.
+    const std::vector<float> ramp = {-31.75f, -0.25f, 0.25f, 0.75f,
+                                     1.25f,   15.5f,  31.5f, 31.75f};
+    std::vector<int8_t> got(8);
+    simd::quantizeWeightsI8(got.data(), ramp.data(), 8, kScale);
+    for (int t = 0; t < 8; t++)
+        EXPECT_EQ(got[static_cast<size_t>(t)],
+                  quantizeWeight(ramp[static_cast<size_t>(t)], kScale));
 #else
     GTEST_SKIP() << "built without the AVX2 kernels";
 #endif

@@ -24,7 +24,7 @@ TEST(HostProbe, ProfileIsSaneAndCachedPerProcess)
     }
     // FMA and VNNI gate kernel tiers that are compiled against AVX2
     // intrinsics; the probe must never report them without it.
-    if (p.fma || p.avxVnni) {
+    if (p.fma || p.avxVnni || p.amx) {
         EXPECT_TRUE(p.avx2);
     }
 
@@ -53,6 +53,18 @@ TEST(HostProbe, FingerprintIsStableAndKeySafe)
     EXPECT_NE(fp.find(";t" + std::to_string(p.threads)),
               std::string::npos);
     EXPECT_NE(fp.find("l1="), std::string::npos);
+}
+
+TEST(HostProbe, AmxTierSeparatesTuneCaches)
+{
+    // A tune cache written where i8.amx ran must not be read where it
+    // cannot, and the other way round.
+    HostProfile with = hostProfile(), without = hostProfile();
+    with.amx = true;
+    without.amx = false;
+    EXPECT_NE(with.fingerprint().find("+amx;"), std::string::npos);
+    EXPECT_EQ(without.fingerprint().find("amx"), std::string::npos);
+    EXPECT_NE(with.fingerprint(), without.fingerprint());
 }
 
 } // namespace

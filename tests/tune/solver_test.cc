@@ -56,7 +56,7 @@ sameFp32Kernels(const ConvBlockKernel &a, const ConvBlockKernel &b)
 bool
 sameI8Kernels(const ConvBlockKernelI8 &a, const ConvBlockKernelI8 &b)
 {
-    if (a.k != b.k || a.sx != b.sx || a.k4 != b.k4)
+    if (a.k != b.k || a.sx != b.sx || a.k4 != b.k4 || a.amx != b.amx)
         return false;
     for (int mr = 0; mr <= kConvBlockLanes; mr++)
         if (a.fn[mr] != b.fn[mr])
@@ -122,9 +122,19 @@ TEST(SolverRegistry, DefaultChainReproducesLegacyFp32Dispatch)
 
 TEST(SolverRegistry, DefaultChainReproducesLegacyI8Dispatch)
 {
+    // Below the AMX tier (which takes every int8 layer it applies to)
+    // the chain is the legacy resolver's.
     for (int s : {1, 4}) {
         const ConvQuery q = query(s == 4 ? 11 : 3, s, Precision::Int8);
         const ConvPlan p = planConvDefault(q);
+        // 3x3 over 4 channels is 36 taps, under i8.amx's 64-tap floor.
+        if (convAmxEnabled() && s == 4) {
+            EXPECT_EQ(p.solver, "i8.amx");
+            EXPECT_EQ(p.cfg.mrCap, kAmxLanes);
+            EXPECT_TRUE(sameI8Kernels(
+                p.bkI8, resolveConvBlockKernelI8Amx(q.shape.kernel, s)));
+            continue;
+        }
         EXPECT_TRUE(sameI8Kernels(
             p.bkI8, resolveConvBlockKernelI8(q.shape.kernel, s)));
         if (convVnniEnabled())
@@ -244,6 +254,79 @@ TEST(PlanConv, StaleOrInapplicableEntriesDegradeToDefault)
     p = planConv(q8);
     EXPECT_FALSE(p.tuned);
     EXPECT_EQ(p.solver, planConvDefault(q8).solver);
+    TuneCache::global().clear();
+}
+
+TEST(PlanConv, AmxOverflowCheckFallsBackToVnni)
+{
+    // 255 * 63 * 11^2 * 1105 >= 2^31: an i32 sum could wrap, so i8.amx
+    // declines the layer and the chain continues below it. One channel
+    // fewer fits.
+    TuneCache::global().clear();
+    ConvQuery q = query(11, 4, Precision::Int8);
+    q.shape.inC = 1105;
+    EXPECT_FALSE(amxSumFitsI32(q.shape));
+    const ConvPlan p = planConv(q);
+    EXPECT_NE(p.solver, "i8.amx");
+    EXPECT_EQ(p.bkI8.amx, nullptr);
+    EXPECT_LE(p.cfg.mrCap, kConvBlockLanes);
+    if (convVnniEnabled()) {
+        EXPECT_EQ(p.solver, "i8.vnni");
+    }
+    q.shape.inC = 1104;
+    EXPECT_TRUE(amxSumFitsI32(q.shape));
+    EXPECT_EQ(planConv(q).solver,
+              convAmxEnabled() ? "i8.amx" : p.solver);
+    // Too few taps per filter (3x3 x 3 channels) stays below i8.amx.
+    ConvQuery thin = query(3, 1, Precision::Int8);
+    thin.shape.inC = 3;
+    EXPECT_NE(planConv(thin).solver, "i8.amx");
+    // Per group: two groups of 1104 fit.
+    q.shape.inC = 2208;
+    q.shape.groups = 2;
+    EXPECT_TRUE(amxSumFitsI32(q.shape));
+}
+
+TEST(PlanConv, AmxTuneEntryDegradesWhereTheTierDoesNotApply)
+{
+    // A cache entry naming i8.amx is honored only where the tier
+    // applies; elsewhere (a host without AMX, or a layer past the
+    // overflow check) the default chain plans the layer, with the
+    // 4/2/1 pack ladder — never AMX panels under another tier.
+    TuneCache::global().clear();
+    TuneEntry e;
+    e.solver = "i8.amx";
+    e.mrCap = kAmxLanes;
+    e.grain = 2;
+    ConvQuery big = query(11, 4, Precision::Int8);
+    big.shape.inC = 1105;
+    ConvQuery q = query(3, 1, Precision::Int8);
+    q.shape.inC = 64;
+    TuneCache::global().store(convShapeKey(big), e);
+    TuneCache::global().store(convShapeKey(q), e);
+
+    for (const bool fits : {false, true}) {
+        const ConvQuery &c = fits ? q : big;
+        const ConvPlan p = planConv(c);
+        if (fits && convAmxEnabled()) {
+            EXPECT_TRUE(p.tuned);
+            EXPECT_EQ(p.solver, "i8.amx");
+            EXPECT_EQ(p.cfg.grain, 2);
+            continue;
+        }
+        const ConvPlan dflt = planConvDefault(c);
+        EXPECT_FALSE(p.tuned);
+        EXPECT_EQ(p.solver, dflt.solver);
+        EXPECT_EQ(p.cfg.mrCap, dflt.cfg.mrCap);
+        EXPECT_LE(p.cfg.mrCap, kConvBlockLanes);
+        EXPECT_TRUE(sameI8Kernels(p.bkI8, dflt.bkI8));
+    }
+
+    // A vector-tier entry carrying the AMX lane count keeps the ladder.
+    TuneCache::global().clear();
+    e.solver = "i8.scalar";
+    TuneCache::global().store(convShapeKey(q), e);
+    EXPECT_EQ(planConv(q).cfg.mrCap, kConvBlockLanes);
     TuneCache::global().clear();
 }
 
