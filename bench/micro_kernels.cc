@@ -28,8 +28,9 @@ using namespace flcnn;
 
 namespace {
 
-/** One output row computed naively (convPoint per pixel) vs as one
- *  register-tiled strip — the raw kernel speedup, per (K, stride). */
+/** One output row of one filter computed naively (convPoint per
+ *  pixel): the baseline for the blocked kernels below, per (K,
+ *  stride). */
 struct StripFixture
 {
     Tensor in;
@@ -69,45 +70,6 @@ BENCHMARK(BM_ConvRowNaive)
     ->Args({5, 1})
     ->Args({7, 2})
     ->Args({11, 4});
-
-void
-BM_ConvRowStrip(benchmark::State &state)
-{
-    StripFixture f(static_cast<int>(state.range(0)),
-                   static_cast<int>(state.range(1)));
-    const ConvKernel ks = resolveConvKernel(f.fb.kernel(), f.stride);
-    std::vector<float> dst(static_cast<size_t>(f.outW));
-    for (auto _ : state) {
-        convRowTensor(ks, dst.data(), f.outW, f.in, f.fb, 0, 0, 0, 0);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    state.SetItemsProcessed(state.iterations() * f.outW);
-}
-BENCHMARK(BM_ConvRowStrip)
-    ->Args({1, 1})
-    ->Args({3, 1})
-    ->Args({3, 2})
-    ->Args({5, 1})
-    ->Args({7, 2})
-    ->Args({11, 4});
-
-void
-BM_ConvRowStripGeneric(benchmark::State &state)
-{
-    // The runtime-(K, stride) fallback, for sizes with no specialized
-    // variant — still strip-tiled, just without compile-time constants.
-    StripFixture f(static_cast<int>(state.range(0)),
-                   static_cast<int>(state.range(1)));
-    ConvKernel ks = resolveConvKernel(f.fb.kernel(), f.stride);
-    ks.fn = nullptr;  // force the generic path
-    std::vector<float> dst(static_cast<size_t>(f.outW));
-    for (auto _ : state) {
-        convRowTensor(ks, dst.data(), f.outW, f.in, f.fb, 0, 0, 0, 0);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    state.SetItemsProcessed(state.iterations() * f.outW);
-}
-BENCHMARK(BM_ConvRowStripGeneric)->Args({3, 1})->Args({5, 1});
 
 /** Like StripFixture but with a 4-filter bank, for the multi-filter
  *  blocked kernels (one MR x strip register block per pass), and
@@ -361,11 +323,10 @@ constexpr const char *kI8Tiers[] = {"i8.vnni", "i8.amx"};
 void
 BM_ConvLayerI8(benchmark::State &state)
 {
-    // One thread stages the padded input and runs every (filter block,
-    // row group) region of the layer through convBlockRowI8, epilogue
-    // included, under the named solver: the A/B of i8.amx against
-    // i8.vnni on real layer shapes. GMAC/s counts only the layer's
-    // multiply-accumulates.
+    // One thread runs the layer through runConvRows (staging, every
+    // (filter block, row group) region and the epilogue) under the
+    // named solver: the A/B of i8.amx against i8.vnni on real layer
+    // shapes. GMAC/s counts only the layer's multiply-accumulates.
     const I8LayerShape &l = kI8Layers[state.range(0)];
     const char *tier = kI8Tiers[state.range(1)];
     ConvQuery q;
@@ -385,25 +346,20 @@ BM_ConvLayerI8(benchmark::State &state)
     in.fillRandom(rng, -1.0f, 1.0f);
     FilterBank fb(l.m, l.c / l.groups, l.k);
     fb.fillRandom(rng);
-    const ActQuant act = chooseActQuant(-1.0f, 1.0f);
     const PackedWeightsI8 pw(
         fb, l.groups, std::vector<float>(static_cast<size_t>(l.m), 0.05f),
         plan.cfg.mrCap);
+    ConvLayerRun layer;
+    layer.bkI8 = plan.bkI8;
+    layer.pwI8 = &pw;
+    layer.act = chooseActQuant(-1.0f, 1.0f);
     ConvStage st;
-    st.configure(Precision::Int8, l.c, side, side,
-                 plan.bkI8.stageGroups(l.groups));
     Tensor out(l.m, l.out, l.out);
     const int64_t plane = static_cast<int64_t>(l.out) * l.out;
-    const int group = plan.bkI8.groupRows(l.out);
     ThreadPool::setGlobalThreads(1);
     for (auto _ : state) {
-        stageConvInputI8(st, in, act, 0, side);
-        for (int y = 0; y < l.out; y += group)
-            for (int bi = 0; bi < pw.numBlocks(); bi++)
-                convBlockRowI8(plan.bkI8, pw, bi,
-                               &out(pw.block(bi).m0, y, 0), plane, l.out,
-                               st, y, 0, act, std::min(group, l.out - y),
-                               l.out);
+        runConvRows(layer, in, 0, 0, l.out, l.out, out.data(), plane, l.out,
+                    st);
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }

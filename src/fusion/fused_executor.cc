@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "kernels/conv_kernels.hh"
 #include "kernels/pool.hh"
 #include "kernels/relu.hh"
 #include "nn/autotune_net.hh"
@@ -59,7 +58,7 @@ FusedExecutor::FusedExecutor(const Network &network,
         // A conv directly followed by a fused ReLU clamps its own fresh
         // rows inside its parallel work items (computeWindowed); the
         // ReLU step then only tallies its compares.
-        st.reluEpilogue =
+        st.conv.relu =
             spec.kind == LayerKind::Conv && li + 1 < n &&
             net.layer(tplan.geom(li + 1).layerIdx).kind == LayerKind::ReLU;
 
@@ -345,123 +344,18 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
     if (spec.kind == LayerKind::Conv) {
         const FilterBank &fb = weights.bank(net.convSlot(g.layerIdx));
         const int n_per_group = fb.numChannels();
-        const int64_t plane = static_cast<int64_t>(fresh.shape().h) *
-                              fresh.shape().w;
-        const int y0 = ll.tileY.begin;
-        const int x0 = ox.begin * s - ll.tileX.begin;
-        const int ow = ox.width();
-        const int64_t row_pitch = fresh.shape().w;
-        const bool relu = st.reluEpilogue;
-        // One (filter-block, row-group) region per work item: disjoint
-        // fresh writes across filter blocks and row groups, and the
-        // blocked kernel keeps each (filter, pixel) accumulator private
-        // in convPoint's (bias, n, i, j) order, so the fused pyramid
-        // stays bit-identical to the reference at every thread count.
-        // A row group is as many consecutive output rows as it takes
-        // to fill the kernel tier's widest vector block with this
-        // tile's fresh width (ConvBlockKernel::groupRows): a 4-pixel
-        // row alone would fill a quarter of a 16-pixel VNNI block. A
-        // following ReLU runs as the work item's epilogue over the rows
-        // it just wrote. The op tally is analytic to keep the parallel
-        // region race-free. Non-fp32 modes first stage the tile rows
-        // this pyramid reads (row-wise, idempotent), then run the
-        // mode's drivers against the lane's staging with the same
-        // parallel shape — precision state is identical to the
-        // precision reference's, so the bit-exactness argument carries
-        // over. Inside a wavefront lane these parallelFor calls run
-        // inline.
-        //
-        // Items run filter block by filter block. Outside a lane (a
-        // one-lane plan such as the line buffer, whose items the pool
-        // splits) with the kernels reading the fp32 tile in place, that
-        // order has every thread stream the whole tile once per block,
-        // so there they run row group by row group, as runRange's do,
-        // and each thread reads its own band of rows. On the line
-        // buffer's fp32 VGG tiles at two threads that was 15% faster;
-        // in int8, whose staged tile is a quarter the size, and inside
-        // lanes it was no faster (EXPERIMENTS.md, "The line buffer as a
-        // full-width pyramid").
-        const bool by_row_group =
-            st.pw && !ThreadPool::inParallelRegion();
-        const auto forEachRegion = [&](int num_blocks, int group,
-                                       int grain, const auto &body) {
-            const int groups = (oh + group - 1) / group;
-            parallelFor(
-                0, static_cast<int64_t>(num_blocks) * groups,
-                [&](int64_t lo, int64_t hi) {
-                    for (int64_t w = lo; w < hi; w++) {
-                        const int64_t bi =
-                            by_row_group ? w % num_blocks : w / groups;
-                        const int64_t gi =
-                            by_row_group ? w / num_blocks : w % groups;
-                        const int gy =
-                            oy.begin + static_cast<int>(gi) * group;
-                        body(static_cast<int>(bi), gy,
-                             std::min(group, oy.end - gy));
-                    }
-                },
-                grain);
-        };
-        const auto reluRegion = [&](float *dst, int lanes, int rows) {
-            for (int f = 0; f < lanes; f++)
-                reluRows(dst + f * plane, row_pitch, rows, ow);
-        };
-        if (st.pwI8 || st.pwF16) {
-            const int slot = net.convSlot(g.layerIdx);
-            const Shape &ts = tile.shape();
-            const Precision mode =
-                st.pwI8 ? Precision::Int8 : Precision::Fp16;
-            ll.stage.configure(
-                mode, ts.c, ts.h, ts.w,
-                st.pwI8 ? st.plan.bkI8.stageGroups(spec.groups) : 0);
-            const int r0 = oy.begin * s - y0;
-            const int r1 =
-                std::min((oy.end - 1) * s - y0 + spec.kernel, ts.h);
-            const ConvStage &stage = ll.stage;
-            if (st.pwI8) {
-                const ActQuant &act = precision->actQuant(slot);
-                stageConvInputI8(ll.stage, tile, act, r0, r1);
-                const ConvBlockKernelI8 &bk = st.plan.bkI8;
-                const PackedWeightsI8 &pw = *st.pwI8;
-                forEachRegion(
-                    pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
-                    [&](int bi, int gy, int rows) {
-                        float *dst =
-                            &fresh(pw.block(bi).m0, gy - oy.begin, 0);
-                        convBlockRowI8(bk, pw, bi, dst, plane, ow, stage,
-                                       gy * s - y0, x0, act, rows,
-                                       row_pitch);
-                        if (relu)
-                            reluRegion(dst, pw.block(bi).lanes, rows);
-                    });
-            } else {
-                stageConvInputF16(ll.stage, tile, r0, r1);
-                const ConvBlockKernel &bk = st.plan.bk;
-                const PackedWeightsF16 &pw = *st.pwF16;
-                forEachRegion(
-                    pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
-                    [&](int bi, int gy, int rows) {
-                        float *dst =
-                            &fresh(pw.block(bi).m0, gy - oy.begin, 0);
-                        convBlockRowF16(bk, pw, bi, dst, plane, ow, stage,
-                                        gy * s - y0, x0, rows, row_pitch);
-                        if (relu)
-                            reluRegion(dst, pw.block(bi).lanes, rows);
-                    });
-            }
-        } else {
-            const ConvBlockKernel &bk = st.plan.bk;
-            const PackedWeights &pw = *st.pw;
-            forEachRegion(
-                pw.numBlocks(), bk.groupRows(ow), st.plan.cfg.grain,
-                [&](int bi, int gy, int rows) {
-                    float *dst = &fresh(pw.block(bi).m0, gy - oy.begin, 0);
-                    convBlockRowTensor(bk, pw, bi, dst, plane, ow, tile,
-                                       gy * s - y0, x0, rows, row_pitch);
-                    if (relu)
-                        reluRegion(dst, pw.block(bi).lanes, rows);
-                });
-        }
+        // The fresh rows of this pyramid through the one conv driver:
+        // the staging of non-fp32 modes (the lane's own stage), the
+        // (filter block, row group) items and the ReLU epilogue are
+        // runConvRows()'s, so the tile stays bit-identical to the
+        // reference at every thread count. Inside a wavefront lane the
+        // items run inline; a one-lane plan such as the line buffer
+        // splits them over the pool.
+        runConvRows(st.conv, tile, oy.begin * s - ll.tileY.begin,
+                    ox.begin * s - ll.tileX.begin, oh, ox.width(),
+                    fresh.data(),
+                    static_cast<int64_t>(fresh.shape().h) * fresh.shape().w,
+                    fresh.shape().w, ll.stage);
         int64_t taps = static_cast<int64_t>(n_per_group) * fb.kernel() *
                        fb.kernel();
         int64_t points = static_cast<int64_t>(g.outPlane.c) *
@@ -639,7 +533,7 @@ FusedExecutor::runPointwise(Lane &ln, int li, int r, int c)
     Tensor &buf = owner->fresh;
     if (spec.kind == LayerKind::ReLU) {
         // After a conv the clamp already ran as the conv's epilogue.
-        if (li == 0 || !states[static_cast<size_t>(li) - 1].reluEpilogue) {
+        if (li == 0 || !states[static_cast<size_t>(li) - 1].conv.relu) {
             for (int ch = 0; ch < g.outPlane.c; ch++)
                 reluRows(&buf(ch, 0, 0), buf.shape().w, oy.width(),
                          ox.width());
@@ -835,18 +729,23 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
         // Resolve the packed weights once, before the lanes start.
         const int slot = net.convSlot(g.layerIdx);
         const FilterBank &fb = weights.bank(slot);
-        st.pw = nullptr;
-        st.pwI8 = nullptr;
-        st.pwF16 = nullptr;
+        ConvLayerRun &cv = st.conv;
+        cv.bk = st.plan.bk;
+        cv.bkI8 = st.plan.bkI8;
+        cv.grain = st.plan.cfg.grain;
+        cv.pw = nullptr;
+        cv.pwI8 = nullptr;
+        cv.pwF16 = nullptr;
         if (runMode == Precision::Int8) {
-            st.pwI8 = &packCache.getI8(
+            cv.act = precision->actQuant(slot);
+            cv.pwI8 = &packCache.getI8(
                 g.layerIdx, fb, spec.groups, precision->weightScales(slot),
                 precision->scaleId(), st.plan.cfg.mrCap);
         } else if (runMode == Precision::Fp16) {
-            st.pwF16 = &packCache.getF16(g.layerIdx, fb, spec.groups,
+            cv.pwF16 = &packCache.getF16(g.layerIdx, fb, spec.groups,
                                          st.plan.cfg.mrCap);
         } else {
-            st.pw = &packCache.get(g.layerIdx, fb, spec.groups, 0,
+            cv.pw = &packCache.get(g.layerIdx, fb, spec.groups, 0,
                                    st.plan.cfg.mrCap);
         }
     }

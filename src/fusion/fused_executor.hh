@@ -217,16 +217,12 @@ class FusedExecutor
         // at the top of a run when the tune cache has changed.
         ConvPlan plan;
 
-        // Packed weights of a conv layer in the run's precision,
-        // resolved before the lanes start (WeightPackCache is not
-        // thread-safe).
-        const PackedWeights *pw = nullptr;
-        const PackedWeightsI8 *pwI8 = nullptr;
-        const PackedWeightsF16 *pwF16 = nullptr;
-
-        // Conv only: the next fused layer is a ReLU, applied by this
-        // conv's work items to the fresh rows they write.
-        bool reluEpilogue = false;
+        // The conv as runConvRows() runs it: the plan's kernels and
+        // the packed weights in the run's precision, resolved before
+        // the lanes start (WeightPackCache is not thread-safe). Its
+        // relu flag is set when the next fused layer is a ReLU, which
+        // this conv's work items then apply to the rows they write.
+        ConvLayerRun conv;
 
         // BT hand-off (windowed layers with overlapY > 0). Per pyramid
         // row: the earlier row whose BT writes this row reads, -1 for

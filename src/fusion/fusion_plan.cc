@@ -160,7 +160,7 @@ FusionPlan::check(const PlanCompileOptions &opt) const
                             net->layer(i).name + "') is a " +
                             layerKindName(net->layer(i).kind) +
                             " join; no engine fuses multi-input ops "
-                            "yet (ROADMAP item 4)");
+                            "(deferred, see ROADMAP)");
         }
     }
     if (!net->isPathRange(first, last)) {

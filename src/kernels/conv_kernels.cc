@@ -9,96 +9,6 @@ namespace flcnn {
 namespace {
 
 /**
- * One register block: W pixels, compile-time K and SX. Each pixel's
- * accumulator starts from dst[t] and receives taps in (n, i, j) order —
- * the canonical convPoint() order — so the block is bit-identical to W
- * scalar calls. The t-loop is innermost and the accumulators are
- * independent, which is what lets the compiler vectorize.
- */
-template <int W, int K, int SX>
-inline void
-stripBlock(float *dst, const float *in, int64_t ch_stride,
-           int64_t row_pitch, const float *w, int n_count)
-{
-    float acc[W];
-    for (int t = 0; t < W; t++)
-        acc[t] = dst[t];
-    const float *chan = in;
-    const float *wchan = w;
-    for (int n = 0; n < n_count; n++, chan += ch_stride, wchan += K * K) {
-        for (int i = 0; i < K; i++) {
-            const float *irow = chan + i * row_pitch;
-            const float *wrow = wchan + static_cast<int64_t>(i) * K;
-            for (int j = 0; j < K; j++) {
-                const float wj = wrow[j];
-                for (int t = 0; t < W; t++)
-                    acc[t] += wj * irow[t * SX + j];
-            }
-        }
-    }
-    for (int t = 0; t < W; t++)
-        dst[t] = acc[t];
-}
-
-/** Runtime-K/stride register block (the generic fallback's core). */
-template <int W>
-inline void
-stripBlockGeneric(float *dst, const float *in, int64_t ch_stride,
-                  int64_t row_pitch, const float *w, int n_count,
-                  int k, int sx)
-{
-    float acc[W];
-    for (int t = 0; t < W; t++)
-        acc[t] = dst[t];
-    const float *chan = in;
-    const float *wchan = w;
-    const int64_t wcs = static_cast<int64_t>(k) * k;
-    for (int n = 0; n < n_count; n++, chan += ch_stride, wchan += wcs) {
-        for (int i = 0; i < k; i++) {
-            const float *irow = chan + i * row_pitch;
-            const float *wrow = wchan + static_cast<int64_t>(i) * k;
-            for (int j = 0; j < k; j++) {
-                const float wj = wrow[j];
-                for (int t = 0; t < W; t++)
-                    acc[t] += wj * irow[t * sx + j];
-            }
-        }
-    }
-    for (int t = 0; t < W; t++)
-        dst[t] = acc[t];
-}
-
-/** Specialized strip driver: full 8-pixel blocks, then a 4/2/1
- *  remainder ladder (each pixel is independent, so the split points do
- *  not affect the result). */
-template <int K, int SX>
-void
-convStripSpec(float *dst, int count, const float *in, int64_t ch_stride,
-              int64_t row_pitch, const float *w, int n_count)
-{
-    while (count >= 8) {
-        stripBlock<8, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
-        dst += 8;
-        in += 8 * SX;
-        count -= 8;
-    }
-    if (count >= 4) {
-        stripBlock<4, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
-        dst += 4;
-        in += 4 * SX;
-        count -= 4;
-    }
-    if (count >= 2) {
-        stripBlock<2, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
-        dst += 2;
-        in += 2 * SX;
-        count -= 2;
-    }
-    if (count >= 1)
-        stripBlock<1, K, SX>(dst, in, ch_stride, row_pitch, w, n_count);
-}
-
-/**
  * One multi-filter register block: MR filter lanes x W pixels,
  * compile-time K and SX. Each (lane, pixel) accumulator starts from
  * its dst element and receives taps in the canonical (n, i, j) order,
@@ -299,25 +209,6 @@ convBlockStripGenericMr(float *dst, int64_t dst_stride, int count,
                               wp, n_count, k, sx);
 }
 
-/** Dispatch table over the zoo's (K, stride) pairs. */
-struct KernelEntry
-{
-    int k;
-    int sx;
-    ConvStripFn fn;
-};
-
-constexpr KernelEntry kKernelTable[] = {
-    {1, 1, &convStripSpec<1, 1>},   {1, 2, &convStripSpec<1, 2>},
-    {1, 4, &convStripSpec<1, 4>},   {3, 1, &convStripSpec<3, 1>},
-    {3, 2, &convStripSpec<3, 2>},   {3, 4, &convStripSpec<3, 4>},
-    {5, 1, &convStripSpec<5, 1>},   {5, 2, &convStripSpec<5, 2>},
-    {5, 4, &convStripSpec<5, 4>},   {7, 1, &convStripSpec<7, 1>},
-    {7, 2, &convStripSpec<7, 2>},   {7, 4, &convStripSpec<7, 4>},
-    {11, 1, &convStripSpec<11, 1>}, {11, 2, &convStripSpec<11, 2>},
-    {11, 4, &convStripSpec<11, 4>},
-};
-
 /** Dispatch entry for the multi-filter kernels: the 4/2/1 lane ladder
  *  of one (K, stride) pair. */
 struct BlockKernelEntry
@@ -347,37 +238,6 @@ constexpr BlockKernelEntry kBlockKernelTable[] = {
 #undef FLCNN_BLOCK_ENTRY
 
 } // namespace
-
-void
-ConvKernel::convStripGeneric(float *dst, int count, const float *in,
-                             int64_t ch_stride, int64_t row_pitch,
-                             const float *w, int n_count, int k, int sx)
-{
-    while (count >= 8) {
-        stripBlockGeneric<8>(dst, in, ch_stride, row_pitch, w, n_count, k,
-                             sx);
-        dst += 8;
-        in += static_cast<int64_t>(8) * sx;
-        count -= 8;
-    }
-    if (count >= 4) {
-        stripBlockGeneric<4>(dst, in, ch_stride, row_pitch, w, n_count, k,
-                             sx);
-        dst += 4;
-        in += static_cast<int64_t>(4) * sx;
-        count -= 4;
-    }
-    if (count >= 2) {
-        stripBlockGeneric<2>(dst, in, ch_stride, row_pitch, w, n_count, k,
-                             sx);
-        dst += 2;
-        in += static_cast<int64_t>(2) * sx;
-        count -= 2;
-    }
-    if (count >= 1)
-        stripBlockGeneric<1>(dst, in, ch_stride, row_pitch, w, n_count, k,
-                             sx);
-}
 
 void
 ConvBlockKernel::convBlockStripGeneric(int mr, float *dst,
@@ -504,38 +364,6 @@ resolveConvBlockKernelFast(int kernel, int stride)
     }
 #endif
     return bk;
-}
-
-ConvKernel
-resolveConvKernel(int kernel, int stride)
-{
-    FLCNN_ASSERT(kernel >= 1 && stride >= 1,
-                 "conv kernel and stride must be positive");
-    ConvKernel ks;
-    ks.k = kernel;
-    ks.sx = stride;
-    for (const KernelEntry &e : kKernelTable) {
-        if (e.k == kernel && e.sx == stride) {
-            ks.fn = e.fn;
-            break;
-        }
-    }
-    return ks;
-}
-
-void
-convRowTensor(const ConvKernel &ks, float *dst, int count,
-              const Tensor &in, const FilterBank &fb, int m, int n_base,
-              int y0, int x0)
-{
-    FLCNN_ASSERT(ks.k == fb.kernel(), "kernel mismatch with filter bank");
-    const Shape &s = in.shape();
-    const float bias = fb.bias(m);
-    for (int t = 0; t < count; t++)
-        dst[t] = bias;
-    ks.run(dst, count, in.rowPtr(n_base, y0, x0),
-           static_cast<int64_t>(s.h) * s.w, s.w, fb.wRow(m, 0, 0),
-           fb.numChannels());
 }
 
 } // namespace flcnn

@@ -3,14 +3,16 @@
  * Register-tiled convolution microkernels.
  *
  * Every functional executor in this repository (the layer-by-layer
- * reference, the line-buffer and recompute fused executors, and the
- * accelerator models' host-side arithmetic) reduces to the same inner
- * operation: accumulate the K x K x N taps of one filter into a run of
+ * reference, FusedExecutor's pyramid, line-buffer and recompute
+ * presets, the autotuner's candidates and the accelerator models'
+ * host-side arithmetic) reduces to the same inner operation:
+ * accumulate the K x K x N taps of a block of filters into a run of
  * horizontally adjacent output pixels. The scalar convPoint() helper
- * computes one pixel per call through Tensor indexing; the kernels here
- * compute a *strip* of up to eight pixels per pass with hoisted row
- * pointers, so the compiler can keep the accumulators in registers and
- * vectorize across the independent pixels.
+ * computes one pixel per call through Tensor indexing; the kernels
+ * here compute a *strip* of pixels for up to four filters per pass
+ * with hoisted row pointers, so the compiler can keep the
+ * accumulators in registers and vectorize across the independent
+ * pixels.
  *
  * Determinism contract (DESIGN.md invariant 1, extended): each output
  * pixel's floating-point accumulation order is exactly the canonical
@@ -35,74 +37,8 @@
 #include <cstdint>
 
 #include "common/logging.hh"
-#include "tensor/tensor.hh"
 
 namespace flcnn {
-
-/**
- * Signature of a compiled strip kernel. Accumulates the conv taps of
- * one filter into @p dst[0, count): for pixel t,
- *
- *   dst[t] += sum_n sum_i sum_j w[n*K*K + i*K + j]
- *                             * in[n*ch_stride + i * row_pitch + t*SX + j]
- *
- * with the additions applied to dst[t]'s running value in exactly that
- * (n, i, j) order. Callers preload dst with the bias (fresh pixels) or
- * the partial sum (the baseline accelerator's channel-blocked loop).
- *
- * @param dst       count contiguous output accumulators
- * @param count     number of strip pixels (>= 0)
- * @param in        channel 0 of the filter's group, at the first row
- *                  and column pixel 0 reads
- * @param ch_stride elements between consecutive input channels
- * @param row_pitch elements between consecutive input rows
- * @param w         weights of this filter, channel-major (n, i, j)
- * @param n_count   input channels to accumulate
- */
-using ConvStripFn = void (*)(float *dst, int count, const float *in,
-                             int64_t ch_stride, int64_t row_pitch,
-                             const float *w, int n_count);
-
-/**
- * A resolved strip kernel: a compile-time-specialized variant when one
- * exists for (k, stride), else the generic path. Value type; resolve
- * once per layer and reuse.
- */
-struct ConvKernel
-{
-    int k = 0;             //!< kernel size K
-    int sx = 1;            //!< input step between adjacent output pixels
-    ConvStripFn fn = nullptr;  //!< specialized variant, or nullptr
-
-    bool specialized() const { return fn != nullptr; }
-
-    /** Run the strip kernel (specialized or generic fallback). */
-    void
-    run(float *dst, int count, const float *in, int64_t ch_stride,
-        int64_t row_pitch, const float *w, int n_count) const
-    {
-        if (fn)
-            fn(dst, count, in, ch_stride, row_pitch, w, n_count);
-        else
-            convStripGeneric(dst, count, in, ch_stride, row_pitch, w,
-                             n_count, k, sx);
-    }
-
-    /** The generic (runtime-K, runtime-stride) strip path; exposed so
-     *  tests can differentially check specialized vs generic. */
-    static void convStripGeneric(float *dst, int count, const float *in,
-                                 int64_t ch_stride,
-                                 int64_t row_pitch, const float *w,
-                                 int n_count, int k, int sx);
-};
-
-/**
- * Resolve the strip kernel for a (kernel, stride) pair. Specialized
- * variants exist for the sizes that occur in the network zoo —
- * K in {1, 3, 5, 7, 11} x stride in {1, 2, 4} — resolved through a
- * small table; anything else returns the generic path.
- */
-ConvKernel resolveConvKernel(int kernel, int stride);
 
 /** Widest filter block the multi-filter kernels compute per pass. */
 constexpr int kConvBlockLanes = 4;
@@ -291,18 +227,6 @@ bool convVnniEnabled();
 /** True when the AMX int8 region driver is compiled in, the CPU has
  *  AMX-INT8 and the kernel granted the tile-data permission. */
 bool convAmxEnabled();
-
-/**
- * Convenience wrapper for the common Tensor + FilterBank call sites:
- * compute @p count output pixels of filter @p m into @p dst, with
- * receptive fields at rows [y0, y0 + K) and columns x0 + t * stride of
- * @p in, over input channels [n_base, n_base + fb.numChannels()).
- * dst is overwritten (initialized with the bias, then accumulated in
- * canonical order) — bit-identical to convPoint() per pixel.
- */
-void convRowTensor(const ConvKernel &ks, float *dst, int count,
-                   const Tensor &in, const FilterBank &fb, int m,
-                   int n_base, int y0, int x0);
 
 } // namespace flcnn
 

@@ -1,10 +1,13 @@
 #include "kernels/conv_layer.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "kernels/conv_kernels_simd.hh"
 #include "kernels/fp16.hh"
+#include "kernels/relu.hh"
 
 namespace flcnn {
 
@@ -255,6 +258,83 @@ convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
                st.chStride(), st.stageW,
                static_cast<int64_t>(bk.sx) * st.stageW, pw.panel(bi),
                pw.numChannels());
+}
+
+void
+runConvRows(const ConvLayerRun &layer, const Tensor &src, int y0, int x0,
+            int oh, int ow, float *dst, int64_t dst_plane,
+            int64_t dst_pitch, ConvStage &stage)
+{
+    FLCNN_ASSERT((layer.pw != nullptr) + (layer.pwF16 != nullptr) +
+                         (layer.pwI8 != nullptr) ==
+                     1,
+                 "a conv layer runs from exactly one pack");
+    if (oh <= 0 || ow <= 0)
+        return;
+    const PackedWeightsI8 *pw8 = layer.pwI8;
+    const int k = pw8 ? layer.bkI8.k : layer.bk.k;
+    const int stride = pw8 ? layer.bkI8.sx : layer.bk.sx;
+    if (!layer.pw) {
+        const Shape &s = src.shape();
+        stage.configure(
+            pw8 ? Precision::Int8 : Precision::Fp16, s.c, s.h, s.w,
+            pw8 ? layer.bkI8.stageGroups(s.c / pw8->numChannels()) : 0);
+        // Staging is elementwise, so the bands are independent and the
+        // staged bytes do not depend on the split.
+        constexpr int kBandRows = 4;
+        const int r1 = std::min(y0 + (oh - 1) * stride + k, s.h);
+        parallelFor(0, (r1 - y0 + kBandRows - 1) / kBandRows,
+                    [&](int64_t lo, int64_t hi) {
+                        const int b0 = y0 + static_cast<int>(lo) * kBandRows;
+                        const int b1 = std::min(
+                            r1, y0 + static_cast<int>(hi) * kBandRows);
+                        if (pw8)
+                            stageConvInputI8(stage, src, layer.act, b0, b1);
+                        else
+                            stageConvInputF16(stage, src, b0, b1);
+                    });
+    }
+    const int nb = pw8           ? pw8->numBlocks()
+                   : layer.pwF16 ? layer.pwF16->numBlocks()
+                                 : layer.pw->numBlocks();
+    const int group =
+        pw8 ? layer.bkI8.groupRows(ow) : layer.bk.groupRows(ow);
+    const int64_t groups = (oh + group - 1) / group;
+    const bool row_major = !ThreadPool::inParallelRegion();
+    parallelFor(
+        0, nb * groups,
+        [&](int64_t lo, int64_t hi) {
+            for (int64_t w = lo; w < hi; w++) {
+                const int bi =
+                    static_cast<int>(row_major ? w % nb : w / groups);
+                const int r = static_cast<int>(row_major ? w / nb
+                                                         : w % groups) *
+                              group;
+                const int rows = std::min(group, oh - r);
+                const int yi = y0 + r * stride;
+                const PackedBlock &b = pw8           ? pw8->block(bi)
+                                       : layer.pwF16 ? layer.pwF16->block(bi)
+                                                     : layer.pw->block(bi);
+                float *d = dst + b.m0 * dst_plane + r * dst_pitch;
+                if (pw8)
+                    convBlockRowI8(layer.bkI8, *pw8, bi, d, dst_plane, ow,
+                                   stage, yi, x0, layer.act, rows,
+                                   dst_pitch);
+                else if (layer.pwF16)
+                    convBlockRowF16(layer.bk, *layer.pwF16, bi, d,
+                                    dst_plane, ow, stage, yi, x0, rows,
+                                    dst_pitch);
+                else
+                    convBlockRowTensor(layer.bk, *layer.pw, bi, d,
+                                       dst_plane, ow, src, yi, x0, rows,
+                                       dst_pitch);
+                if (layer.relu) {
+                    for (int f = 0; f < b.lanes; f++)
+                        reluRows(d + f * dst_plane, dst_pitch, rows, ow);
+                }
+            }
+        },
+        layer.grain);
 }
 
 } // namespace flcnn

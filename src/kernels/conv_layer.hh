@@ -1,6 +1,10 @@
 /**
  * @file
- * Precision-mode conv staging and row drivers.
+ * The conv-layer driver, precision-mode staging and row drivers.
+ *
+ * runConvRows() is the one loop every executor runs a conv layer's
+ * (filter block, output rows) work items through: the layer-by-layer
+ * reference, FusedExecutor's tiles and the autotuner's candidates.
  *
  * The int8 and fp16 modes are conv-boundary transformations: before a
  * conv layer consumes an fp32 source buffer (a reference tensor, a
@@ -136,6 +140,48 @@ void convBlockRowF16(const ConvBlockKernel &bk, const PackedWeightsF16 &pw,
                      int bi, float *dst, int64_t dst_stride, int count,
                      const ConvStage &st, int y0, int x0, int rows = 1,
                      int64_t dst_row_stride = 0);
+
+/**
+ * One conv layer as runConvRows() runs it: the resolved kernels and
+ * the packed weights of the layer's precision. Exactly one pack is
+ * set, and it names the precision: pw runs bk over the fp32 source in
+ * place, pwF16 runs bk over a binary16-rounded stage, and pwI8 runs
+ * bkI8 over a stage quantized with act.
+ */
+struct ConvLayerRun
+{
+    ConvBlockKernel bk;       //!< fp32 and fp16 kernels
+    ConvBlockKernelI8 bkI8;   //!< int8 kernels
+    const PackedWeights *pw = nullptr;
+    const PackedWeightsF16 *pwF16 = nullptr;
+    const PackedWeightsI8 *pwI8 = nullptr;
+    ActQuant act;             //!< int8 input quantization
+    int grain = 1;            //!< parallelFor grain of the work items
+    bool relu = false;        //!< clamp the output (a following ReLU)
+};
+
+/**
+ * Compute @p oh output rows x @p ow pixels of every filter of one conv
+ * layer from the fp32 @p src: filter m's output row r, pixel t lands
+ * at dst[m * dst_plane + r * dst_pitch + t] and reads the receptive
+ * field whose top-left is src row y0 + r * stride, column x0 + t *
+ * stride (all of it inside @p src).
+ *
+ * Non-fp32 layers first stage the rows the range reads into @p stage
+ * (configured here; the caller owns it so its buffer is reused), in
+ * bands of four rows on the pool. The work items are (filter block,
+ * row group) regions, a row group being ConvBlockKernel{,I8}::groupRows
+ * rows. Outside a parallel region the pool splits them row group by
+ * row group, so each thread reads its own band of source rows; inside
+ * one (a wavefront lane, a serving worker) they run inline filter
+ * block by filter block. With layer.relu set each item clamps the rows
+ * it wrote. Each (filter, pixel) accumulator is private and fed in
+ * convPoint's canonical order, so the output bits depend on neither
+ * the work order, the row grouping nor the thread count.
+ */
+void runConvRows(const ConvLayerRun &layer, const Tensor &src, int y0,
+                 int x0, int oh, int ow, float *dst, int64_t dst_plane,
+                 int64_t dst_pitch, ConvStage &stage);
 
 } // namespace flcnn
 

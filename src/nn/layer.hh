@@ -103,7 +103,7 @@ struct LayerSpec
 
     /** True for layers a fusion pyramid may contain. Multi-input
      *  joins (Add, Concat) are excluded: the chain pyramids cannot
-     *  express them (see ROADMAP item 4 / DeCoILFNet in PAPERS.md). */
+     *  express them (deferred in ROADMAP; DeCoILFNet in PAPERS.md). */
     bool
     fusable() const
     {

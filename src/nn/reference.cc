@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/mathutil.hh"
 #include "common/thread_pool.hh"
-#include "kernels/conv_kernels.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/pool.hh"
 #include "kernels/relu.hh"
@@ -75,136 +75,45 @@ poolPoint(const Tensor &in, int c, int y0, int x0, int kernel,
 
 namespace {
 
-Tensor
-runConv(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
-        OpCount *ops)
-{
-    Shape out_shape = spec.outShape(in.shape());
-    Tensor out(out_shape);
-    // The reference is the golden baseline every executor is compared
-    // against, so it always plans exact (never fast-math); the tune
-    // cache can still pick bit-invariant configs for it.
-    const ConvPlan plan = planConv(
-        convLayerQuery(spec, in.shape(), Precision::Fp32, false));
-    // Repacked per call: one pass over the bank, negligible next to
-    // the out_h * out_w passes of compute (long-lived executors cache
-    // their packs instead; see kernels/weight_pack.hh).
-    const PackedWeights pw(fb, spec.groups, 0, plan.cfg.mrCap);
-    const int nb = pw.numBlocks();
-    const int64_t plane = static_cast<int64_t>(out_shape.h) * out_shape.w;
-    // One (filter-block, y) output row group per work item: disjoint
-    // writes, and each (filter, pixel) accumulator inside the blocked
-    // kernel is fed in convPoint's (bias, n, i, j) order, so the
-    // result is bit-identical at every thread count. Items run
-    // row-major (every filter block of row y, then row y + 1), so the
-    // K input rows a row reads stay in cache across the filter blocks
-    // instead of the whole plane streaming once per block. Op counts
-    // are tallied analytically to keep the parallel region race-free.
-    parallelFor(
-        0, static_cast<int64_t>(nb) * out_shape.h,
-        [&](int64_t lo, int64_t hi) {
-            for (int64_t w = lo; w < hi; w++) {
-                const int y = static_cast<int>(w / nb);
-                const int bi = static_cast<int>(w % nb);
-                convBlockRowTensor(plan.bk, pw, bi,
-                                   &out(pw.block(bi).m0, y, 0), plane,
-                                   out_shape.w, in, y * spec.stride, 0);
-            }
-        },
-        plan.cfg.grain);
-    if (ops) {
-        int64_t taps = static_cast<int64_t>(fb.numChannels()) *
-                       fb.kernel() * fb.kernel();
-        ops->mults += taps * out_shape.elems();
-        ops->adds += taps * out_shape.elems();
-    }
-    return out;
-}
-
-/** Run @p stage_rows(r0, r1) over the input rows [0, h) in bands of
- *  a few rows on the pool: staging is elementwise, so the bands are
- *  independent and the staged bytes do not depend on the split. */
-template <typename StageRows>
-void
-stageInBands(int h, const StageRows &stage_rows)
-{
-    constexpr int kBandRows = 4;
-    parallelFor(0, (h + kBandRows - 1) / kBandRows,
-                [&](int64_t lo, int64_t hi) {
-                    stage_rows(static_cast<int>(lo) * kBandRows,
-                               std::min(h, static_cast<int>(hi) *
-                                               kBandRows));
-                });
-}
-
 /**
- * runConv() under a non-fp32 precision mode: stage the whole input in
- * row bands on the pool (elementwise, O(elems)), then run the mode's
- * (filter-block, row) drivers with the same parallel shape and
- * row-major work order as the fp32 path. The int8 stage layout is the
- * resolved tier's (ConvBlockKernelI8::stageGroups). Packing per call
- * mirrors runConv(); long-lived executors cache through
- * WeightPackCache.
+ * One conv layer in @p prec's mode (fp32 when null), the whole output
+ * through runConvRows(). The reference is the golden baseline every
+ * executor is compared against, so it always plans exact (never
+ * fast-math); the tune cache can still pick bit-invariant configs for
+ * it. The pack is built per call: one pass over the bank, next to the
+ * out_h * out_w passes of compute (long-lived executors cache their
+ * packs instead; see kernels/weight_pack.hh). Op counts are tallied
+ * analytically.
  */
 Tensor
-runConvPrec(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
-            const NetPrecision &prec, int slot, OpCount *ops)
+runConv(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
+        const NetPrecision *prec, int slot, OpCount *ops)
 {
-    Shape out_shape = spec.outShape(in.shape());
-    Tensor out(out_shape);
-    const Shape &s = in.shape();
-    const int64_t plane = static_cast<int64_t>(out_shape.h) * out_shape.w;
-
-    ConvStage st;
-    if (prec.mode() == Precision::Int8) {
-        const ActQuant &act = prec.actQuant(slot);
-        const ConvPlan plan = planConv(
-            convLayerQuery(spec, in.shape(), Precision::Int8, false));
-        const ConvBlockKernelI8 &bk = plan.bkI8;
-        st.configure(Precision::Int8, s.c, s.h, s.w,
-                     bk.stageGroups(spec.groups));
-        stageInBands(s.h, [&](int r0, int r1) {
-            stageConvInputI8(st, in, act, r0, r1);
-        });
-        const PackedWeightsI8 pw(fb, spec.groups,
-                                 prec.weightScales(slot), plan.cfg.mrCap);
-        const int nb = pw.numBlocks();
-        parallelFor(
-            0, static_cast<int64_t>(nb) * out_shape.h,
-            [&](int64_t lo, int64_t hi) {
-                for (int64_t w = lo; w < hi; w++) {
-                    const int y = static_cast<int>(w / nb);
-                    const int bi = static_cast<int>(w % nb);
-                    convBlockRowI8(bk, pw, bi,
-                                   &out(pw.block(bi).m0, y, 0), plane,
-                                   out_shape.w, st, y * spec.stride, 0,
-                                   act);
-                }
-            },
-            plan.cfg.grain);
+    const Precision mode = prec ? prec->mode() : Precision::Fp32;
+    const ConvPlan plan =
+        planConv(convLayerQuery(spec, in.shape(), mode, false));
+    ConvLayerRun layer;
+    layer.bk = plan.bk;
+    layer.bkI8 = plan.bkI8;
+    layer.grain = plan.cfg.grain;
+    std::optional<PackedWeights> pw;
+    std::optional<PackedWeightsF16> pw16;
+    std::optional<PackedWeightsI8> pw8;
+    if (mode == Precision::Int8) {
+        layer.act = prec->actQuant(slot);
+        layer.pwI8 = &pw8.emplace(fb, spec.groups, prec->weightScales(slot),
+                                  plan.cfg.mrCap);
+    } else if (mode == Precision::Fp16) {
+        layer.pwF16 = &pw16.emplace(fb, spec.groups, plan.cfg.mrCap);
     } else {
-        st.configure(prec.mode(), s.c, s.h, s.w);
-        stageInBands(s.h, [&](int r0, int r1) {
-            stageConvInputF16(st, in, r0, r1);
-        });
-        const ConvPlan plan = planConv(
-            convLayerQuery(spec, in.shape(), Precision::Fp16, false));
-        const ConvBlockKernel &bk = plan.bk;
-        const PackedWeightsF16 pw(fb, spec.groups, plan.cfg.mrCap);
-        const int nb = pw.numBlocks();
-        parallelFor(
-            0, static_cast<int64_t>(nb) * out_shape.h,
-            [&](int64_t lo, int64_t hi) {
-                for (int64_t w = lo; w < hi; w++) {
-                    const int y = static_cast<int>(w / nb);
-                    const int bi = static_cast<int>(w % nb);
-                    convBlockRowF16(bk, pw, bi,
-                                    &out(pw.block(bi).m0, y, 0), plane,
-                                    out_shape.w, st, y * spec.stride, 0);
-                }
-            },
-            plan.cfg.grain);
+        layer.pw = &pw.emplace(fb, spec.groups, 0, plan.cfg.mrCap);
     }
+    const Shape out_shape = spec.outShape(in.shape());
+    Tensor out(out_shape);
+    ConvStage stage;
+    runConvRows(layer, in, 0, 0, out_shape.h, out_shape.w, out.data(),
+                static_cast<int64_t>(out_shape.h) * out_shape.w,
+                out_shape.w, stage);
     if (ops) {
         int64_t taps = static_cast<int64_t>(fb.numChannels()) *
                        fb.kernel() * fb.kernel();
@@ -359,7 +268,7 @@ runLayer(const LayerSpec &spec, const Tensor &in, const FilterBank *bank,
     switch (spec.kind) {
       case LayerKind::Conv:
         FLCNN_ASSERT(bank != nullptr, "conv layer needs a filter bank");
-        return runConv(spec, in, *bank, ops);
+        return runConv(spec, in, *bank, nullptr, 0, ops);
       case LayerKind::Pool:
         return runPool(spec, in, ops);
       case LayerKind::ReLU:
@@ -434,6 +343,14 @@ Tensor
 runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
          int first_layer, int last_layer, OpCount *ops)
 {
+    return runRange(net, weights, in, first_layer, last_layer, nullptr, ops);
+}
+
+Tensor
+runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
+         int first_layer, int last_layer, const NetPrecision *prec,
+         OpCount *ops)
+{
     FLCNN_ASSERT(first_layer >= 0 && last_layer < net.numLayers() &&
                      first_layer <= last_layer,
                  "invalid layer range");
@@ -456,55 +373,13 @@ runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
         FLCNN_ASSERT(i == first_layer || net.soleInput(i) == i - 1,
                      "path range invariant violated");
         const LayerSpec &spec = net.layer(i);
-        if (spec.kind == LayerKind::ReLU) {
-            // `cur` is this function's own copy: clamp it in place.
-            reluInto(cur, cur, ops);
-            continue;
-        }
-        const FilterBank *bank = nullptr;
-        const DenseWeights *dw = nullptr;
-        if (spec.kind == LayerKind::Conv)
-            bank = &weights.bank(net.convSlot(i));
-        if (spec.kind == LayerKind::FullyConnected)
-            dw = &weights.dense(fc_slot++);
-        cur = runLayer(spec, cur, bank, dw, ops);
-    }
-    return cur;
-}
-
-Tensor
-runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
-         int first_layer, int last_layer, const NetPrecision *prec,
-         OpCount *ops)
-{
-    if (!prec || prec->mode() == Precision::Fp32)
-        return runRange(net, weights, in, first_layer, last_layer, ops);
-    FLCNN_ASSERT(first_layer >= 0 && last_layer < net.numLayers() &&
-                     first_layer <= last_layer,
-                 "invalid layer range");
-    FLCNN_ASSERT(net.isPathRange(first_layer, last_layer),
-                 "runRange needs a path-shaped layer range (joins and "
-                 "branch-outs take runGraph)");
-    FLCNN_ASSERT(in.shape() == net.inShape(first_layer),
-                 "input shape does not match the first layer");
-
-    Tensor cur = in;
-    int fc_slot = 0;
-    for (int i = 0; i < first_layer; i++) {
-        if (net.layer(i).kind == LayerKind::FullyConnected)
-            fc_slot++;
-    }
-    for (int i = first_layer; i <= last_layer; i++) {
-        FLCNN_ASSERT(i == first_layer || net.soleInput(i) == i - 1,
-                     "path range invariant violated");
-        const LayerSpec &spec = net.layer(i);
         if (spec.kind == LayerKind::Conv) {
             const int slot = net.convSlot(i);
-            cur = runConvPrec(spec, cur, weights.bank(slot), *prec, slot,
-                              ops);
+            cur = runConv(spec, cur, weights.bank(slot), prec, slot, ops);
             continue;
         }
         if (spec.kind == LayerKind::ReLU) {
+            // `cur` is this function's own copy: clamp it in place.
             reluInto(cur, cur, ops);
             continue;
         }

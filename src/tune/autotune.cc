@@ -8,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "kernels/conv_layer.hh"
 #include "kernels/weight_pack.hh"
 
@@ -28,122 +27,71 @@ secondsSince(Clock::time_point t0)
  * Synthetic workload of exactly the queried shape, built once per
  * query and shared by every candidate so measurements differ only in
  * the knobs under test. Packs are cached per mrCap (the only config
- * knob that changes the panel layout).
+ * knob that changes the panel layout) and int8 stages per layout.
  */
 struct BenchWorkload
 {
     ConvQuery q;
-    int inH = 0, inW = 0;
-    int nPerGroup = 0;
     FilterBank fb;
     Tensor in;                  //!< fp32 input
     Tensor out;                 //!< fp32 output planes
     ActQuant act{1.0f / 64.0f, 128};      //!< int8 input quantization
-    std::map<int, ConvStage> stages;      //!< int8, by stage layout
+    std::map<int, ConvStage> stages;      //!< by int8 stage groups
     std::map<int, PackedWeights> packs;
+    std::map<int, PackedWeightsF16> packsF16;
     std::map<int, PackedWeightsI8> packsI8;
     std::vector<float> wScales;
 
     explicit BenchWorkload(const ConvQuery &query) : q(query)
     {
         const ConvShape &s = q.shape;
-        inH = (s.outH - 1) * s.stride + s.kernel;
-        inW = (s.outW - 1) * s.stride + s.kernel;
-        nPerGroup = s.inC / s.groups;
-        fb = FilterBank(s.outC, nPerGroup, s.kernel);
+        fb = FilterBank(s.outC, s.inC / s.groups, s.kernel);
         Rng rng(0x7a3e5c91u + static_cast<uint64_t>(s.kernel) * 131 +
                 static_cast<uint64_t>(s.outC));
         fb.fillRandom(rng);
-        in = Tensor(Shape{s.inC, inH, inW});
+        in = Tensor(Shape{s.inC, (s.outH - 1) * s.stride + s.kernel,
+                          (s.outW - 1) * s.stride + s.kernel});
         in.fillRandom(rng);
         out = Tensor(Shape{s.outC, s.outH, s.outW});
         if (q.dtype == Precision::Int8)
             wScales.assign(static_cast<size_t>(s.outC), 0.05f);
     }
-
-    /** The int8 input staged in the layout @p bk reads. */
-    const ConvStage &
-    stage(const ConvBlockKernelI8 &bk)
-    {
-        const int groups = bk.stageGroups(q.shape.groups);
-        auto it = stages.find(groups);
-        if (it == stages.end()) {
-            it = stages.emplace(groups, ConvStage{}).first;
-            it->second.configure(Precision::Int8, q.shape.inC, inH, inW,
-                                 groups);
-            stageConvInputI8(it->second, in, act, 0, inH);
-        }
-        return it->second;
-    }
-
-    const PackedWeights &
-    pack(int mr_cap)
-    {
-        auto it = packs.find(mr_cap);
-        if (it == packs.end())
-            it = packs
-                     .emplace(mr_cap, PackedWeights(fb, q.shape.groups,
-                                                    0, mr_cap))
-                     .first;
-        return it->second;
-    }
-
-    const PackedWeightsI8 &
-    packI8(int mr_cap)
-    {
-        auto it = packsI8.find(mr_cap);
-        if (it == packsI8.end())
-            it = packsI8
-                     .emplace(mr_cap,
-                              PackedWeightsI8(fb, q.shape.groups,
-                                              wScales, mr_cap))
-                     .first;
-        return it->second;
-    }
 };
 
-/** One full pass over the synthetic layer with the candidate plan. */
+/** The pack in @p packs for @p mr_cap, built on first use. */
+template <typename Pack, typename... Args>
+const Pack &
+cachedPack(std::map<int, Pack> &packs, int mr_cap, const Args &...args)
+{
+    auto it = packs.find(mr_cap);
+    if (it == packs.end())
+        it = packs.emplace(mr_cap, Pack(args..., mr_cap)).first;
+    return it->second;
+}
+
+/** One full pass over the synthetic layer with the candidate plan,
+ *  through the driver the engines run (int8 and fp16 stage the input
+ *  on every pass, as the engines do). */
 void
 runOnce(BenchWorkload &w, const ConvPlan &plan)
 {
     const ConvShape &s = w.q.shape;
-    if (w.q.dtype == Precision::Int8) {
-        const PackedWeightsI8 &pw = w.packI8(plan.cfg.mrCap);
-        const ConvStage &st = w.stage(plan.bkI8);
-        const int nb = pw.numBlocks();
-        const int64_t plane =
-            static_cast<int64_t>(s.outH) * s.outW;
-        parallelFor(
-            0, static_cast<int64_t>(nb) * s.outH,
-            [&](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; i++) {
-                const int bi = static_cast<int>(i / s.outH);
-                const int y = static_cast<int>(i % s.outH);
-                convBlockRowI8(plan.bkI8, pw, bi,
-                               &w.out(pw.block(bi).m0, y, 0), plane,
-                               s.outW, st, y * s.stride, 0, w.act);
-              }
-            },
-            plan.cfg.grain);
-    } else {
-        const PackedWeights &pw = w.pack(plan.cfg.mrCap);
-        const int nb = pw.numBlocks();
-        const int64_t plane =
-            static_cast<int64_t>(s.outH) * s.outW;
-        parallelFor(
-            0, static_cast<int64_t>(nb) * s.outH,
-            [&](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; i++) {
-                const int bi = static_cast<int>(i / s.outH);
-                const int y = static_cast<int>(i % s.outH);
-                convBlockRowTensor(
-                    plan.bk, pw, bi,
-                    &w.out(pw.block(bi).m0, y, 0), plane, s.outW,
-                    w.in, y * s.stride, 0);
-              }
-            },
-            plan.cfg.grain);
-    }
+    ConvLayerRun layer;
+    layer.bk = plan.bk;
+    layer.bkI8 = plan.bkI8;
+    layer.grain = plan.cfg.grain;
+    layer.act = w.act;
+    if (w.q.dtype == Precision::Int8)
+        layer.pwI8 = &cachedPack(w.packsI8, plan.cfg.mrCap, w.fb,
+                                 s.groups, w.wScales);
+    else if (w.q.dtype == Precision::Fp16)
+        layer.pwF16 = &cachedPack(w.packsF16, plan.cfg.mrCap, w.fb,
+                                  s.groups);
+    else
+        layer.pw = &cachedPack(w.packs, plan.cfg.mrCap, w.fb, s.groups, 0);
+    runConvRows(layer, w.in, 0, 0, s.outH, s.outW, w.out.data(),
+                static_cast<int64_t>(s.outH) * s.outW, s.outW,
+                w.stages[plan.bkI8.stageGroups(s.groups)]);
 }
 
 /** Best-of-samples seconds per pass for one candidate plan. */

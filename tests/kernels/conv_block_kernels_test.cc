@@ -1,9 +1,9 @@
 /**
  * @file
  * Multi-filter blocked strip kernels: bit-exact equivalence with the
- * canonical scalar convPoint() and with the single-filter strips
- * across the kernel/stride grid, filter-count and strip-width tails,
- * SIMD-vs-generic dispatch, ring row tables, grouped convolution,
+ * canonical scalar convPoint() across the kernel/stride grid and
+ * every lane width, filter-count and strip-width tails,
+ * SIMD-vs-generic dispatch, start-row addressing, grouped convolution,
  * channel-range partial-sum chaining, and reads that stay inside the
  * input.
  */
@@ -116,25 +116,24 @@ TEST(ConvBlockKernels, GenericFallbackMatchesConvPoint)
 
 TEST(ConvBlockKernels, BlockedMatchesSingleFilterStrip)
 {
-    // The multi-filter block and the single-filter strip must agree
-    // bit for bit: both promise convPoint's canonical order.
+    // Every lane width of the filter block must agree bit for bit with
+    // the single-filter scalar convPoint: both promise its canonical
+    // order.
     for (int k : {1, 3, 5, 7, 11}) {
         for (int s : {1, 2, 4}) {
             BlockCase c(k, s, 3, 4, 29, 300 + k * 10 + s);
             const ConvBlockKernel bk = resolveConvBlockKernel(k, s);
-            const ConvKernel ks = resolveConvKernel(k, s);
-            const PackedWeights pw(c.fb);
-            std::vector<float> blocked = runBlocked(c, bk, pw);
-            std::vector<float> strip(static_cast<size_t>(c.outW));
-            for (int m = 0; m < c.fb.numFilters(); m++) {
-                convRowTensor(ks, strip.data(), c.outW, c.in, c.fb, m,
-                              0, 0, 0);
-                for (int x = 0; x < c.outW; x++)
-                    ASSERT_EQ(
-                        blocked[static_cast<size_t>(m) * c.outW + x],
-                        strip[static_cast<size_t>(x)])
-                        << "k=" << k << " s=" << s << " m=" << m
-                        << " x=" << x;
+            for (int mr_cap : {1, 2, 4}) {
+                const PackedWeights pw(c.fb, 1, 0, mr_cap);
+                std::vector<float> blocked = runBlocked(c, bk, pw);
+                for (int m = 0; m < c.fb.numFilters(); m++)
+                    for (int x = 0; x < c.outW; x++)
+                        ASSERT_EQ(
+                            blocked[static_cast<size_t>(m) * c.outW + x],
+                            convPoint(c.in, c.fb, m, 0, x * s, 1,
+                                      c.fb.numFilters(), nullptr))
+                            << "k=" << k << " s=" << s << " mr=" << mr_cap
+                            << " m=" << m << " x=" << x;
             }
         }
     }
@@ -314,9 +313,10 @@ TEST(ConvBlockKernels, StripsReadNothingPastTheirInput)
     // Each input ends on a page boundary with an inaccessible page
     // behind it, so a kernel that loads past its last input element
     // dies with SIGSEGV. Every output row of a valid conv is computed,
-    // over the kernel/stride grid, by the single-filter strips and the
-    // multi-filter blocks at each lane count, for channel counts that
-    // are and are not multiples of a vector width.
+    // over the kernel/stride grid, by the multi-filter blocks at each
+    // lane count and (its last pixel) by the single-filter convPoint,
+    // for channel counts that are and are not multiples of a vector
+    // width.
     const int64_t page = sysconf(_SC_PAGESIZE);
     const int out_w = 13, out_h = 3;  // 8 + 4 + 1 pixel blocks
     for (int k : {1, 3, 5, 7, 11}) {
@@ -342,6 +342,12 @@ TEST(ConvBlockKernels, StripsReadNothingPastTheirInput)
                     static_cast<size_t>(kConvBlockLanes) * out_w);
                 const int64_t plane = static_cast<int64_t>(h) * w;
                 const float want = 0.5f * channels * k * k;
+                const Tensor guarded = Tensor::view(Shape{channels, h, w}, in);
+                FilterBank fb(1, channels, k);
+                for (int n = 0; n < channels; n++)
+                    for (int i = 0; i < k; i++)
+                        for (int j = 0; j < k; j++)
+                            fb.w(0, n, i, j) = 0.5f;
                 for (int y = 0; y < out_h; y++) {
                     SCOPED_TRACE("k=" + std::to_string(k) +
                                  " s=" + std::to_string(s) +
@@ -358,11 +364,10 @@ TEST(ConvBlockKernels, StripsReadNothingPastTheirInput)
                             ASSERT_EQ(dst[0], want) << "mr=" << mr;
                         }
                     }
-                    std::fill(dst.begin(), dst.end(), 0.0f);
-                    resolveConvKernel(k, s).run(dst.data(), out_w, start,
-                                                plane, w, wp.data(),
-                                                channels);
-                    ASSERT_EQ(dst[0], want) << "single filter";
+                    ASSERT_EQ(convPoint(guarded, fb, 0, y * s,
+                                        (out_w - 1) * s, 1, 1, nullptr),
+                              want)
+                        << "single filter";
                 }
                 munmap(map, span + page);
             }
