@@ -210,5 +210,45 @@ scheduleStr(const Network &net, const Schedule &s)
     return out;
 }
 
+std::string
+scheduleExecutableReason(const Network &net, const Schedule &s)
+{
+    std::string err = validateSchedule(net, s);
+    for (size_t gi = 0; err.empty() && gi < s.groups.size(); gi++) {
+        const GroupSchedule &g = s.groups[gi];
+        const uint32_t meaningful = meaningfulRetainBits(net, g);
+        const std::string group = "group " + std::to_string(gi) + ": ";
+        if (g.flow != Dataflow::Pyramid && g.size() > 1)
+            err = group + "no host executor for the " +
+                  dataflowName(g.flow) + " dataflow";
+        else if ((g.retainMask & meaningful) != meaningful)
+            err = group + "recomputed boundaries have no host executor";
+    }
+    return err;
+}
+
+CompileStatus
+compileSchedule(FusionPlan &plan, const Schedule &s,
+                const PlanCompileOptions &opt)
+{
+    const Network &net = plan.network();
+    const std::string why = scheduleExecutableReason(net, s);
+    if (!why.empty())
+        return plan.reject(opt, CompileStatus::UnsupportedSchedule, why);
+    std::vector<TilePlan> groups;
+    for (const GroupSchedule &g : s.groups) {
+        int fl, ll;
+        groupLayerRange(net, StageGroup{g.firstStage, g.lastStage}, fl,
+                        ll);
+        groups.emplace_back(net, fl, ll, g.tileH, net.outShape(ll).w);
+    }
+    if (plan.ops().empty())
+        plan.addRange(groups.front().firstLayer(),
+                      groups.back().lastLayer());
+    PlanCompileOptions retain = opt;
+    retain.engine = PlanEngine::Fused;
+    return plan.compile(retain, std::move(groups));
+}
+
 } // namespace dse
 } // namespace flcnn

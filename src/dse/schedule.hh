@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "fusion/fusion_plan.hh"
 #include "model/partition.hh"
 #include "nn/network.hh"
 
@@ -158,6 +159,25 @@ Partition schedulePartition(const Schedule &s);
  * "(3:t4, 2:r6, 1)".
  */
 std::string scheduleStr(const Network &net, const Schedule &s);
+
+/**
+ * Why @p s cannot be executed by the host executors, or the empty
+ * string when it can: every group must be a Pyramid retaining all its
+ * meaningful halos (any tile height: full-width tiles of tileH rows
+ * realize it). Invalid schedules return the validation error.
+ */
+std::string scheduleExecutableReason(const Network &net,
+                                     const Schedule &s);
+
+/**
+ * Lower @p s onto @p plan (declaring its layers if it has no ops): one
+ * FusedExecutor per group, singletons included, over tiles of tileH rows
+ * x the output width, halos retained, @p opt for the rest. Returns
+ * UnsupportedSchedule, with scheduleExecutableReason() as diagnostic(),
+ * or compile()'s status; a compiled plan matches nn::runRange bit-exactly.
+ */
+CompileStatus compileSchedule(FusionPlan &plan, const Schedule &s,
+                              const PlanCompileOptions &opt);
 
 } // namespace dse
 } // namespace flcnn

@@ -178,7 +178,7 @@ class FusedExecutor
      * dram_write_bytes, mults / adds / compares, wall_seconds, and
      * buffer-occupancy gauges, plus run-level pyramid and weight-pack
      * hit/miss counters under the "" scope. @p scope_prefix is
-     * prepended to every scope (the partition executor passes
+     * prepended to every scope (FusionPlan::setMetrics passes
      * "group:<g>:" so its groups stay distinguishable in one
      * registry). Pass nullptr to detach. The registry must outlive
      * the executor or the next setMetrics().

@@ -36,6 +36,21 @@ wallSeconds()
  */
 constexpr int kLineBufferRows = 4;
 
+/** Count one compile attempt ending in @p s under the "plan" scope. */
+CompileStatus
+counted(const PlanCompileOptions &opt, CompileStatus s)
+{
+    if (opt.metrics) {
+        opt.metrics->addCounter("plan", "compiles", 1);
+        // Declare the contract counter so a zero is visible (and
+        // assertable by CI) even when nothing ever trips it.
+        opt.metrics->addCounter("plan", "silent_fallbacks", 0);
+        if (s != CompileStatus::Ok)
+            opt.metrics->addCounter("plan", "compile_rejected", 1);
+    }
+    return s;
+}
+
 } // namespace
 
 const char *
@@ -63,6 +78,7 @@ compileStatusName(CompileStatus s)
       case CompileStatus::UnsupportedOp:       return "unsupported_op";
       case CompileStatus::UnsupportedSequence: return "unsupported_sequence";
       case CompileStatus::AlreadyCompiled:     return "already_compiled";
+      case CompileStatus::UnsupportedSchedule: return "unsupported_schedule";
     }
     return "?";
 }
@@ -92,7 +108,7 @@ FusionPlan::operator=(const FusionPlan &other)
     compileSecs = 0.0;
     solverNames.clear();
     diag.clear();
-    fused.reset();
+    groups.clear();
     return *this;
 }
 
@@ -195,30 +211,36 @@ FusionPlan::check(const PlanCompileOptions &opt) const
 }
 
 CompileStatus
-FusionPlan::compile(const PlanCompileOptions &opt)
+FusionPlan::reject(const PlanCompileOptions &opt, CompileStatus s,
+                   const std::string &why)
 {
-    if (opt.metrics) {
-        opt.metrics->addCounter("plan", "compiles", 1);
-        // Declare the contract counter so a zero is visible (and
-        // assertable by CI) even when nothing ever trips it.
-        opt.metrics->addCounter("plan", "silent_fallbacks", 0);
-    }
+    return counted(opt, fail(s, why));
+}
+
+CompileStatus
+FusionPlan::compile(const PlanCompileOptions &opt,
+                    std::vector<TilePlan> tiles)
+{
     if (isCompiled) {
-        CompileStatus s = fail(CompileStatus::AlreadyCompiled,
-                               "plan is already pinned to the " +
-                                   std::string(planEngineName(
-                                       opt_.engine)) +
-                                   " engine");
-        if (opt.metrics)
-            opt.metrics->addCounter("plan", "compile_rejected", 1);
-        return s;
+        return reject(opt, CompileStatus::AlreadyCompiled,
+                      "plan is already pinned to the " +
+                          std::string(planEngineName(opt_.engine)) +
+                          " engine");
     }
     CompileStatus s = check(opt);
-    if (s != CompileStatus::Ok) {
-        if (opt.metrics)
-            opt.metrics->addCounter("plan", "compile_rejected", 1);
-        return s;
+    if (s == CompileStatus::Ok && !tiles.empty()) {
+        int next = opList.front();  // -1 once a group leaves a gap
+        for (const TilePlan &t : tiles)
+            next = t.firstLayer() == next ? t.lastLayer() + 1 : -1;
+        if (opt.engine == PlanEngine::Reference ||
+            next != opList.back() + 1) {
+            s = fail(CompileStatus::UnsupportedSchedule,
+                     "the groups must cut the ops into consecutive runs, "
+                     "under a fused engine");
+        }
     }
+    if (counted(opt, s) != CompileStatus::Ok)
+        return s;
 
     const double t0 = wallSeconds();
     const int first = opList.front();
@@ -241,28 +263,29 @@ FusionPlan::compile(const PlanCompileOptions &opt)
         solverNames.push_back(std::to_string(i) + ":" + cp.solver);
     }
 
-    if (opt.engine != PlanEngine::Reference) {
-        TilePlan tiles =
-            opt.engine == PlanEngine::LineBuffer
-                ? TilePlan(*net, first, last, kLineBufferRows,
-                           net->outShape(last).w)
-                : TilePlan(*net, first, last, opt.tip, opt.tip);
-        fused = std::make_unique<FusedExecutor>(
-            *net, *weights, std::move(tiles),
-            opt.engine == PlanEngine::Recompute
-                ? FusedExecutor::Halo::Recompute
-                : FusedExecutor::Halo::Retain);
-        fused->setPrecision(opt.precision);
-        fused->setFastMath(opt.fastMath);
+    if (tiles.empty() && opt.engine != PlanEngine::Reference) {
+        tiles.push_back(opt.engine == PlanEngine::LineBuffer
+                            ? TilePlan(*net, first, last, kLineBufferRows,
+                                       net->outShape(last).w)
+                            : TilePlan(*net, first, last, opt.tip, opt.tip));
+    }
+    groups.reserve(tiles.size());
+    for (TilePlan &t : tiles) {
+        groups.emplace_back(*net, *weights, std::move(t),
+                            opt.engine == PlanEngine::Recompute
+                                ? FusedExecutor::Halo::Recompute
+                                : FusedExecutor::Halo::Retain);
+        groups.back().setPrecision(opt.precision);
+        groups.back().setFastMath(opt.fastMath);
     }
 
     opt_ = opt;
     isCompiled = true;
     diag.clear();
 
-    if (opt.prepackWeights && opt.engine != PlanEngine::Reference) {
-        // One zero-image run populates the executor's weight-pack
-        // cache (and touches every buffer), so the first real
+    if (opt.prepackWeights && !groups.empty()) {
+        // One zero-image run populates the executors' weight-pack
+        // caches (and touches every buffer), so the first real
         // execute() pays no packing cost.
         Tensor zero(net->inShape(first));
         (void)execute(zero);
@@ -305,8 +328,13 @@ FusionPlan::outShape() const
 }
 
 Tensor
-FusionPlan::execute(const Tensor &input)
+FusionPlan::execute(const Tensor &input, RunStats *stats)
 {
+    if (!groups.empty()) {
+        Tensor out(outShape());
+        executeInto(input, &out, stats);
+        return out;
+    }
     if (!isCompiled) {
         fatal("FusionPlan::execute() before a successful compile() "
               "(last status: %s)",
@@ -314,15 +342,13 @@ FusionPlan::execute(const Tensor &input)
     }
     if (opt_.metrics)
         opt_.metrics->addCounter("plan", "executes", 1);
-    if (opt_.engine == PlanEngine::Reference) {
-        return runRange(*net, *weights, input, opList.front(),
-                        opList.back(), opt_.precision);
-    }
-    return fused->run(input);
+    FLCNN_ASSERT(!stats, "the Reference engine reports no RunStats");
+    return runRange(*net, *weights, input, opList.front(), opList.back(),
+                    opt_.precision);
 }
 
 void
-FusionPlan::executeInto(const Tensor &input, Tensor *out)
+FusionPlan::executeInto(const Tensor &input, Tensor *out, RunStats *stats)
 {
     if (!isCompiled) {
         fatal("FusionPlan::executeInto() before a successful compile() "
@@ -331,9 +357,35 @@ FusionPlan::executeInto(const Tensor &input, Tensor *out)
     }
     if (opt_.metrics)
         opt_.metrics->addCounter("plan", "executes", 1);
-    if (!fused)
+    if (groups.empty())
         panic("executeInto() on a plan without in-place output support");
-    fused->runInto(input, out);
+    // Each group's output is the next group's input, through "DRAM".
+    RunStats sum;
+    Tensor mid;
+    for (size_t g = 0; g < groups.size(); g++) {
+        RunStats gs;
+        if (g + 1 < groups.size())
+            mid = groups[g].run(g ? mid : input, &gs);
+        else
+            groups[g].runInto(g ? mid : input, out, &gs);
+        sum.loadedBytes += gs.loadedBytes;
+        sum.storedBytes += gs.storedBytes;
+        sum.reuseBytes += gs.reuseBytes;
+        sum.workingBytes += gs.workingBytes;
+        sum.pyramids += gs.pyramids;
+        sum.ops += gs.ops;
+    }
+    if (stats)
+        *stats = sum;
+}
+
+void
+FusionPlan::setMetrics(MetricsRegistry *m)
+{
+    for (size_t g = 0; g < groups.size(); g++) {
+        groups[g].setMetrics(
+            m, m ? MetricsRegistry::groupPrefix(static_cast<int>(g)) : "");
+    }
 }
 
 bool

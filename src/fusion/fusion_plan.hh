@@ -21,6 +21,8 @@
  *   LineBuffer  | FusedExecutor, Retain, 4 rows  | Pad / Conv / Pool /
  *               |   x the whole output width     | ReLU / LRN
  *   Recompute   | FusedExecutor, Recompute, tip^2|
+ *   (schedule)  | FusedExecutor per group, Retain| the fusable stages
+ *               |   tileH rows x the output width| (dse::compileSchedule)
  *   Reference   | nn::runRange                   | any path-shaped
  *               |                                | single-input run
  *               |                                | (FC included)
@@ -32,8 +34,11 @@
  * UnsupportedSequence (an escaping intermediate cannot stay
  * unmaterialized inside a pyramid).
  *
+ * A compiled plan is a list of fused groups chained through DRAM (the
+ * paper's Figure 4): one per preset, one per schedule group, none for
+ * Reference.
  * Execution is compile-once / execute-many: execute() runs the pinned
- * executor and is the only per-request work. A FusionPlan is copyable
+ * groups and is the only per-request work. A FusionPlan is copyable
  * as a *template* — the copy carries the op list and network/weight
  * references but starts uncompiled (executors hold run-state and are
  * not shareable across threads); each serving worker copies the
@@ -43,10 +48,10 @@
 #ifndef FLCNN_FUSION_FUSION_PLAN_HH
 #define FLCNN_FUSION_FUSION_PLAN_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "fusion/plan.hh"
 #include "nn/network.hh"
 #include "nn/precision.hh"
 #include "nn/weights.hh"
@@ -56,6 +61,7 @@ namespace flcnn {
 
 class FusedExecutor;
 class MetricsRegistry;
+struct RunStats;
 
 /** Which executor preset a plan compiles onto (also the serving
  *  engine: ServeConfig::engine picks one for every worker). */
@@ -82,6 +88,7 @@ enum class CompileStatus
     UnsupportedOp,       //!< op kind outside the engine's table (FC)
     UnsupportedSequence, //!< range is not a path (fan-out escapes it)
     AlreadyCompiled,     //!< compile() on a compiled plan
+    UnsupportedSchedule, //!< groups or a schedule no executor runs
 };
 
 const char *compileStatusName(CompileStatus s);
@@ -118,8 +125,8 @@ struct PlanCompileOptions
 
 /**
  * A declared op sequence plus, after a successful compile(), the
- * pinned executor that runs it. The referenced network and weights
- * must outlive the plan.
+ * pinned groups that run it. The referenced network and weights must
+ * outlive the plan.
  */
 class FusionPlan
 {
@@ -156,10 +163,19 @@ class FusionPlan
      * or a typed status leaving the plan un-executable (a later
      * compile() with fixed inputs may succeed). Never asserts on a
      * declaration error and never falls back to another engine.
+     * Non-empty @p groups (a FusedExecutor each, halo by engine)
+     * replace the preset and must cut the ops into consecutive runs.
      */
-    CompileStatus compile(const PlanCompileOptions &opt);
+    CompileStatus compile(const PlanCompileOptions &opt,
+                          std::vector<TilePlan> groups = {});
+
+    /** Count a compile attempt a lowering rejected before compile()
+     *  and make @p why the diagnostic; returns @p s. */
+    CompileStatus reject(const PlanCompileOptions &opt, CompileStatus s,
+                         const std::string &why);
 
     bool compiled() const { return isCompiled; }
+    const Network &network() const { return *net; }
 
     /** Engine the plan compiled onto (valid once compiled()). */
     PlanEngine engine() const { return opt_.engine; }
@@ -174,12 +190,14 @@ class FusionPlan
 
     /** Execute the pinned plan on one input; bit-identical to
      *  nn::runRange over the same range, precision, and math tier.
+     *  @p stats (fused engines) sums the groups' RunStats.
      *  fatal() when the plan is not compiled. */
-    Tensor execute(const Tensor &input);
+    Tensor execute(const Tensor &input, RunStats *stats = nullptr);
 
     /** As execute(), into @p out (shape outShape(), may be an unzeroed
      *  arena view). Only when producesInto(). */
-    void executeInto(const Tensor &input, Tensor *out);
+    void executeInto(const Tensor &input, Tensor *out,
+                     RunStats *stats = nullptr);
 
     /** Whether executeInto() is available (every engine but
      *  Reference). */
@@ -197,6 +215,10 @@ class FusionPlan
      *  ("" after a success). */
     const std::string &diagnostic() const { return diag; }
 
+    /** FusedExecutor::setMetrics() on every compiled group, each under
+     *  its "group:<g>:" scope prefix. */
+    void setMetrics(MetricsRegistry *m);
+
   private:
     CompileStatus fail(CompileStatus s, const std::string &why) const;
 
@@ -210,9 +232,9 @@ class FusionPlan
     std::vector<std::string> solverNames;
     mutable std::string diag;
 
-    // Live after compiling onto any engine but Reference, which pins
-    // no executor (runRange holds no state).
-    std::unique_ptr<FusedExecutor> fused;
+    // Empty under Reference, which pins no executor (runRange holds
+    // no state).
+    std::vector<FusedExecutor> groups;
 };
 
 } // namespace flcnn

@@ -10,8 +10,8 @@
  *
  *  - scope: where the value was measured. Executors use
  *    "layer:<i>:<layer-name>" for per-fused-layer values, accelerator
- *    models use "stage:<s>:<stage-name>", the partition executor
- *    prefixes both with "group:<g>:", and "" holds run-level values.
+ *    models use "stage:<s>:<stage-name>", FusionPlan::setMetrics
+ *    prefixes the former with "group:<g>:", "" holds run values.
  *  - name: what was measured ("dram_read_bytes", "compute_cycles",
  *    "pack_misses", ...).
  *
@@ -44,12 +44,12 @@ namespace flcnn {
 /**
  * Totals of one fused-executor run, the same fields for every engine
  * (FusedExecutor under either halo strategy and any tip, the line
- * buffer included, and the PartitionExecutor's sum over its groups). With a registry attached
- * to the run, each counted field equals the sum of its counter over
- * every scope: loadedBytes = sumCounters("dram_read_bytes"),
- * storedBytes = sumCounters("dram_write_bytes"), pyramids =
- * sumCounters("pyramids"), and ops = the "mults" / "adds" /
- * "compares" sums.
+ * buffer included, and a FusionPlan's sum over its groups). With a
+ * registry attached to the run, each counted field equals the sum of
+ * its counter over every scope: loadedBytes =
+ * sumCounters("dram_read_bytes"), storedBytes =
+ * sumCounters("dram_write_bytes"), pyramids = sumCounters("pyramids"),
+ * and ops = the "mults" / "adds" / "compares" sums.
  */
 struct RunStats
 {

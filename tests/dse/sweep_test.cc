@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/units.hh"
-#include "dse/exec.hh"
 #include "dse/sweep.hh"
 #include "model/transfer.hh"
 #include "nn/reference.hh"
@@ -270,7 +269,6 @@ TEST(Sweep, ExecutorSpotChecksPricedMultiRowSchedule)
                                                   stages));
     s.groups[0].tileH = 3;
     s.groups[1].tileH = 2;
-    EXPECT_EQ(scheduleExecutableReason(net, s), "");
 
     SchedulePricer pricer(net);
     ScheduleCost cost = pricer.price(s);
@@ -283,7 +281,9 @@ TEST(Sweep, ExecutorSpotChecksPricedMultiRowSchedule)
     Rng irng(7 ^ 0xbeef);
     input.fillRandom(irng);
     Tensor ref = runRange(net, weights, input, 0, net.numLayers() - 1);
-    Tensor out = executeSchedule(net, weights, input, s);
+    FusionPlan plan(net, weights);
+    ASSERT_EQ(compileSchedule(plan, s, {}), CompileStatus::Ok);
+    Tensor out = plan.execute(input);
     CompareResult cmp = compareTensors(ref, out);
     EXPECT_TRUE(cmp.match) << cmp.str();
 }
@@ -294,11 +294,17 @@ TEST(Sweep, NonPyramidSchedulesAreNotExecutable)
     const int stages = static_cast<int>(net.stages().size());
     Schedule s = chainSchedule(partitionFromSizes({2, stages - 2},
                                                   stages));
+    NetworkWeights weights(net);
+    FusionPlan plan(net, weights);
     s.groups[0].flow = Dataflow::Independent;
-    EXPECT_NE(scheduleExecutableReason(net, s), "");
+    EXPECT_EQ(compileSchedule(plan, s, {}),
+              CompileStatus::UnsupportedSchedule);
+    EXPECT_NE(plan.diagnostic().find("independent"), std::string::npos);
     s.groups[0].flow = Dataflow::Pyramid;
     s.groups[0].retainMask = ~2u;  // recompute a meaningful boundary
-    EXPECT_NE(scheduleExecutableReason(net, s), "");
+    EXPECT_EQ(compileSchedule(plan, s, {}),
+              CompileStatus::UnsupportedSchedule);
+    EXPECT_NE(plan.diagnostic().find("recomputed"), std::string::npos);
 }
 
 TEST(Sweep, NeighborsAreValidDedupedAndLocal)

@@ -17,6 +17,7 @@
 
 #include "common/rng.hh"
 #include "fusion/fusion_plan.hh"
+#include "fusion/plan.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -385,6 +386,34 @@ TEST(FusionPlan, PlansSharingALayerDoNotAliasPackEntries)
         EXPECT_TRUE(tensorsEqual(golden_a, a.execute(in))) << rep;
         EXPECT_TRUE(tensorsEqual(golden_b, b.execute(mid))) << rep;
     }
+}
+
+TEST(FusionPlan, GroupListMustCutTheOpsIntoConsecutiveRuns)
+{
+    // Explicit groups chain through DRAM and match runRange; a gap, or
+    // groups under the Reference engine, are typed rejections.
+    Network net = smallChain();
+    NetworkWeights w(net);
+    Tensor in(net.inputShape());
+    Rng irng(22);
+    in.fillRandom(irng);
+    const int last = net.numLayers() - 1, mid = net.stages()[1].first;
+    FusionPlan plan(net, w);
+    plan.addRange(0, last);
+    PlanCompileOptions opt;
+    opt.engine = PlanEngine::Reference;
+    EXPECT_EQ(plan.compile(opt, {TilePlan(net, 0, mid - 1),
+                                 TilePlan(net, mid, last)}),
+              CompileStatus::UnsupportedSchedule);
+    opt.engine = PlanEngine::Recompute;
+    EXPECT_EQ(plan.compile(opt, {TilePlan(net, 0, mid - 2),
+                                 TilePlan(net, mid, last)}),
+              CompileStatus::UnsupportedSchedule);
+    ASSERT_EQ(plan.compile(opt, {TilePlan(net, 0, mid - 1, 2, 2),
+                                 TilePlan(net, mid, last, 3, 1)}),
+              CompileStatus::Ok);
+    EXPECT_TRUE(tensorsEqual(runRange(net, w, in, 0, last),
+                             plan.execute(in)));
 }
 
 TEST(FusionPlanDeath, ExecuteBeforeCompileIsFatal)

@@ -15,7 +15,6 @@
 
 #include "accel/baseline_accel.hh"
 #include "accel/fused_accel.hh"
-#include "accel/partition_executor.hh"
 #include "common/thread_pool.hh"
 #include "dse/sweep.hh"
 #include "hls/emitter.hh"
@@ -51,9 +50,12 @@ TEST(EndToEnd, ExploreThenExecuteTheParetoFront)
     const dse::SweepResult res = dse::runSweep(net, {});
     ASSERT_GE(res.legacyFront.size(), 2u);
     for (const DesignPoint &p : res.legacyFront) {
-        PartitionExecutor exec(net, weights, p.partition);
+        FusionPlan plan(net, weights);
+        ASSERT_EQ(dse::compileSchedule(
+                      plan, dse::chainSchedule(p.partition), {}),
+                  CompileStatus::Ok);
         RunStats stats;
-        Tensor out = exec.run(input, &stats);
+        Tensor out = plan.execute(input, &stats);
         EXPECT_TRUE(tensorsEqual(ref, out))
             << partitionStr(p.partition);
         EXPECT_EQ(stats.loadedBytes + stats.storedBytes, p.transferBytes)
@@ -288,11 +290,14 @@ TEST(Observability, ExecutorMetricSumsMatchRunStats)
          }},
         {"partition",
          [&](MetricsRegistry &reg, RunStats &s) {
-             PartitionExecutor x(
-                 net, weights,
-                 Partition{StageGroup{0, 0}, StageGroup{1, stages - 1}});
+             FusionPlan x(net, weights);
+             ASSERT_EQ(dse::compileSchedule(
+                           x, dse::chainSchedule(Partition{
+                                  StageGroup{0, 0}, StageGroup{1, stages - 1}}),
+                           {}),
+                       CompileStatus::Ok);
              x.setMetrics(&reg);
-             x.run(input, &s);
+             x.execute(input, &s);
          }},
     };
 
@@ -379,11 +384,13 @@ TEST(Observability, PartitionExecutorScopesMetricsByGroup)
     ASSERT_GE(stages.size(), 2u);
     Partition part{StageGroup{0, 0},
                    StageGroup{1, static_cast<int>(stages.size()) - 1}};
-    PartitionExecutor exec(net, weights, part);
+    FusionPlan plan(net, weights);
+    ASSERT_EQ(dse::compileSchedule(plan, dse::chainSchedule(part), {}),
+              CompileStatus::Ok);
     MetricsRegistry reg;
-    exec.setMetrics(&reg);
+    plan.setMetrics(&reg);
     RunStats stats;
-    exec.run(input, &stats);
+    plan.execute(input, &stats);
 
     expectStatsMatchRegistry(stats, reg);
     bool saw_g0 = false, saw_g1 = false;
@@ -417,9 +424,12 @@ TEST(EndToEnd, AdvisorPickIsExecutable)
     Tensor input(net.inputShape());
     Rng irng(91);
     input.fillRandom(irng);
-    PartitionExecutor exec(net, weights, pick->partition);
+    FusionPlan plan(net, weights);
+    ASSERT_EQ(dse::compileSchedule(
+                  plan, dse::chainSchedule(pick->partition), {}),
+              CompileStatus::Ok);
     RunStats stats;
-    Tensor out = exec.run(input, &stats);
+    Tensor out = plan.execute(input, &stats);
     Tensor ref = runRange(net, weights, input, 0,
                           net.stages().back().last);
     EXPECT_TRUE(tensorsEqual(ref, out));
