@@ -47,9 +47,8 @@ FusedExecutor::FusedExecutor(const Network &network,
     const int rows = tplan.numPyramidRows();
     const int cols = tplan.numPyramidCols();
     states.resize(static_cast<size_t>(n));
-    rowReadyCol.assign(static_cast<size_t>(cols), -1);
-    if (retain)
-        std::iota(rowReadyCol.begin(), rowReadyCol.end(), 0);
+    rowReadyCol.resize(static_cast<size_t>(cols));
+    std::iota(rowReadyCol.begin(), rowReadyCol.end(), 0);
     for (int li = 0; li < n; li++) {
         const LayerGeom &g = tplan.geom(li);
         const LayerSpec &spec = net.layer(g.layerIdx);
@@ -117,17 +116,16 @@ FusedExecutor::FusedExecutor(const Network &network,
                 std::max(rowReadyCol[static_cast<size_t>(c)], ready);
         }
     }
-    // Monotone in c, so a row that has finished pyramid k has let the
-    // row above it finish rowReadyCol[k] >= k: waiting on the previous
-    // row alone then covers writers further up (rows where a layer is
-    // stalled).
+    // Monotone in c, so a row that has finished layer li of pyramid k
+    // has let the row above it finish layer li of rowReadyCol[k] >= k:
+    // waiting on the previous row alone then covers writers further up
+    // (rows where a layer is stalled).
     for (int c = 1; c < cols; c++) {
         rowReadyCol[static_cast<size_t>(c)] =
             std::max(rowReadyCol[static_cast<size_t>(c)],
                      rowReadyCol[static_cast<size_t>(c) - 1]);
     }
-    rowDone = std::make_unique<std::atomic<int>[]>(
-        static_cast<size_t>(rows));
+    rowProgress = std::make_unique<RowProgress[]>(static_cast<size_t>(rows));
     lanes.push_back(makeLane());
     if (retain) {
         workingBytes = tplan.workingBufferBytes();
@@ -229,8 +227,12 @@ FusedExecutor::assembleTile(Lane &ln, int li, int r, int c)
         FLCNN_ASSERT(st.bt.elems() > 0, "top overlap without a BT buffer");
         const int writer = st.btWriterRow[static_cast<size_t>(r)];
         FLCNN_ASSERT(writer >= 0 &&
-                         rowDone[writer].load(std::memory_order_acquire) >
-                             st.btReadyCol[static_cast<size_t>(c)],
+                         (!handOff ||
+                          rowProgress[writer].done.load(
+                              std::memory_order_acquire) >=
+                              stepsThrough(
+                                  st.btReadyCol[static_cast<size_t>(c)],
+                                  li)),
                      "BT read raced ahead of its writer row");
         FLCNN_ASSERT(tx.begin >= ll.btWatermark,
                      "BT read raced ahead of the safe-write watermark");
@@ -348,9 +350,9 @@ FusedExecutor::computeWindowed(Lane &ln, int li, int r, int c)
         // the staging of non-fp32 modes (the lane's own stage), the
         // (filter block, row group) items and the ReLU epilogue are
         // runConvRows()'s, so the tile stays bit-identical to the
-        // reference at every thread count. Inside a wavefront lane the
-        // items run inline; a one-lane plan such as the line buffer
-        // splits them over the pool.
+        // reference at every thread count. Inside a lane of a
+        // multi-lane run the items run inline; a one-lane run splits
+        // them over the pool.
         runConvRows(st.conv, tile, oy.begin * s - ll.tileY.begin,
                     ox.begin * s - ll.tileX.begin, oh, ox.width(),
                     fresh.data(),
@@ -579,14 +581,29 @@ FusedExecutor::run(const Tensor &input, RunStats *stats)
 }
 
 void
-FusedExecutor::waitRow(int r, int pyramids)
+FusedExecutor::waitRow(int r, int steps)
 {
-    std::atomic<int> &done = rowDone[r];
-    int seen = done.load(std::memory_order_acquire);
-    while (seen < pyramids) {
-        done.wait(seen, std::memory_order_acquire);
-        seen = done.load(std::memory_order_acquire);
+    RowProgress &p = rowProgress[r];
+    if (p.done.load(std::memory_order_acquire) >= steps)
+        return;
+    // Announce the target before the last look, so the publisher that
+    // reaches it either is seen here or sees the target and wakes us.
+    p.want.store(steps);
+    int seen = p.done.load();
+    while (seen < steps) {
+        p.done.wait(seen, std::memory_order_acquire);
+        seen = p.done.load(std::memory_order_acquire);
     }
+    p.want.store(kNobodyWaits, std::memory_order_relaxed);
+}
+
+void
+FusedExecutor::publish(int r, int steps)
+{
+    RowProgress &p = rowProgress[r];
+    p.done.store(steps);
+    if (steps >= p.want.load())
+        p.done.notify_all();
 }
 
 void
@@ -611,18 +628,26 @@ FusedExecutor::runRow(Lane &ln, int r)
     }
 
     for (int c = 0; c < tplan.numPyramidCols(); c++) {
-        if (r > 0)
-            waitRow(r - 1, rowReadyCol[static_cast<size_t>(c)] + 1);
         for (int li = 0; li < n; li++) {
             const LayerGeom &g = tplan.geom(li);
             const LayerSpec &spec = net.layer(g.layerIdx);
             const LayerState &st = states[static_cast<size_t>(li)];
             LaneLayer &ll = ln.layers[static_cast<size_t>(li)];
+            // Only a BT strip is shared between rows: this layer's
+            // hand-off is row r - 1 done with this layer of pyramid
+            // rowReadyCol[c]. Stalled layers wait too, which carries
+            // the hand-off from writers further up.
+            const bool shared = handOff && !st.btWriterRow.empty();
+            if (shared && r > 0) {
+                waitRow(r - 1,
+                        stepsThrough(rowReadyCol[static_cast<size_t>(c)],
+                                     li));
+            }
             const Span ey = st.outY[static_cast<size_t>(r)];
             const Span ex = st.outX[static_cast<size_t>(c)];
             if (ey.empty() || ex.empty()) {
                 // Stalled pyramid: this layer computes nothing here
-                // and its buffers carry over untouched. Publish an
+                // and its buffers carry over untouched. Leave an
                 // empty fresh rect for downstream bookkeeping.
                 ll.freshY = Span{ey.end, ey.end};
                 ll.freshX = Span{ex.end, ex.end};
@@ -630,27 +655,29 @@ FusedExecutor::runRow(Lane &ln, int r)
                     ll.freshOwner =
                         ln.layers[static_cast<size_t>(li) - 1].freshOwner;
                 }
-                continue;
-            }
-            const RunStats before = ln.stats;
-            double t0 = 0.0;
-            if (metrics)
-                t0 = wallSeconds();
-            if (g.windowed) {
-                assembleTile(ln, li, r, c);
-                saveReuse(ln, li, r, c);
-                computeWindowed(ln, li, r, c);
-            } else if (spec.kind == LayerKind::Pad) {
-                runPad(ln, li, r, c);
             } else {
-                runPointwise(ln, li, r, c);
+                const RunStats before = ln.stats;
+                double t0 = 0.0;
+                if (metrics)
+                    t0 = wallSeconds();
+                if (g.windowed) {
+                    assembleTile(ln, li, r, c);
+                    saveReuse(ln, li, r, c);
+                    computeWindowed(ln, li, r, c);
+                } else if (spec.kind == LayerKind::Pad) {
+                    runPad(ln, li, r, c);
+                } else {
+                    runPointwise(ln, li, r, c);
+                }
+                if (metrics) {
+                    LayerTally &t = ln.tally[static_cast<size_t>(li)];
+                    t.wall += wallSeconds() - t0;
+                    t.loaded += ln.stats.loadedBytes - before.loadedBytes;
+                    t.ops += ln.stats.ops - before.ops;
+                }
             }
-            if (metrics) {
-                LayerTally &t = ln.tally[static_cast<size_t>(li)];
-                t.wall += wallSeconds() - t0;
-                t.loaded += ln.stats.loadedBytes - before.loadedBytes;
-                t.ops += ln.stats.ops - before.ops;
-            }
+            if (shared)
+                publish(r, stepsThrough(c, li));
         }
 
         // Retire the pyramid: store the tip to DRAM.
@@ -675,8 +702,6 @@ FusedExecutor::runRow(Lane &ln, int r)
             }
         }
         ln.stats.pyramids++;
-        rowDone[r].store(c + 1, std::memory_order_release);
-        rowDone[r].notify_all();
     }
 }
 
@@ -751,16 +776,13 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
     }
 
     // One lane when the calling thread is already inside a parallel
-    // region (it could not fan out anyway), a trace sink needs the
-    // raster order, or the plan is a retained single pyramid column
-    // (row r then waits for all of row r - 1, so lanes would only take
-    // turns; the kernels' work items use the pool instead). Otherwise
-    // one lane per pool thread, at most one per pyramid row.
-    const bool wavefront = haloMode == Halo::Recompute ||
-                           tplan.numPyramidCols() > 1;
+    // region (it could not fan out anyway) or a trace sink needs the
+    // raster order; otherwise one lane per pool thread, at most one per
+    // pyramid row. Rows hand off only where several lanes share BT.
     int nlanes = 1;
-    if (wavefront && !traceSink && !ThreadPool::inParallelRegion())
+    if (!traceSink && !ThreadPool::inParallelRegion())
         nlanes = std::min(ThreadPool::global().numThreads(), rows);
+    handOff = nlanes > 1 && haloMode == Halo::Retain;
     while (static_cast<int>(lanes.size()) < nlanes)
         lanes.push_back(makeLane());
     for (int l = 0; l < nlanes; l++) {
@@ -786,8 +808,10 @@ FusedExecutor::runInto(const Tensor &input, Tensor *out,
                 ll.freshOwner = -1;
         }
     }
-    for (int r = 0; r < rows; r++)
-        rowDone[r].store(0, std::memory_order_relaxed);
+    for (int r = 0; handOff && r < rows; r++) {
+        rowProgress[r].done.store(0, std::memory_order_relaxed);
+        rowProgress[r].want.store(kNobodyWaits, std::memory_order_relaxed);
+    }
 
     if (nlanes == 1) {
         runLanes(0, 1, 1);

@@ -45,38 +45,40 @@
  * order and evaluates every row r with r mod L in [lo, hi), left to
  * right, with the conv and pool kernels running inline. Each lane owns
  * its tiles, BL buffers, fresh buffers, conv staging and tallies; the
- * one BT strip per layer is shared, and it is what orders the lanes:
- * pyramid (r, c) starts only once row r - 1 has finished pyramid
- * rowReadyCol[c] — the first pyramid whose BT writes cover every column
- * (r, c) reads, and never less than c itself, so that row r - 1 has
- * also read what (r, c) overwrites (c + 1 for dividing geometries).
- * Rows publish their progress through one atomic counter each. Under
- * Retain every boundary stays a *retained* one: the executor computes
- * exactly what the serial raster walk computes, so outputs, RunStats
- * and coverage are identical at every thread count. Under Recompute
- * nothing orders the rows: rowReadyCol is -1 everywhere, so recompute
- * lanes never wait, and each pyramid computes the same values whichever
- * lane runs it. With one lane (a one-thread pool, a caller already
- * inside a parallel region such as a serving worker's InlineScope, a
- * single pyramid row, a trace sink installed, or a Retain plan with a
- * single pyramid column) the run is the plain raster walk on the
- * calling thread, and the kernels' own parallelFor calls use the pool
- * as before; a traced run therefore emits its DRAM accesses in raster
- * order.
+ * one BT strip per layer is shared, and it is what orders the lanes,
+ * layer by layer: layer li of pyramid (r, c) runs only once row r - 1
+ * has finished layer li of pyramid rowReadyCol[c] — the first pyramid
+ * whose BT writes cover every column (r, c) reads, and never less than
+ * c itself, so that row r - 1 has also read what (r, c) overwrites
+ * (c + 1 for dividing geometries). Layer li's BT strip is the only row
+ * r - 1 state layer li touches, so successive rows overlap layer by
+ * layer. Each row publishes its (pyramid, layer) progress through one
+ * atomic counter, and wakes the next row only once that row's target
+ * is reached. Under Retain every boundary stays a *retained* one: the
+ * executor computes exactly what the serial raster walk computes, so
+ * outputs, RunStats and coverage are identical at every thread count.
+ * Under Recompute nothing orders the rows: recompute lanes never wait
+ * or publish, and each pyramid computes the same values whichever lane
+ * runs it. With one lane (a one-thread pool, a caller already inside a
+ * parallel region such as a serving worker's InlineScope, a single
+ * pyramid row, or a trace sink installed) the run is the plain raster
+ * walk on the calling thread, publishing nothing, and the kernels' own
+ * parallelFor calls use the pool; a traced run therefore emits its DRAM
+ * accesses in raster order.
  *
  * A Retain plan whose tip spans the whole group output width is the
  * line buffer (PlanEngine::LineBuffer): one pyramid column, no BL, and
  * a BT strip per windowed layer that carries the K - S rows the next
- * band of rows re-reads. Its wavefront would have nothing to overlap,
- * since row r waits for every pyramid of row r - 1, which is why such
- * a plan runs the one-lane walk with (filter block, row group) work
- * items on the pool.
+ * band of rows re-reads. Its lanes pipeline the rows like the paper's
+ * per-layer units (Section IV): row r runs a layer while row r - 1 runs
+ * a later one.
  */
 
 #ifndef FLCNN_FUSION_FUSED_EXECUTOR_HH
 #define FLCNN_FUSION_FUSED_EXECUTOR_HH
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -282,10 +284,30 @@ class FusedExecutor
         std::vector<LayerTally> tally;  //!< per fused layer (metrics)
     };
 
+    static constexpr int kNobodyWaits = std::numeric_limits<int>::max();
+
+    /** One pyramid row's hand-off counters, on a cache line of its
+     *  own: the (pyramid, layer) steps it has finished, and the step
+     *  count the next row sleeps on (kNobodyWaits when it is awake). */
+    struct alignas(64) RowProgress
+    {
+        std::atomic<int> done{0};
+        std::atomic<int> want{kNobodyWaits};
+    };
+
+    /** Steps a row has finished once it is through layer @p li of
+     *  pyramid @p c. */
+    int
+    stepsThrough(int c, int li) const
+    {
+        return c * tplan.numFusedLayers() + li + 1;
+    }
+
     Lane makeLane() const;
     void runLanes(int lo, int hi, int nlanes);
     void runRow(Lane &ln, int r);
-    void waitRow(int r, int pyramids);
+    void waitRow(int r, int steps);
+    void publish(int r, int steps);
     void assembleTile(Lane &ln, int li, int r, int c);
     void saveReuse(Lane &ln, int li, int r, int c);
     void computeWindowed(Lane &ln, int li, int r, int c);
@@ -315,11 +337,14 @@ class FusedExecutor
     int64_t workingBytes = 0;    //!< one lane's tile + fresh buffers
     std::vector<LayerState> states;
     std::vector<Lane> lanes;     //!< grown on demand, never shrunk
-    /** Per pyramid column c: the pyramid row r - 1 must have finished
-     *  before (r, c) starts (see file comment); unused by Recompute. */
+    /** Per pyramid column c: the pyramid of row r - 1 whose layer li
+     *  must be done before (r, c) runs layer li (see file comment);
+     *  unused by Recompute. */
     std::vector<int> rowReadyCol;
-    /** Per pyramid row: pyramids finished in the current run. */
-    std::unique_ptr<std::atomic<int>[]> rowDone;
+    /** Per pyramid row, in runs that hand off (handOff). */
+    std::unique_ptr<RowProgress[]> rowProgress;
+    /** This run's lanes share BT strips: several lanes under Retain. */
+    bool handOff = false;
     const Tensor *groupInput = nullptr;
     Tensor *groupOutput = nullptr;
     WeightPackCache packCache;  //!< per-fused-layer packed conv banks

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "fusion/fused_executor.hh"
 #include "fusion/plan.hh"
+#include "kernels/weight_pack.hh"
 #include "nn/autotune_net.hh"
 #include "nn/reference.hh"
 #include "obs/metrics.hh"
@@ -109,6 +110,7 @@ FusionPlan::operator=(const FusionPlan &other)
     solverNames.clear();
     diag.clear();
     groups.clear();
+    refPacks.reset();
     return *this;
 }
 
@@ -283,7 +285,12 @@ FusionPlan::compile(const PlanCompileOptions &opt,
     isCompiled = true;
     diag.clear();
 
-    if (opt.prepackWeights && !groups.empty()) {
+    if (opt.engine == PlanEngine::Reference) {
+        refPacks = std::make_unique<WeightPackCache>();
+        if (opt.prepackWeights)
+            prepackRange(*net, *weights, first, last, opt.precision,
+                         *refPacks);
+    } else if (opt.prepackWeights) {
         // One zero-image run populates the executors' weight-pack
         // caches (and touches every buffer), so the first real
         // execute() pays no packing cost.
@@ -344,7 +351,7 @@ FusionPlan::execute(const Tensor &input, RunStats *stats)
         opt_.metrics->addCounter("plan", "executes", 1);
     FLCNN_ASSERT(!stats, "the Reference engine reports no RunStats");
     return runRange(*net, *weights, input, opList.front(), opList.back(),
-                    opt_.precision);
+                    opt_.precision, nullptr, refPacks.get());
 }
 
 void

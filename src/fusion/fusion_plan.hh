@@ -7,11 +7,12 @@
  * engine, and compile(). Compilation validates the sequence against
  * the supported-fusions table below, resolves every convolution
  * through the solver registry (tune/solver.hh), builds the pinned
- * executor, and optionally pre-packs weights with one zero-image run —
- * or returns a *typed* CompileStatus explaining why the combination is
- * unsupported. Nothing ever silently routes to the reference path: the
- * Reference engine is an explicit choice, counted separately, and a
- * rejected compile leaves the plan un-executable.
+ * executor, and optionally pre-packs weights (one zero-image run; the
+ * Reference engine resolves its packs without one) — or returns a
+ * *typed* CompileStatus explaining why the combination is unsupported.
+ * Nothing ever silently routes to the reference path: the Reference
+ * engine is an explicit choice, counted separately, and a rejected
+ * compile leaves the plan un-executable.
  *
  * Supported-fusions table (PlanEngine x op kinds):
  *
@@ -40,14 +41,16 @@
  * Execution is compile-once / execute-many: execute() runs the pinned
  * groups and is the only per-request work. A FusionPlan is copyable
  * as a *template* — the copy carries the op list and network/weight
- * references but starts uncompiled (executors hold run-state and are
- * not shareable across threads); each serving worker copies the
- * registered template and compiles privately at warmup.
+ * references but starts uncompiled (executors, and the Reference
+ * engine's pack cache, hold run-state and are not shareable across
+ * threads); each serving worker copies the registered template and
+ * compiles privately at warmup.
  */
 
 #ifndef FLCNN_FUSION_FUSION_PLAN_HH
 #define FLCNN_FUSION_FUSION_PLAN_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +64,7 @@ namespace flcnn {
 
 class FusedExecutor;
 class MetricsRegistry;
+class WeightPackCache;
 struct RunStats;
 
 /** Which executor preset a plan compiles onto (also the serving
@@ -111,8 +115,8 @@ struct PlanCompileOptions
      *  (results persist in the process tune cache). */
     bool tuneFirst = false;
 
-    /** Pre-pack weights with one zero-image run, so the first real
-     *  execute() pays no packing cost. */
+    /** Pre-pack weights (fused engines: with one zero-image run), so
+     *  the first real execute() pays no packing cost. */
     bool prepackWeights = true;
 
     /** Count compile/execute outcomes under the "plan" scope:
@@ -232,9 +236,10 @@ class FusionPlan
     std::vector<std::string> solverNames;
     mutable std::string diag;
 
-    // Empty under Reference, which pins no executor (runRange holds
-    // no state).
+    // Empty under Reference, which pins no executor: runRange runs
+    // it, with refPacks holding its packed conv banks.
     std::vector<FusedExecutor> groups;
+    std::unique_ptr<WeightPackCache> refPacks;
 };
 
 } // namespace flcnn

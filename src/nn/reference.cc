@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "common/logging.hh"
@@ -75,39 +76,62 @@ poolPoint(const Tensor &in, int c, int y0, int x0, int kernel,
 
 namespace {
 
+/** Per-call packs of a conv resolved without a WeightPackCache. */
+struct OwnPacks
+{
+    std::optional<PackedWeights> fp32;
+    std::optional<PackedWeightsF16> f16;
+    std::optional<PackedWeightsI8> i8;
+};
+
 /**
- * One conv layer in @p prec's mode (fp32 when null), the whole output
- * through runConvRows(). The reference is the golden baseline every
- * executor is compared against, so it always plans exact (never
+ * The conv @p spec over an @p in input in @p prec's mode (fp32 when
+ * null) as runConvRows() runs it. The reference is the golden baseline
+ * every executor is compared against, so it always plans exact (never
  * fast-math); the tune cache can still pick bit-invariant configs for
- * it. The pack is built per call: one pass over the bank, next to the
- * out_h * out_w passes of compute (long-lived executors cache their
- * packs instead; see kernels/weight_pack.hh). Op counts are tallied
- * analytically.
+ * it. The packed weights come from @p packs under @p key when a cache
+ * is given (a compiled Reference plan's, so a warm run packs nothing),
+ * else they are built into @p own: one pass over the bank, next to the
+ * out_h * out_w passes of compute.
  */
-Tensor
-runConv(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
-        const NetPrecision *prec, int slot, OpCount *ops)
+ConvLayerRun
+resolveConv(const LayerSpec &spec, const Shape &in, const FilterBank &fb,
+            const NetPrecision *prec, int slot, int key,
+            WeightPackCache *packs, OwnPacks &own)
 {
     const Precision mode = prec ? prec->mode() : Precision::Fp32;
-    const ConvPlan plan =
-        planConv(convLayerQuery(spec, in.shape(), mode, false));
+    const ConvPlan plan = planConv(convLayerQuery(spec, in, mode, false));
     ConvLayerRun layer;
     layer.bk = plan.bk;
     layer.bkI8 = plan.bkI8;
     layer.grain = plan.cfg.grain;
-    std::optional<PackedWeights> pw;
-    std::optional<PackedWeightsF16> pw16;
-    std::optional<PackedWeightsI8> pw8;
+    const int cap = plan.cfg.mrCap;
     if (mode == Precision::Int8) {
+        const std::vector<float> &ws = prec->weightScales(slot);
         layer.act = prec->actQuant(slot);
-        layer.pwI8 = &pw8.emplace(fb, spec.groups, prec->weightScales(slot),
-                                  plan.cfg.mrCap);
+        layer.pwI8 = packs ? &packs->getI8(key, fb, spec.groups, ws,
+                                           prec->scaleId(), cap)
+                           : &own.i8.emplace(fb, spec.groups, ws, cap);
     } else if (mode == Precision::Fp16) {
-        layer.pwF16 = &pw16.emplace(fb, spec.groups, plan.cfg.mrCap);
+        layer.pwF16 = packs ? &packs->getF16(key, fb, spec.groups, cap)
+                            : &own.f16.emplace(fb, spec.groups, cap);
     } else {
-        layer.pw = &pw.emplace(fb, spec.groups, 0, plan.cfg.mrCap);
+        layer.pw = packs ? &packs->get(key, fb, spec.groups, 0, cap)
+                         : &own.fp32.emplace(fb, spec.groups, 0, cap);
     }
+    return layer;
+}
+
+/** One conv layer, the whole output through runConvRows(); op counts
+ *  are tallied analytically. */
+Tensor
+runConv(const LayerSpec &spec, const Tensor &in, const FilterBank &fb,
+        const NetPrecision *prec, int slot, int key,
+        WeightPackCache *packs, OpCount *ops)
+{
+    OwnPacks own;
+    const ConvLayerRun layer =
+        resolveConv(spec, in.shape(), fb, prec, slot, key, packs, own);
     const Shape out_shape = spec.outShape(in.shape());
     Tensor out(out_shape);
     ConvStage stage;
@@ -181,15 +205,25 @@ runRelu(const Tensor &in, OpCount *ops)
     return out;
 }
 
+/** Copy every input row into the zero-filled padded plane, one
+ *  (channel, row) per work item. */
 Tensor
 runPad(const LayerSpec &spec, const Tensor &in)
 {
     const Shape &s = in.shape();
-    Tensor out(s.c, s.h + 2 * spec.pad, s.w + 2 * spec.pad);
-    for (int c = 0; c < s.c; c++)
-        for (int y = 0; y < s.h; y++)
-            for (int x = 0; x < s.w; x++)
-                out(c, y + spec.pad, x + spec.pad) = in(c, y, x);
+    const int p = spec.pad;
+    Tensor out(s.c, s.h + 2 * p, s.w + 2 * p);
+    parallelFor(
+        0, static_cast<int64_t>(s.c) * s.h,
+        [&](int64_t lo, int64_t hi) {
+            for (int64_t w = lo; w < hi; w++) {
+                const int c = static_cast<int>(w / s.h);
+                const int y = static_cast<int>(w % s.h);
+                std::memcpy(&out(c, y + p, p), in.rowPtr(c, y),
+                            static_cast<size_t>(s.w) * sizeof(float));
+            }
+        },
+        /*grain=*/16);
     return out;
 }
 
@@ -268,7 +302,7 @@ runLayer(const LayerSpec &spec, const Tensor &in, const FilterBank *bank,
     switch (spec.kind) {
       case LayerKind::Conv:
         FLCNN_ASSERT(bank != nullptr, "conv layer needs a filter bank");
-        return runConv(spec, in, *bank, nullptr, 0, ops);
+        return runConv(spec, in, *bank, nullptr, 0, 0, nullptr, ops);
       case LayerKind::Pool:
         return runPool(spec, in, ops);
       case LayerKind::ReLU:
@@ -349,7 +383,7 @@ runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
 Tensor
 runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
          int first_layer, int last_layer, const NetPrecision *prec,
-         OpCount *ops)
+         OpCount *ops, WeightPackCache *packs)
 {
     FLCNN_ASSERT(first_layer >= 0 && last_layer < net.numLayers() &&
                      first_layer <= last_layer,
@@ -375,7 +409,8 @@ runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
         const LayerSpec &spec = net.layer(i);
         if (spec.kind == LayerKind::Conv) {
             const int slot = net.convSlot(i);
-            cur = runConv(spec, cur, weights.bank(slot), prec, slot, ops);
+            cur = runConv(spec, cur, weights.bank(slot), prec, slot, i,
+                          packs, ops);
             continue;
         }
         if (spec.kind == LayerKind::ReLU) {
@@ -389,6 +424,21 @@ runRange(const Network &net, const NetworkWeights &weights, const Tensor &in,
         cur = runLayer(spec, cur, nullptr, dw, ops);
     }
     return cur;
+}
+
+void
+prepackRange(const Network &net, const NetworkWeights &weights,
+             int first_layer, int last_layer, const NetPrecision *prec,
+             WeightPackCache &packs)
+{
+    for (int i = first_layer; i <= last_layer; i++) {
+        if (net.layer(i).kind != LayerKind::Conv)
+            continue;
+        const int slot = net.convSlot(i);
+        OwnPacks unused;
+        (void)resolveConv(net.layer(i), net.inShape(i), weights.bank(slot),
+                          prec, slot, i, &packs, unused);
+    }
 }
 
 Tensor

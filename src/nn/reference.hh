@@ -21,6 +21,8 @@
 
 namespace flcnn {
 
+class WeightPackCache;
+
 /**
  * One convolution output value whose receptive field's top-left corner
  * is at (y0, x0) of @p in, in canonical summation order. Callers with
@@ -71,11 +73,20 @@ Tensor runRange(const Network &net, const NetworkWeights &weights,
  * layer computes in fp32 as always. A null @p prec (or Fp32 mode)
  * is exactly the plain fp32 path. This is the golden producer for the
  * precision differential tests: fused executors at the same precision
- * must match it bit for bit.
+ * must match it bit for bit. Each conv packs its bank per call, unless
+ * @p packs is given: then the packs resolve through it, keyed by
+ * network layer index, and a call after the first packs nothing.
  */
 Tensor runRange(const Network &net, const NetworkWeights &weights,
                 const Tensor &in, int first_layer, int last_layer,
-                const NetPrecision *prec, OpCount *ops = nullptr);
+                const NetPrecision *prec, OpCount *ops = nullptr,
+                WeightPackCache *packs = nullptr);
+
+/** Resolve into @p packs every pack runRange() over [first, last] in
+ *  @p prec's mode asks @p packs for, without computing anything. */
+void prepackRange(const Network &net, const NetworkWeights &weights,
+                  int first_layer, int last_layer, const NetPrecision *prec,
+                  WeightPackCache &packs);
 
 /**
  * Execute an arbitrary network DAG on @p in: evaluate every node in

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <vector>
@@ -464,46 +465,103 @@ TEST(FusedExecutor, OneParallelRegionPerImage)
     }
 }
 
-TEST(FusedExecutor, OneLaneOnASingleRetainedColumn)
+/** A Retain plan over one pyramid column (@p plan), run at every
+ *  thread count of @p threads: each run is one parallel region with one
+ *  chunk per lane, and matches the one-thread run and runRange bit for
+ *  bit, with the same RunStats and no element computed twice. */
+void
+expectLanesMatchOneThread(const Network &net, const NetworkWeights &weights,
+                          const TilePlan &plan, const NetPrecision *prec,
+                          const std::vector<int> &threads, int repeats,
+                          const std::string &what)
 {
-    // A Retain plan with one pyramid column (the line-buffer preset)
-    // has no wavefront to run: row r waits for all of row r - 1. Its
-    // one lane walks the rows on the calling thread and the kernels'
-    // work items fill both pool threads, region after region. A
-    // Recompute plan over the same tiles keeps its lanes: one region,
-    // one chunk per lane (OneParallelRegionPerImage covers multi-column
-    // plans).
-    Network net("vgg-lanes", Shape{3, 24, 24});
+    ASSERT_EQ(plan.numPyramidCols(), 1) << what;
+    const int last = plan.lastLayer();
+    Tensor input(net.inputShape());
+    Rng irng(6);
+    input.fillRandom(irng);
+    Tensor ref, serial;
+    RunStats serial_stats;
+    {
+        ScopedThreads scope(1);
+        ref = runRange(net, weights, input, 0, last, prec);
+        FusedExecutor exec(net, weights, plan);
+        exec.setPrecision(prec);
+        serial = exec.run(input, &serial_stats);
+    }
+    ASSERT_TRUE(tensorsEqual(ref, serial)) << what;
+    for (int t : threads) {
+        ScopedThreads scope(t);
+        FusedExecutor exec(net, weights, plan);
+        exec.setPrecision(prec);
+        exec.setTrackCoverage(true);
+        const int lanes = std::min(t, plan.numPyramidRows());
+        for (int rep = 0; rep < repeats; rep++) {
+            const std::string where = what + " threads=" +
+                                      std::to_string(t) + " run " +
+                                      std::to_string(rep);
+            std::atomic<int> regions{0}, chunks{0};
+            ThreadPool::setChunkObserver(
+                [&](int tid, int64_t, int64_t, double, double) {
+                    if (tid == 0)
+                        regions++;
+                    chunks++;
+                });
+            RunStats stats;
+            const Tensor out = exec.run(input, &stats);
+            ThreadPool::setChunkObserver(nullptr);
+            EXPECT_EQ(regions.load(), 1) << where;
+            EXPECT_EQ(chunks.load(), lanes) << where;
+            EXPECT_TRUE(tensorsEqual(serial, out)) << where;
+            EXPECT_TRUE(sameRunStats(stats, serial_stats)) << where;
+            EXPECT_EQ(exec.coverageReport(), "") << where;
+        }
+    }
+}
+
+TEST(FusedExecutor, LanesOnASingleRetainedColumn)
+{
+    // A Retain plan with one pyramid column (the line-buffer preset, a
+    // compiled schedule group) runs min(pool, rows) lanes, like every
+    // other plan: row r runs layer li once row r - 1 is done with that
+    // layer, so successive rows overlap layer by layer, with the
+    // kernels inline in the lanes.
+    Network net("vgg-lanes", Shape{3, 64, 64});
     net.addConvBlock("c11", 4, 3, 1, 1);
     net.addConvBlock("c12", 4, 3, 1, 1);
     net.addMaxPool("p1", 2, 2);
     const int last = net.numLayers() - 1;
     Rng wrng(5);
     NetworkWeights weights(net, wrng);
-    Tensor input(net.inputShape());
-    Rng irng(6);
-    input.fillRandom(irng);
-    const Tensor ref = runRange(net, weights, input, 0, last);
-    ScopedThreads scope(2);
-    for (FusedExecutor::Halo halo :
-         {FusedExecutor::Halo::Retain, FusedExecutor::Halo::Recompute}) {
-        FusedExecutor exec(net, weights, fullWidthPlan(net, 0, last, 4),
-                           halo);
-        std::atomic<int> chunks[2] = {0, 0};
-        ThreadPool::setChunkObserver(
-            [&](int tid, int64_t, int64_t, double, double) {
-                chunks[tid]++;
-            });
-        EXPECT_TRUE(tensorsEqual(ref, exec.run(input)));
-        ThreadPool::setChunkObserver(nullptr);
-        if (halo == FusedExecutor::Halo::Retain) {
-            EXPECT_GT(chunks[0].load(), 1);
-            EXPECT_GT(chunks[1].load(), 1);
-        } else {
-            EXPECT_EQ(chunks[0].load(), 1);
-            EXPECT_EQ(chunks[1].load(), 1);
-        }
-    }
+    // The preset's 4 rows, and a schedule group's height that divides
+    // nothing (dse::compileSchedule lowers a group to the same form).
+    expectLanesMatchOneThread(net, weights, fullWidthPlan(net, 0, last, 4),
+                              nullptr, {2, 8}, 1, "line buffer");
+    expectLanesMatchOneThread(net, weights, fullWidthPlan(net, 0, last, 3),
+                              nullptr, {2, 8}, 1, "schedule tileH 3");
+}
+
+TEST(FusedExecutor, SingleColumnHandOffStress)
+{
+    // One-row tips over a tall, narrow plane: 48 pyramid rows, so the
+    // lanes hand off every layer of every row, repeatedly, in fp32 and
+    // int8.
+    Network net("tall", Shape{3, 98, 18});
+    net.addConvBlock("c11", 5, 3, 1, 1);
+    net.add(LayerSpec::conv("c12", 4, 3, 1));
+    net.add(LayerSpec::relu("r12"));
+    net.addMaxPool("p1", 2, 2);
+    const int last = net.numLayers() - 1;
+    Rng wrng(9);
+    NetworkWeights weights(net, wrng);
+    const TilePlan plan = fullWidthPlan(net, 0, last, 1);
+    ASSERT_EQ(plan.numPyramidRows(), 48);
+    expectLanesMatchOneThread(net, weights, plan, nullptr, {2, 3, 8}, 4,
+                              "fp32");
+    const NetPrecision int8 =
+        NetPrecision::calibrate(net, weights, Precision::Int8);
+    expectLanesMatchOneThread(net, weights, plan, &int8, {2, 3, 8}, 4,
+                              "int8");
 }
 
 // The LineBufferExecutor suite keeps the name of the row-streaming

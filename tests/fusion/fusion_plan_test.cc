@@ -18,6 +18,7 @@
 #include "common/rng.hh"
 #include "fusion/fusion_plan.hh"
 #include "fusion/plan.hh"
+#include "kernels/weight_pack.hh"
 #include "nn/precision.hh"
 #include "nn/reference.hh"
 #include "nn/zoo.hh"
@@ -112,7 +113,8 @@ TEST(FusionPlan, CompileExecuteMatchesRunRangeEveryPrecision)
          {Precision::Fp32, Precision::Int8, Precision::Fp16}) {
         const NetPrecision prec = NetPrecision::calibrate(net, w, mode);
         Tensor golden = runRange(net, w, in, 0, last, &prec);
-        for (PlanEngine e : {PlanEngine::Fused, PlanEngine::LineBuffer,
+        for (PlanEngine e : {PlanEngine::Reference, PlanEngine::Fused,
+                             PlanEngine::LineBuffer,
                              PlanEngine::Recompute}) {
             SCOPED_TRACE(std::string(precisionName(mode)) + " " +
                          planEngineName(e));
@@ -125,6 +127,39 @@ TEST(FusionPlan, CompileExecuteMatchesRunRangeEveryPrecision)
                 << plan.diagnostic();
             EXPECT_TRUE(tensorsEqual(golden, plan.execute(in)));
         }
+    }
+}
+
+TEST(FusionPlan, ReferencePlanResolvesPacksOnlyAtCompile)
+{
+    // A compiled Reference plan resolves each conv's pack once, through
+    // the shared registry, at compile time; warm executes look nothing
+    // up and pack nothing, in every precision.
+    Network net = smallChain();
+    Rng wrng(31);
+    NetworkWeights w(net, wrng);
+    Tensor in(net.inputShape());
+    Rng irng(32);
+    in.fillRandom(irng);
+    const int last = net.numLayers() - 1;
+    SharedPackRegistry &reg = SharedPackRegistry::global();
+    const auto lookups = [&reg] { return reg.builds() + reg.sharedHits(); };
+    for (Precision mode :
+         {Precision::Fp32, Precision::Int8, Precision::Fp16}) {
+        SCOPED_TRACE(precisionName(mode));
+        const NetPrecision prec = NetPrecision::calibrate(net, w, mode);
+        const Tensor golden = runRange(net, w, in, 0, last, &prec);
+        FusionPlan plan(net, w);
+        plan.addRange(0, last);
+        PlanCompileOptions opt;
+        opt.engine = PlanEngine::Reference;
+        opt.precision = &prec;
+        const int64_t before = lookups();
+        ASSERT_EQ(plan.compile(opt), CompileStatus::Ok);
+        EXPECT_EQ(lookups(), before + 2);
+        for (int rep = 0; rep < 3; rep++)
+            EXPECT_TRUE(tensorsEqual(golden, plan.execute(in))) << rep;
+        EXPECT_EQ(lookups(), before + 2);
     }
 }
 
